@@ -28,7 +28,6 @@ from .fourier import (
     ft_indicator,
     ft_indicator_many,
     ft_indicator_quadrature,
-    parallel_map,
 )
 from .gabor import (
     CertificateScanParams,
@@ -41,11 +40,25 @@ from .gabor import (
 from .polytope import is_symmetric, translate_intersection, volume
 
 
-def _vector(text: str) -> np.ndarray:
+def _vector(text: str, dim: int) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        vec = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ParseError(f"bad vector {text!r}: {exc}") from exc
+    if vec.size != dim:
+        raise ParseError(f"vector {text!r} needs {dim} entries, got {vec.size}")
+    if not np.all(np.isfinite(vec)):
+        raise ParseError(f"vector {text!r} has a non-finite entry")
+    return vec
+
+
+def _tf_set(path, P):
+    """Time-frequency set of the window's dimension."""
+    L = gio.load_tf_set(path)
+    if L.d != P.dim:
+        raise ParseError(f"time-frequency set has dimension {L.d}, "
+                         f"the window {P.dim}")
+    return L
 
 
 def _ranges(text: str) -> list[tuple[float, float]]:
@@ -93,7 +106,7 @@ def cmd_symmetry(args) -> int:
 
 def cmd_intersect(args) -> int:
     P = gio.load_polytope(args.infile)
-    Q = translate_intersection(P, _vector(args.t))
+    Q = translate_intersection(P, _vector(args.t, P.dim))
     out = gio.polytope_to_dict(Q)
     out["empty"] = Q.empty
     out["degenerate"] = Q.degenerate
@@ -104,7 +117,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_ft(args) -> int:
     P = gio.load_polytope(args.infile)
-    lam = _vector(args.lam)
+    lam = _vector(args.lam, P.dim)
     val = ft_indicator(P, lam)
     out = {"lambda": [float(x) for x in lam], "value": _complex_dict(val)}
     if args.quadrature:
@@ -116,8 +129,8 @@ def cmd_ft(args) -> int:
 
 def cmd_stft(args) -> int:
     P = gio.load_polytope(args.infile)
-    t = _vector(args.t)
-    lam = _vector(args.lam)
+    t = _vector(args.t, P.dim)
+    lam = _vector(args.lam, P.dim)
     val = stft_indicator(P, t, lam)
     _emit(args, {"t": [float(x) for x in t], "lambda": [float(x) for x in lam],
                  "value": _complex_dict(val)})
@@ -134,7 +147,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_check_orth(args) -> int:
     P = gio.load_polytope(args.infile)
-    L = gio.load_tf_set(args.lattice)
+    L = _tf_set(args.lattice, P)
     reports = check_orthogonality(P, L, args.tol_zero,
                                   max_reports=args.max_reports)
     out = {
@@ -156,7 +169,7 @@ def cmd_check_orth(args) -> int:
 
 def cmd_find_violation(args) -> int:
     P = gio.load_polytope(args.infile)
-    L = gio.load_tf_set(args.lattice)
+    L = _tf_set(args.lattice, P)
     cert = gio.load_certificate(args.certificate)
     result = find_violation_pair(P, L, cert)
     if isinstance(result, NotFound):
@@ -187,7 +200,7 @@ def cmd_scan(args) -> int:
             raise ParseError("empty scan region")
         axes = [np.linspace(lo, hi, args.grid) for lo, hi in ranges]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        t = _vector(args.t) if args.t else np.zeros(d)
+        t = _vector(args.t, d) if args.t else np.zeros(d)
         config.update({"t": list(map(float, t)), "lambda_box": args.lambda_box,
                        "grid": args.grid})
         Q = translate_intersection(P, t)
@@ -204,15 +217,15 @@ def cmd_scan(args) -> int:
         params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid,
                                 n_cross=args.n_cross)
         mesh = cone_lambda_grid(d, cert.omega, params)
-        t = _vector(args.t) if args.t else np.zeros(d)
+        t = _vector(args.t, d) if args.t else np.zeros(d)
         config.update({"t": list(map(float, t)), "lambda1": f"{lo}:{hi}",
                        "grid": args.grid, "n_cross": args.n_cross,
                        "omega": cert.omega})
         Q = translate_intersection(apply_frame(P, cert.frame),
                                    cert.frame.to_frame_shift(t))
         ident = AxisFrame.identity(d)
-        vals = np.array(parallel_map(
-            lambda lam: divergence_residual(Q, ident, lam, via_boundary=True), mesh))
+        vals = np.array([divergence_residual(Q, ident, lam, via_boundary=True)
+                         for lam in mesh])
         pts = np.concatenate([np.broadcast_to(t, mesh.shape), mesh], axis=1)
     else:
         raise ParseError(f"unknown field {args.field!r}")

@@ -11,14 +11,13 @@ recursion always divides by the spread of the current node subset, so no
 denominator below CLUSTER_TOL is ever formed.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
-independent oracle for everything in this module.
+independent oracle for everything in this module; it sums the grid row by row
+in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,8 +190,11 @@ def ft_indicator_quadrature_many(P: HPolytope, lams: np.ndarray,
                                  n_per_axis: int, chunk: int = 500_000) -> np.ndarray:
     """Midpoint-rule quadrature, vectorized over frequencies.
 
-    One inside-mask pass over the deterministic n^d midpoint grid, then a
-    phase accumulation per frequency; grid chunks bound the memory use.
+    The deterministic n^d midpoint grid over the bounding box is summed row by
+    row along the last axis. On a convex body the midpoints of a row that pass
+    the inside test A x <= b + 1e-12 form an index interval, and the exp sum
+    over an interval is a closed geometric series, so each frequency costs
+    n^(d-1) row terms. ``chunk`` bounds the rows times frequencies held at once.
     """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
@@ -202,22 +204,68 @@ def ft_indicator_quadrature_many(P: HPolytope, lams: np.ndarray,
         return out
     lo, hi = P.bounding_box()
     d = P.dim
-    h = (hi - lo) / n_per_axis
+    n = n_per_axis
+    h = (hi - lo) / n
     cellvol = float(np.prod(h))
-    A, b = P.A, P.b
-    total = n_per_axis ** d
-    shape = (n_per_axis,) * d
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        idx = np.unravel_index(flat, shape)
-        pts = np.stack([lo[k] + (idx[k] + 0.5) * h[k] for k in range(d)], axis=1)
-        inside = np.all(A @ pts.T <= b[:, None] + 1e-12, axis=0)
-        if not np.any(inside):
+    # the row sum over k = 0..L-1 of q^k with q = exp(-2 pi i theta) only
+    # depends on theta mod 1, so it is taken at phi = theta - rint(theta)
+    theta = lams[:, -1] * h[-1]
+    phi = theta - np.rint(theta)
+    n_rows = n ** (d - 1)
+    step = max(1, chunk // max(1, lams.shape[0]))
+    for start in range(0, n_rows, step):
+        rows = np.arange(start, min(start + step, n_rows))
+        idx = np.unravel_index(rows, (n,) * (d - 1)) if d > 1 else ()
+        idx = np.array(idx, dtype=np.int64).T.reshape(rows.size, d - 1)
+        X = lo[:-1] + (idx + 0.5) * h[:-1]
+        first, count = _midpoint_intervals(P.A, P.b, lo, h, n, X)
+        X, first, count = X[count > 0], first[count > 0], count[count > 0]
+        if count.size == 0:
             continue
-        pin = pts[inside]
-        out += np.exp(-2j * np.pi * (pin @ lams.T)).sum(axis=0)
+        x0 = lo[-1] + (first + 0.5) * h[-1]
+        phase = X @ lams[:, :-1].T + x0[:, None] * lams[:, -1]
+        series = count[:, None] * np.sinc(phi * count[:, None]) / np.sinc(phi)
+        out += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi * (count[:, None] - 1))
+                * series).sum(axis=0)
     return out * cellvol
+
+
+def _midpoint_intervals(A, b, lo, h, n, X):
+    """(first index, count) of the midpoints of each row at front coordinates X
+    (rows, d-1) along the last axis that pass A x <= b + 1e-12.
+
+    The ends come from the row's linear bounds and are then moved until the
+    inside test itself holds at both ends and fails just beyond them, so the
+    interval holds exactly the points the test admits.
+    """
+
+    def inside(m):
+        pts = np.concatenate([X, (lo[-1] + (m + 0.5) * h[-1])[:, None]], axis=1)
+        return np.all(A @ pts.T <= b[:, None] + 1e-12, axis=0)
+
+    a = A[:, -1]
+    slack = b + 1e-12 - X @ A[:, :-1].T  # (rows, halfspaces)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (slack / a - lo[-1]) / h[-1] - 0.5
+    up = np.where(a > 0, bound, np.inf).min(axis=1)
+    down = np.where(a < 0, bound, -np.inf).max(axis=1)
+    blocked = np.any((a == 0) & (slack < 0), axis=1)
+    first = np.clip(np.ceil(down), 0, n).astype(np.int64)
+    last = np.where(blocked, -1, np.clip(np.floor(up), -1, n - 1)).astype(np.int64)
+    # rounding leaves the ends at most a step or two off; the cap only
+    # guarantees termination
+    for _ in range(2 * n):
+        near = first <= last + 1
+        live = first <= last
+        out_first = live & ~inside(np.minimum(first, n - 1))
+        out_last = live & ~inside(np.maximum(last, 0))
+        grow_first = near & (first > 0) & inside(np.maximum(first - 1, 0))
+        grow_last = near & (last < n - 1) & inside(np.minimum(last + 1, n - 1))
+        if not (out_first | out_last | grow_first | grow_last).any():
+            break
+        first = first + out_first - grow_first
+        last = last - out_last + grow_last
+    return first, np.maximum(last - first + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +571,3 @@ class ScanGrid:
             cells = [f"{x:.17g}" for x in row]
             cells += [f"{val.real:.17g}", f"{val.imag:.17g}", f"{abs(val):.17g}"]
             fh.write(",".join(cells) + "\n")
-
-
-def _n_threads() -> int:
-    raw = os.environ.get("GONB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items: list):
-    """Order-preserving map honoring the GONB_THREADS cap."""
-    n = _n_threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     CertificateMismatch,
     MarginVanished,
+    ParseError,
     ScanFailure,
     SymmetricInput,
     TooFewPoints,
@@ -52,11 +53,24 @@ from .polytope import (
 )
 
 TOL_ZERO = 1e-9
+# Time-frequency coordinates are bounded so that the difference keys
+# rint(D * KEY_SCALE) stay exact in int64 and in float64 (|key| <= 2e15 < 2^53).
+COORD_BOUND = 1e6
+KEY_SCALE = 1e9
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
 # time-frequency sets
 # ---------------------------------------------------------------------------
+
+
+def check_coordinates(values: np.ndarray, what: str) -> None:
+    """Raise ParseError unless every coordinate is finite with |x| <= COORD_BOUND."""
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{what} coordinates must be finite")
+    if np.any(np.abs(values) > COORD_BOUND):
+        raise ParseError(f"{what} coordinates must satisfy |x| <= {COORD_BOUND:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +93,7 @@ class TimeFrequencySet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] % 2 != 0:
             raise ValueError("points must be rows of even length 2d")
+        check_coordinates(pts, "time-frequency point")
         uniq = np.unique(np.round(pts, 12), axis=0)
         if uniq.shape[0] != pts.shape[0]:
             raise ValueError("duplicate time-frequency point")
@@ -201,29 +216,64 @@ class ViolationReport:
     confirmed: bool | None = None
 
 
-def _unique_signed_diffs(pts: np.ndarray, chunk: int = 400) -> np.ndarray:
-    """Distinct nonzero pair differences up to sign (first nonzero > 0)."""
+def _lex_codes(ranks: list[np.ndarray], radices: list[int]) -> np.ndarray:
+    """One int64 per row, ordered like the rows of the rank columns.
+
+    Column c holds ranks in range(radices[c]); the columns are packed in mixed
+    radix, and the running code is re-ranked densely whenever the next step
+    could overflow int64.
+    """
+    code = ranks[0].astype(np.int64)
+    size = radices[0]
+    for r, n in zip(ranks[1:], radices[1:]):
+        if size * n > _INT64_MAX:
+            uniq, code = np.unique(code, return_inverse=True)
+            size = uniq.size
+        code = code * n + r
+        size *= n
+    return code
+
+
+def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
+    """Distinct nonzero pair differences up to sign (first nonzero > 0).
+
+    Differences are compared through the integer keys rint(D * 1e9), the same
+    equivalence as rounding to 9 decimals. Returns the rounded differences in
+    lexicographic order and, for each, the generating ordered pair (i, j)
+    with points[i] - points[j] equal to it and the smallest i.
+    """
     m, k = pts.shape
+    cols = []  # per column: point value index, rank table of the keys, keys
+    for c in range(k):
+        u, idx = np.unique(pts[:, c], return_inverse=True)
+        keys, rank = np.unique(np.rint((u[:, None] - u) * KEY_SCALE).astype(np.int64),
+                               return_inverse=True)
+        # ranks stay below m^2, within int32 for any table that fits in memory
+        cols.append((idx, rank.reshape(u.size, u.size).astype(np.int32), keys))
+    radices = [keys.size for _, _, keys in cols]
+    zeros = [int(np.searchsorted(keys, 0)) for _, _, keys in cols]
+    step = max(1, pairs_per_chunk // m)
     parts = []
-    for start in range(0, m, chunk):
-        D = (pts[start:start + chunk, None, :] - pts[None, :, :]).reshape(-1, k)
-        D = np.round(D, 9)
-        sgn = np.zeros(D.shape[0])
-        for c in range(k):
-            sgn = np.where(sgn == 0, np.sign(D[:, c]), sgn)
-        nz = sgn != 0
-        parts.append(np.unique(D[nz] * sgn[nz, None], axis=0))
-    return np.unique(np.concatenate(parts, axis=0), axis=0)
-
-
-def _representative_pair(L: TimeFrequencySet, w: np.ndarray):
-    """Some (i, j) with points[i] - points[j] == w (within rounding)."""
-    index = {tuple(np.round(row, 9)): i for i, row in enumerate(L.points)}
-    for i, row in enumerate(L.points):
-        j = index.get(tuple(np.round(row - w, 9)))
-        if j is not None and j != i:
-            return i, j
-    raise KeyError("difference vector has no generating pair")
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        R = [rank[idx[rows]][:, idx].ravel() for idx, rank, _ in cols]
+        # ordered pairs whose first nonzero key is positive
+        positive = np.zeros(R[0].size, dtype=bool)
+        open_ = np.ones(R[0].size, dtype=bool)
+        for r, z in zip(R, zeros):
+            positive |= open_ & (r > z)
+            open_ &= r == z
+        flat = np.flatnonzero(positive)
+        R = [r[flat] for r in R]
+        _, first = np.unique(_lex_codes(R, radices), return_index=True)
+        parts.append((np.stack([r[first] for r in R]), start * m + flat[first]))
+    R = np.concatenate([p[0] for p in parts], axis=1)
+    flat = np.concatenate([p[1] for p in parts])
+    # chunks run in increasing i, so the first occurrence has the smallest i
+    _, first = np.unique(_lex_codes(list(R), radices), return_index=True)
+    diffs = np.stack([keys[r[first]] for r, (_, _, keys) in zip(R, cols)], axis=1)
+    i, j = np.divmod(flat[first], m)
+    return diffs / KEY_SCALE, i, j
 
 
 def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
@@ -232,8 +282,9 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     """Test mutual orthogonality of the Gabor system of (P, L) on the truncation.
 
     Evaluates V(v - v') over all ordered pairs v != v' (deduplicated by
-    difference vector; |V| is symmetric under sign flip) and reports the
-    differences with |V| > tol_zero. An empty list means mutual orthogonality
+    difference vector rounded to 9 decimals; |V| is symmetric under sign flip)
+    and reports the differences with |V| > tol_zero, each with its generating
+    pair of smallest first index and the value at that pair's difference. An empty list means mutual orthogonality
     holds on the truncation. At most ``max_reports`` violations are returned,
     largest |V| first selection, sorted lexicographically by (t, lam); each is
     re-confirmed against the quadrature oracle when it is large enough for the
@@ -245,22 +296,31 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
-    diffs = _unique_signed_diffs(L.points)
-    hits = []
-    for w in diffs:
-        val = stft_indicator(P, w[:d], w[d:])
-        if abs(val) > tol_zero:
-            hits.append((w, val))
+    _, first, second = _unique_signed_diffs(L.points)
+    # each distinct difference is evaluated at the exact difference of its
+    # generating pair, grouped by time shift: one translate intersection per
+    # shift, and transforms only where the intersection has volume
+    W = L.points[first] - L.points[second]
+    shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse))
+    values = np.zeros(W.shape[0], dtype=complex)
+    for t, members in zip(shifts, np.split(order, ends[:-1])):
+        Q = translate_intersection(P, t)
+        if Q.empty or Q.degenerate:
+            continue
+        for k in members:
+            values[k] = ft_indicator(Q, W[k, d:]) / vol
+    hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
     reports = []
-    for w, val in hits:
+    for k, val in hits:
         ok: bool | None = None
         if confirm:
-            ok = _confirm_violation(P, w[:d], w[d:], val, quad_n)
-        i, j = _representative_pair(L, w)
-        reports.append(ViolationReport((L.point(i), L.point(j)), complex(val),
-                                       abs(val), ok))
+            ok = _confirm_violation(P, W[k, :d], W[k, d:], val, quad_n)
+        reports.append(ViolationReport((L.point(first[k]), L.point(second[k])),
+                                       complex(val), abs(val), ok))
     reports.sort(key=lambda r: tuple(np.concatenate([r.pair[0].as_row(),
                                                      r.pair[1].as_row()])))
     return reports

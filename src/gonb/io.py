@@ -12,6 +12,7 @@ from .gabor import (
     CertificateProvenance,
     NonZeroCertificate,
     TimeFrequencySet,
+    check_coordinates,
     lattice_points,
 )
 from .polytope import HPolytope, from_vertices, normalize
@@ -51,28 +52,48 @@ def polytope_to_dict(P: HPolytope) -> dict:
 
 
 def load_tf_set(source) -> TimeFrequencySet:
-    """Parse {"points": [[...]]} or {"lattice": {"basis", "shift", "box"}}."""
+    """Parse {"points": [[...]]} or {"lattice": {"basis", "shift", "box"}}.
+
+    Points, lattice shift and box need finite coordinates with |x| <= 1e6; a
+    lattice basis is a finite square matrix of even size 2d.
+    """
     data = _load(source)
     if "points" in data:
-        pts = np.asarray(data["points"], dtype=float)
+        pts = _float_array(data["points"], "points")
         if pts.ndim != 2 or pts.shape[1] % 2 != 0:
             raise ParseError("points must be rows of even length 2d")
         return TimeFrequencySet(pts)
     if "lattice" in data:
         lat = data["lattice"]
         try:
-            basis = np.asarray(lat["basis"], dtype=float)
-            shift = np.asarray(lat.get("shift", np.zeros(basis.shape[0])), dtype=float)
+            basis = _float_array(lat["basis"], "lattice basis")
+            n = basis.shape[0] if basis.ndim == 2 else 0
+            shift = _float_array(lat.get("shift", np.zeros(n)), "lattice shift")
             box = lat["box"]
-            lo = np.asarray(box["lo"], dtype=float)
-            hi = np.asarray(box["hi"], dtype=float)
-        except (KeyError, TypeError) as exc:
+            lo = _float_array(box["lo"], "lattice box")
+            hi = _float_array(box["hi"], "lattice box")
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad lattice spec: {exc}") from exc
+        if basis.shape != (n, n) or n == 0 or n % 2 != 0:
+            raise ParseError("lattice basis must be a square matrix of even size 2d")
+        if not np.all(np.isfinite(basis)):
+            raise ParseError("lattice basis entries must be finite")
+        for name, vec in (("shift", shift), ("box lo", lo), ("box hi", hi)):
+            if vec.shape != (n,):
+                raise ParseError(f"lattice {name} needs {n} entries")
+            check_coordinates(vec, f"lattice {name}")
         pts = lattice_points(basis, shift, lo, hi)
         if pts.shape[0] == 0:
             raise ParseError("lattice truncation is empty")
         return TimeFrequencySet(pts, (lo, hi))
     raise ParseError("time-frequency JSON needs 'points' or 'lattice'")
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} must be numbers: {exc}") from exc
 
 
 def frame_to_dict(frame: AxisFrame) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gonb.cli import main
-from gonb import cone_constant, ConeScanParams
+from gonb import cone_constant, ConeScanParams, stft_indicator
 from gonb.io import load_certificate, load_polytope, polytope_to_dict
 
 from conftest import make_pentagon
@@ -194,3 +194,78 @@ def test_polytope_json_round_trip(pentagon_file):
     for h1, h2 in zip(P.halfspaces, again.halfspaces):
         assert np.allclose(h1.normal, h2.normal, atol=0)
         assert h1.offset == h2.offset
+
+
+def test_check_orth_float_points_cli(pentagon_file, tmp_path):
+    rng = np.random.default_rng(40)
+    lat = tmp_path / "float.json"
+    lat.write_text(json.dumps({"points": rng.uniform(-1.5, 1.5, (40, 4)).tolist()}))
+    out = tmp_path / "orth.json"
+    assert run(["check-orth", "--in", pentagon_file, "--lattice", str(lat),
+                "--max-reports", "10", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["n_points"] == 40
+    assert data["n_violations_reported"] == 10
+    P = make_pentagon()
+    for v in data["violations"]:
+        w = np.array(v["v"]) - np.array(v["v_prime"])
+        value = complex(v["value"]["re"], v["value"]["im"])
+        assert abs(stft_indicator(P, w[:2], w[2:]) - value) <= 1e-10
+
+
+_LATTICE_4D = {"basis": np.eye(4).tolist(),
+               "box": {"lo": [-1, -1, -1, -1], "hi": [1, 1, 1, 1]}}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"points": [[0, 0, 0, 0], [1, 0, 0, 0], ["NaN", 0, 0, 0]]}, "finite"),
+    ({"points": [[0, 0, 0, 0], [1e300, 0, 0, 0]]}, "|x| <="),
+    ({"lattice": {**_LATTICE_4D, "shift": [0, 0, 0, "Infinity"]}}, "finite"),
+    ({"lattice": {**_LATTICE_4D, "box": {"lo": [-2e6] * 4, "hi": [1] * 4}}}, "|x| <="),
+    ({"lattice": {"basis": [[1, 0, 0, 0], [0, 1, 0, 0]],
+                  "box": {"lo": [-1] * 4, "hi": [1] * 4}}}, "square"),
+    ({"lattice": {"basis": np.eye(3).tolist(),
+                  "box": {"lo": [-1] * 3, "hi": [1] * 3}}}, "even"),
+    ({"lattice": {"basis": np.eye(6).tolist(),
+                  "box": {"lo": [-1] * 6, "hi": [1] * 6}}}, "dimension"),
+])
+def test_check_orth_rejects_bad_time_frequency_input(spec, message, square_file,
+                                                     tmp_path, capsys):
+    lat = tmp_path / "bad.json"
+    # NaN and Infinity are written as bare JSON tokens
+    lat.write_text(json.dumps(spec).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    code = run(["check-orth", "--in", square_file, "--lattice", str(lat),
+                "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and message in err
+    assert "Traceback" not in err
+
+
+def test_find_violation_rejects_lattice_of_other_dimension(pentagon_file, tmp_path,
+                                                           capsys):
+    lat = tmp_path / "six.json"
+    lat.write_text(json.dumps({"lattice": {"basis": np.eye(6).tolist(),
+                                           "box": {"lo": [-1] * 6, "hi": [1] * 6}}}))
+    code = run(["find-violation", "--in", pentagon_file, "--lattice", str(lat),
+                "--certificate", str(tmp_path / "unused.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dimension 3, the window 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ft", "--lambda", "nan,0"],
+    ["ft", "--lambda", "inf,0"],
+    ["ft", "--lambda", "1,2,3"],
+    ["ft", "--lambda", "1"],
+    ["stft", "--t", "0,0", "--lambda", "0,-inf"],
+    ["stft", "--t", "0,0,0", "--lambda", "0,0"],
+    ["intersect", "--t", "nan,1"],
+    ["scan", "--field", "ft", "--t", "0", "--lambda-box=-1:1,-1:1", "--grid", "3"],
+])
+def test_vector_flags_validated(argv, square_file, tmp_path, capsys):
+    code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError: vector")

@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 
 import numpy as np
 import pytest
@@ -32,12 +31,11 @@ from gonb.fourier import (
     divdiff_exp,
     divdiff_exp_direct,
     divdiff_exp_series,
-    parallel_map,
 )
 from gonb.gabor import build_axis_frame
 from gonb.polytope import is_symmetric
 
-from conftest import random_polygon, random_polytope_3d
+from conftest import make_pentagon, random_polygon, random_polytope_3d
 
 I2PI = 1j / (2 * math.pi)
 
@@ -226,6 +224,49 @@ def test_quadrature_many_matches_single(pentagon):
         assert row == pytest.approx(ft_indicator_quadrature(pentagon, lam, 400), abs=1e-12)
 
 
+def _masked_quadrature(P, lams, n):
+    """The midpoint rule as a masked sum over the whole n^d grid: the
+    reference for the row-wise oracle. Returns (values, included points)."""
+    lams = np.asarray(lams, dtype=float).reshape(-1, P.dim)
+    lo, hi = P.bounding_box()
+    d = P.dim
+    h = (hi - lo) / n
+    idx = np.unravel_index(np.arange(n ** d), (n,) * d)
+    pts = np.stack([lo[k] + (idx[k] + 0.5) * h[k] for k in range(d)], axis=1)
+    inside = np.all(P.A @ pts.T <= P.b[:, None] + 1e-12, axis=0)
+    vals = np.exp(-2j * np.pi * (pts[inside] @ lams.T)).sum(axis=0) * np.prod(h)
+    return vals, int(inside.sum())
+
+
+def _quadrature_cases():
+    rng = np.random.default_rng(404)
+    box4 = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(4) for s in (1, -1)]
+    return {
+        "interval": (normalize([((1,), 1.3), ((-1,), 0.2)], 1), 301),
+        # at even n, midpoints lie exactly on the cut edge y - x = 1 and pass
+        # the inside test through its 1e-12 slack
+        "pentagon_even": (make_pentagon(), 64),
+        "polygon": (random_polygon(rng), 157),
+        "polytope_3d": (random_polytope_3d(rng), 40),
+        "cut_cube_4d": (normalize(box4 + [((1, 1, 1, 1), 3.2)], 4), 12),
+        "simplex_4d": (normalize([(tuple(-e), 0.0) for e in np.eye(4)]
+                                 + [((1, 2, 1, 1), 1.5)], 4), 11),
+    }
+
+
+@pytest.mark.parametrize("name", list(_quadrature_cases()))
+def test_quadrature_rows_match_masked_sum(name):
+    P, n = _quadrature_cases()[name]
+    rng = np.random.default_rng(7)
+    lams = np.concatenate([np.zeros((1, P.dim)), rng.uniform(-6, 6, (5, P.dim))])
+    ref, count = _masked_quadrature(P, lams, n)
+    got = ft_indicator_quadrature_many(P, lams, n)
+    lo, hi = P.bounding_box()
+    # at lam = 0 the sum counts the included midpoints
+    assert round(got[0].real / np.prod((hi - lo) / n)) == count
+    assert np.abs(got - ref).max() <= 1e-12 * volume(P)
+
+
 # -- facet surface measures -------------------------------------------------------
 
 
@@ -411,18 +452,3 @@ def test_scan_grid_csv_deterministic():
     assert lines[0].startswith("# ")
     assert lines[2] == "t_1,t_2,lambda_1,lambda_2,re,im,abs"
     assert len(lines) == 3 + 2
-
-
-def test_parallel_map_threaded_matches_sequential(pentagon):
-    lams = [np.array([x, 0.3]) for x in np.linspace(-3, 3, 11)]
-    seq = [ft_indicator(pentagon, lam) for lam in lams]
-    old = os.environ.get("GONB_THREADS")
-    os.environ["GONB_THREADS"] = "3"
-    try:
-        par = parallel_map(lambda lam: ft_indicator(pentagon, lam), lams)
-    finally:
-        if old is None:
-            os.environ.pop("GONB_THREADS", None)
-        else:
-            os.environ["GONB_THREADS"] = old
-    assert par == seq

@@ -10,6 +10,7 @@ from gonb import (
     CertificateScanParams,
     MarginVanished,
     NotFound,
+    ParseError,
     SymmetricInput,
     TimeFrequencySet,
     TooFewPoints,
@@ -25,7 +26,7 @@ from gonb import (
     translate_intersection,
     volume,
 )
-from gonb.gabor import build_axis_frame, window_fingerprint
+from gonb.gabor import _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import is_symmetric
 
@@ -168,6 +169,98 @@ def test_pentagon_small_lattice_violates(pentagon):
 def test_single_point_no_pairs(pentagon):
     L = TimeFrequencySet(np.array([[0.0, 0.0, 0.0, 0.0]]))
     assert check_orthogonality(pentagon, L, 1e-9) == []
+
+
+# -- difference dedup ------------------------------------------------------------
+
+
+def _reference_unique_signed_diffs(pts: np.ndarray, chunk: int = 400) -> np.ndarray:
+    """Distinct nonzero pair differences up to sign (first nonzero > 0)."""
+    m, k = pts.shape
+    parts = []
+    for start in range(0, m, chunk):
+        D = (pts[start:start + chunk, None, :] - pts[None, :, :]).reshape(-1, k)
+        D = np.round(D, 9)
+        sgn = np.zeros(D.shape[0])
+        for c in range(k):
+            sgn = np.where(sgn == 0, np.sign(D[:, c]), sgn)
+        nz = sgn != 0
+        parts.append(np.unique(D[nz] * sgn[nz, None], axis=0))
+    return np.unique(np.concatenate(parts, axis=0), axis=0)
+
+
+def _smallest_first_index(pts: np.ndarray) -> dict:
+    """Rounded difference -> smallest i of an ordered pair (i, j) generating it."""
+    out = {}
+    for i in range(pts.shape[0]):
+        for row in np.round(pts[i] - pts, 9):
+            out.setdefault(tuple(row), i)
+    return out
+
+
+def _straddling_points(rng, m: int, k: int) -> np.ndarray:
+    # offsets whose differences land on, just below and just above the
+    # half-way points of the 1e-9 rounding grid
+    offsets = np.array([0.0, 0.5e-9, 1.5e-9, 2.5e-9, 0.5e-9 - 1e-15, 0.5e-9 + 1e-15])
+    return rng.integers(-2, 3, (m, k)) + rng.choice(offsets, (m, k))
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(7)
+    shear = np.eye(4)
+    shear[2, 0] = 0.5
+    return {
+        "integer": lattice_points(np.eye(4), np.zeros(4), [-2] * 4, [2] * 4),
+        "sheared": lattice_points(shear, np.zeros(4), [-1] * 4, [1] * 4),
+        "scaled": lattice_points(np.diag([2.0, 1.0, 0.5, 1.0]), np.zeros(4),
+                                 [-1.5] * 4, [1.5] * 4),
+        "random": rng.uniform(-2, 2, (200, 4)),
+        "straddling": _straddling_points(rng, 150, 4),
+        "d1": rng.uniform(-3, 3, (120, 2)),
+        "d1_lattice": lattice_points(np.eye(2), np.zeros(2), [-4] * 2, [4] * 2),
+        # radices of six random columns overflow int64: exercises re-ranking
+        "d3": rng.uniform(-1, 1, (80, 6)),
+        "d3_straddling": _straddling_points(rng, 60, 6),
+        "single": np.zeros((1, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dedup_cases()))
+def test_unique_signed_diffs_matches_reference(name):
+    pts = _dedup_cases()[name]
+    diffs, i, j = _unique_signed_diffs(pts)
+    assert np.array_equal(diffs, _reference_unique_signed_diffs(pts))
+    # each difference carries its generating pair with the smallest i
+    assert np.array_equal(np.round(pts[i] - pts[j], 9), diffs)
+    smallest = _smallest_first_index(pts)
+    assert [smallest[tuple(w)] for w in diffs] == list(i)
+
+
+def test_unique_signed_diffs_chunking_is_invisible():
+    pts = _dedup_cases()["straddling"]
+    whole = _unique_signed_diffs(pts, pairs_per_chunk=pts.shape[0] ** 2)
+    pieces = _unique_signed_diffs(pts, pairs_per_chunk=1)
+    for a, b in zip(whole, pieces):
+        assert np.array_equal(a, b)
+
+
+def test_check_orthogonality_float_points_report_their_pairs(pentagon):
+    rng = np.random.default_rng(11)
+    L = TimeFrequencySet(rng.uniform(-1.5, 1.5, (40, 4)))
+    out = check_orthogonality(pentagon, L, 1e-9, max_reports=8, confirm=False)
+    assert len(out) == 8
+    for rep in out:
+        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        assert abs(stft_indicator(pentagon, w[:2], w[2:]) - rep.value) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -2e6])
+def test_tf_set_rejects_bad_coordinates(bad):
+    pts = np.zeros((3, 4))
+    pts[1, 0] = 1.0
+    pts[2, 3] = bad
+    with pytest.raises(ParseError):
+        TimeFrequencySet(pts)
 
 
 # -- certificates ------------------------------------------------------------------
