@@ -69,6 +69,8 @@ def _ranges(text: str) -> list[tuple[float, float]]:
             out.append((float(lo), float(hi)))
         except ValueError as exc:
             raise ParseError(f"bad range {part!r}: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"range {text!r} has a non-finite end")
     return out
 
 
@@ -223,9 +225,7 @@ def cmd_scan(args) -> int:
                        "omega": cert.omega})
         Q = translate_intersection(apply_frame(P, cert.frame),
                                    cert.frame.to_frame_shift(t))
-        ident = AxisFrame.identity(d)
-        vals = np.array([divergence_residual(Q, ident, lam, via_boundary=True)
-                         for lam in mesh])
+        vals = divergence_residual(Q, AxisFrame.identity(d), mesh, via_boundary=True)
         pts = np.concatenate([np.broadcast_to(t, mesh.shape), mesh], axis=1)
     else:
         raise ParseError(f"unknown field {args.field!r}")

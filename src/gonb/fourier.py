@@ -5,10 +5,14 @@ The indicator transform uses the exact simplex formula
     integral over T of exp(-2*pi*i*<lam, x>) dx
         = d! * vol(T) * divdiff(exp; z_0, ..., z_d),   z_j = -2*pi*i*<lam, v_j>,
 
-where divdiff is the divided difference of exp over the nodes. Nodes that
-cluster within CLUSTER_TOL are handled by a truncated confluent series; the
-recursion always divides by the spread of the current node subset, so no
-denominator below CLUSTER_TOL is ever formed.
+where divdiff is the divided difference of exp over the nodes. Every exact
+transform passes its node rows, one per (frequency, simplex) pair, to one
+call of the kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and
+Parlett (Math. Comp. 43, 1984) do: windows of nodes spread at most 1 take a
+mean-shifted series, the others the recurrence. Against 60-digit mpmath the
+worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
+row has the same bits in any batch, and a certificate costs one batched call
+per translate-intersection.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -18,7 +22,7 @@ in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +38,14 @@ from .polytope import (
     Facet,
     HPolytope,
     _reduce,
+    ball_grid,
     facets,
     translate_intersection,
     triangulate,
-    volume,
 )
 
-CLUSTER_TOL = 1e-4
-SERIES_EPS = 1e-16
-_MAX_SERIES_TERMS = 80
-_INV_FACT = 1.0 / np.array([math.factorial(k) for k in range(_MAX_SERIES_TERMS + 8)])
+_SERIES_TERMS = 20
+_CHUNK_ROWS = 1 << 14  # (frequency x simplex) rows a transform holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -51,39 +53,48 @@ _INV_FACT = 1.0 / np.array([math.factorial(k) for k in range(_MAX_SERIES_TERMS +
 # ---------------------------------------------------------------------------
 
 
-def divdiff_exp_series(z: np.ndarray) -> complex:
-    """Confluent divided difference of exp via the shifted homogeneous series.
+def _node_rows(z) -> tuple[np.ndarray, bool]:
+    """Nodes as complex rows (n, k+1), and whether one 1-D row was given."""
+    z = np.asarray(z, dtype=complex)
+    one = z.ndim == 1
+    z = z.reshape(1, -1) if one else z.reshape(-1, z.shape[-1])
+    if not np.isfinite(z).all():
+        raise ValueError("divided-difference nodes must be finite")
+    if np.any(z.real != z.real[:, :1]):
+        raise ValueError("the nodes of a row must share their real part")
+    return z, one
 
-    divdiff(exp; z_0..z_k) = exp(m) * sum_j h_j(z - m) / (j + k)! with m the
-    node mean and h_j the complete homogeneous symmetric polynomials. Terms
-    are added until the relative increment drops below SERIES_EPS.
+
+def divdiff_exp_series(z):
+    """Divided difference of exp over each row of nodes c + i*y (n, k+1) by
+    the mean-shifted series; a 1-D row returns a complex. With m the mean of
+    y and h_j the complete homogeneous polynomials (in real arithmetic),
+
+        divdiff = exp(c + i*m) * sum_j i^j h_j(y - m) / (j + k)!.
+
+    For nodes within r <= 1 of their mean term j is at most r^j / (j! k!)
+    while |divdiff| >= |exp(c)| cos(1) / k!, so _SERIES_TERMS = 20 terms
+    leave a relative tail below 1e-18; against 60-digit mpmath the worst
+    relative error measured for 2-5 nodes is 2.3e-15.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    k = z.size - 1
-    if k == 0:
-        return complex(np.exp(z[0]))
-    m = z.mean()
-    w = z - m
-    # h[j] over all nodes via the incremental recurrence
-    h = np.zeros(_MAX_SERIES_TERMS + 1, dtype=complex)
-    h[0] = 1.0
-    for wi in w:
-        for j in range(1, _MAX_SERIES_TERMS + 1):
-            h[j] += wi * h[j - 1]
-    total = 0.0 + 0.0j
-    small_run = 0
-    for j in range(_MAX_SERIES_TERMS + 1):
-        term = h[j] * _INV_FACT[j + k]
-        total += term
-        # symmetric node sets zero out alternate terms, so require two
-        # consecutive negligible terms before truncating
-        if j >= 2 and abs(term) <= SERIES_EPS * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-    return complex(np.exp(m) * total)
+    z, one = _node_rows(z)
+    y = z.imag
+    k = y.shape[1] - 1
+    mean = y[:, 0]
+    for a in range(1, k + 1):
+        mean = mean + y[:, a]
+    mean = mean / (k + 1)
+    w = (y - mean[:, None]).T.copy()  # nodes along the first axis
+    h = np.ones(w.shape)
+    part = [np.full(y.shape[0], 1.0 / math.factorial(k)), np.zeros(y.shape[0])]
+    for j in range(1, _SERIES_TERMS):
+        h *= w
+        for a in range(1, k + 1):
+            h[a] += h[a - 1]
+        # i^j = (-1)^(j // 2) times 1 for even j and i for odd j
+        part[j % 2] = part[j % 2] + h[-1] * ((-1) ** (j // 2) / math.factorial(j + k))
+    out = np.exp(z.real[:, 0] + 1j * mean) * (part[0] + 1j * part[1])
+    return complex(out[0]) if one else out
 
 
 def divdiff_exp_direct(z: np.ndarray) -> complex:
@@ -96,34 +107,65 @@ def divdiff_exp_direct(z: np.ndarray) -> complex:
     return complex(table[0])
 
 
-def divdiff_exp(z: np.ndarray) -> complex:
-    """Production evaluator: subset recursion splitting on the extreme nodes,
-    with the series fallback whenever a subset's spread is below CLUSTER_TOL."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    order = np.argsort(z.imag, kind="stable")
-    z = z[order]
-    n = z.size
-    memo: dict[int, complex] = {}
-
-    def rec(mask: int) -> complex:
-        val = memo.get(mask)
-        if val is not None:
-            return val
-        idx = [i for i in range(n) if mask >> i & 1]
-        lo, hi = idx[0], idx[-1]  # nodes sorted by imaginary part
-        if abs(z[hi] - z[lo]) <= CLUSTER_TOL:
-            val = divdiff_exp_series(z[idx])
-        else:
-            val = (rec(mask & ~(1 << lo)) - rec(mask & ~(1 << hi))) / (z[hi] - z[lo])
-        memo[mask] = val
-        return val
-
-    return rec((1 << n) - 1)
+def divdiff_exp(z):
+    """Divided differences of exp over each row of nodes (n, k+1), which lie
+    on a line parallel to the imaginary axis; a 1-D row returns a complex.
+    The table is filled level by level over windows of the row sorted by
+    imaginary part: a window of spread at most 1 takes divdiff_exp_series,
+    any other the recurrence, which then divides by a gap above 1."""
+    z, one = _node_rows(z)
+    z = np.sort(z, axis=1)  # one real part per row: sorted by imaginary part
+    table = np.exp(z)
+    for lv in range(1, z.shape[1]):
+        gap = z.imag[:, lv:] - z.imag[:, :-lv]
+        small = gap <= 1.0
+        table = (table[:, 1:] - table[:, :-1]) / (1j * np.where(small, 1.0, gap))
+        r, i = np.nonzero(small)
+        if r.size:
+            table[small] = divdiff_exp_series(z[r[:, None], i[:, None] + np.arange(lv + 1)])
+    return complex(table[0, 0]) if one else table[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # indicator transforms
 # ---------------------------------------------------------------------------
+
+
+def _freqs(lams, dim: int) -> tuple[np.ndarray, bool]:
+    """Finite frequency rows (n, dim), and whether one 1-D lam was given."""
+    lams = np.asarray(lams, dtype=float)
+    one = lams.ndim <= 1
+    lams = lams.reshape((1, dim) if one else (-1, dim))
+    if not np.isfinite(lams).all():
+        raise ValueError("frequencies must be finite")
+    return lams, one
+
+
+def _dot(lams: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Rows of lams (n, d) against the leading axis of M (d, ...), summed in a
+    fixed order: unlike a matmul, a row's result does not depend on its batch."""
+    out = 0.0
+    for c in range(M.shape[0]):
+        out = out + lams[(slice(None), c) + (None,) * (M.ndim - 1)] * M[c]
+    return out
+
+
+def _ft_simplices(simp: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Sum over the simplices (m, d+1, d) of d! * vol * divdiff at each row of
+    lams, the (frequency x simplex) node rows in chunks of _CHUNK_ROWS."""
+    vols = np.abs(np.linalg.det(simp[:, 1:, :] - simp[:, :1, :]))  # = d! * volume
+    simp, vols = simp[vols > 1e-15], vols[vols > 1e-15]
+    out = np.zeros(lams.shape[0], dtype=complex)
+    m = simp.shape[0]
+    if m == 0:
+        return out
+    step = max(1, _CHUNK_ROWS // m)
+    for start in range(0, lams.shape[0], step):
+        y = _dot(lams[start:start + step], simp.transpose(2, 0, 1))
+        dd = divdiff_exp(-2j * np.pi * y.reshape(-1, simp.shape[1])).reshape(-1, m)
+        for k in range(m):
+            out[start:start + step] += vols[k] * dd[:, k]
+    return out
 
 
 def ft_simplex(simplex_vertices, lam) -> complex:
@@ -132,52 +174,24 @@ def ft_simplex(simplex_vertices, lam) -> complex:
     d = V.shape[1]
     if V.shape[0] != d + 1:
         raise ValueError("simplex needs d+1 vertices")
-    lam = np.asarray(lam, dtype=float).reshape(d)
-    det = np.linalg.det(V[1:] - V[0])
-    vol = abs(det) / math.factorial(d)
+    lams, _ = _freqs(np.reshape(lam, d), d)
+    vol = abs(np.linalg.det(V[1:] - V[0])) / math.factorial(d)
     if vol <= 1e-15:
         raise DegenerateSimplex("simplex vertices are affinely dependent")
-    z = -2j * np.pi * (V @ lam)
-    return math.factorial(d) * vol * divdiff_exp(z)
+    return complex(_ft_simplices(V[None], lams)[0])
 
 
 def ft_indicator(P: HPolytope, lam) -> complex:
-    """Fourier transform of the indicator of P at frequency lam."""
-    if P.empty or P.degenerate:
-        return 0.0 + 0.0j
-    lam = np.asarray(lam, dtype=float).reshape(P.dim)
-    simp = triangulate(P)
-    d = P.dim
-    fact = math.factorial(d)
-    edges = simp[:, 1:, :] - simp[:, :1, :]
-    vols = np.abs(np.linalg.det(edges))  # = d! * simplex volume
-    phases = -2j * np.pi * (simp @ lam)  # (m, d+1) nodes
-    total = 0.0 + 0.0j
-    for k in range(simp.shape[0]):
-        if vols[k] <= 1e-15:
-            continue
-        total += vols[k] * divdiff_exp(phases[k])
-    return complex(total)
+    """ft_indicator_many at the single frequency lam."""
+    return complex(ft_indicator_many(P, np.reshape(lam, P.dim))[0])
 
 
 def ft_indicator_many(P: HPolytope, lams: np.ndarray) -> np.ndarray:
-    """ft_indicator evaluated at each row of lams (triangulation reused)."""
-    lams = np.asarray(lams, dtype=float).reshape(-1, P.dim)
-    out = np.zeros(lams.shape[0], dtype=complex)
+    """Fourier transform of the indicator of P at each row of lams."""
+    lams, _ = _freqs(np.reshape(lams, (-1, P.dim)), P.dim)
     if P.empty or P.degenerate:
-        return out
-    simp = triangulate(P)
-    edges = simp[:, 1:, :] - simp[:, :1, :]
-    vols = np.abs(np.linalg.det(edges))
-    nodes = -2j * np.pi * np.einsum("mvd,ld->lmv", simp, lams)
-    for i in range(lams.shape[0]):
-        acc = 0.0 + 0.0j
-        for k in range(simp.shape[0]):
-            if vols[k] <= 1e-15:
-                continue
-            acc += vols[k] * divdiff_exp(nodes[i, k])
-        out[i] = acc
-    return out
+        return np.zeros(lams.shape[0], dtype=complex)
+    return _ft_simplices(triangulate(P), lams)
 
 
 def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int) -> complex:
@@ -359,20 +373,20 @@ class ConeRegion:
 # ---------------------------------------------------------------------------
 
 
-def ft_facet_measure(F: Facet, lam) -> complex:
-    """Fourier transform of the facet surface measure at frequency lam.
+def ft_facet_measure(F: Facet, lams):
+    """Fourier transform of the facet surface measure at each row of lams
+    (n, d); a 1-D lam returns a complex.
 
     Parameterizes the facet isometrically by its tangent chart and reduces to
     the (d-1)-dimensional indicator transform times the hyperplane phase.
     """
     if F.volume_dm1 <= 0:
         raise DegenerateFacet("facet has zero surface volume")
-    lam = np.asarray(lam, dtype=float).reshape(F.dim)
-    phase = np.exp(-2j * np.pi * float(lam @ F.origin))
-    if F.dim == 1:
-        return complex(phase)
-    lam_t = F.tangent.T @ lam
-    return complex(phase * ft_indicator(F.body, lam_t))
+    lams, one = _freqs(lams, F.dim)
+    vals = np.exp(-2j * np.pi * _dot(lams, F.origin))
+    if F.dim > 1:
+        vals = vals * ft_indicator_many(F.body, _dot(lams, F.tangent))
+    return complex(vals[0]) if one else vals
 
 
 def boundary_volume_dm2(F: Facet) -> float:
@@ -405,23 +419,23 @@ def sigma_bound(F: Facet, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_facets(Q: HPolytope) -> tuple[Facet | None, Facet | None]:
-    """Facets of Q with unit normals -e1 (the low face A) and +e1 (B)."""
-    d = Q.dim
-    e1 = np.zeros(d)
+def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]:
+    """Facets of Q and those with unit normals -e1 (the low face A) and +e1
+    (B); FrameMismatch when both are absent."""
+    fs = facets(Q)
+    e1 = np.zeros(Q.dim)
     e1[0] = 1.0
-    fa = fb = None
-    for F in facets(Q):
-        if np.linalg.norm(F.normal + e1) <= 1e-7:
-            fa = F
-        elif np.linalg.norm(F.normal - e1) <= 1e-7:
-            fb = F
-    return fa, fb
+    fa = next((F for F in fs if np.linalg.norm(F.normal + e1) <= 1e-7), None)
+    fb = next((F for F in fs if np.linalg.norm(F.normal - e1) <= 1e-7), None)
+    if fa is None and fb is None:
+        raise FrameMismatch("no facet pair normalized to the frame axis")
+    return fs, fa, fb
 
 
-def divergence_residual(P_t: HPolytope, frame: AxisFrame, lam,
-                        via_boundary: bool = False) -> complex:
-    """Residual G_t(lam) of the axis divergence identity in frame coordinates.
+def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
+                        via_boundary: bool = False):
+    """Residual G_t(lam) of the axis divergence identity in frame coordinates,
+    at each row of lams (n, d); a 1-D lam returns a complex.
 
     With A the facet on {y_1 = 0} (outward normal -e1) and B its parallel on
     {y_1 = 1} (outward normal +e1),
@@ -433,25 +447,17 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lam,
     ft_facet_measure(F). ``via_boundary`` selects that equivalent route.
     """
     Q = apply_frame(P_t, frame)
-    lam = np.asarray(lam, dtype=float).reshape(Q.dim)
-    fa, fb = _axis_facets(Q)
-    if fa is None and fb is None:
-        raise FrameMismatch("no facet pair normalized to the frame axis")
+    lams, one = _freqs(lams, Q.dim)
+    fs, fa, fb = _axis_facets(Q)
     if via_boundary:
-        e1 = np.zeros(Q.dim)
-        e1[0] = 1.0
-        total = 0.0 + 0.0j
-        for F in facets(Q):
-            if F is fa or F is fb:
-                continue
-            w = float(e1 @ F.normal)
-            if abs(w) <= 1e-14:
-                continue
-            total += w * ft_facet_measure(F, lam)
-        return complex(total)
-    sa = ft_facet_measure(fa, lam) if fa is not None else 0.0
-    sb = ft_facet_measure(fb, lam) if fb is not None else 0.0
-    return complex(-2j * np.pi * lam[0] * ft_indicator(Q, lam) + sa - sb)
+        rest = [F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14]
+        vals = sum((F.normal[0] * ft_facet_measure(F, lams) for F in rest),
+                   np.zeros(lams.shape[0], dtype=complex))
+    else:
+        sa = ft_facet_measure(fa, lams) if fa is not None else 0.0
+        sb = ft_facet_measure(fb, lams) if fb is not None else 0.0
+        vals = -2j * np.pi * lams[:, 0] * ft_indicator_many(Q, lams) + sa - sb
+    return complex(vals[0]) if one else vals
 
 
 @dataclass(frozen=True)
@@ -486,24 +492,18 @@ class ConeBound:
 
 def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarray:
     """Frequencies lam = lam1 * (1, u), |u_j| <= omega, lam1 log-spaced."""
-    from .polytope import ball_grid
-
     lam1 = np.geomspace(params.r0, params.r1, params.n_radial)
-    fr = params.cross_fractions()
     if dim == 1:
         return lam1[:, None]
     if dim == 2:
-        cross = (omega * fr)[:, None]
+        cross = (omega * params.cross_fractions())[:, None]
     else:
         dirs = ball_grid(dim - 1, 1.0, params.n_cross, 1, include_origin=False)
         cross = np.concatenate(
             [omega * dirs, 0.5 * omega * dirs, np.zeros((1, dim - 1))]
         )
-    pts = []
-    for r in lam1:
-        for u in cross:
-            pts.append(np.concatenate([[r], r * np.atleast_1d(u).ravel()]))
-    return np.array(pts)
+    r = np.repeat(lam1, cross.shape[0])[:, None]
+    return np.concatenate([r, r * np.tile(cross, (lam1.size, 1))], axis=1)
 
 
 def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
@@ -511,27 +511,25 @@ def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
     """Numeric constant C with |G_t(lam)| <= C / |lam_1| on the scanned cone.
 
     Takes the sup of |lam_1| * |G_t(lam)| over the cone grid and the translate
-    grid |t| <= t_radius; raises ConeTooWide when a scanned direction gets
-    within GEOM_TOL of some non-axis facet normal.
+    grid |t| <= t_radius, one boundary-route residual call per non-empty
+    translate, and reports its first maximum in (t, lam) order. Raises
+    ConeTooWide when a scanned direction is within GEOM_TOL of a non-axis
+    facet normal.
     """
-    from .polytope import ball_grid
-
     Q = apply_frame(P, frame)
     d = Q.dim
     lam_grid = cone_lambda_grid(d, omega, params)
-    fa, fb = _axis_facets(Q)
-    if fa is None and fb is None:
-        raise FrameMismatch("no facet pair normalized to the frame axis")
-    rest = [F for F in facets(Q) if F is not fa and F is not fb]
-    min_sin = 1.0
-    for F in rest:
-        for lam in lam_grid:
-            s = np.linalg.norm(lam - (lam @ F.normal) * F.normal) / np.linalg.norm(lam)
-            min_sin = min(min_sin, float(s))
+    fs, fa, fb = _axis_facets(Q)
+    normals = np.array([F.normal for F in fs if F is not fa and F is not fb]).reshape(-1, d)
+    along = (lam_grid @ normals.T)[:, :, None] * normals
+    sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
+            / np.linalg.norm(lam_grid, axis=1)[:, None])
+    min_sin = float(sins.min(initial=1.0))
     if min_sin < GEOM_TOL:
         raise ConeTooWide(f"scanned direction parallel to a facet normal "
                           f"(min sin theta = {min_sin:.3e})")
     tgrid = ball_grid(d, params.t_radius, params.n_t_angles, params.n_t_radii)
+    ident = AxisFrame.identity(d)
     best = -1.0
     arg_t = tgrid[0]
     arg_lam = lam_grid[0]
@@ -539,13 +537,13 @@ def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
         Qt = translate_intersection(Q, t)
         if Qt.empty or Qt.degenerate:
             continue
-        for lam in lam_grid:
-            g = divergence_residual(Qt, AxisFrame.identity(d), lam, via_boundary=True)
-            val = abs(lam[0]) * abs(g)
-            if val > best:
-                best = val
-                arg_t = t.copy()
-                arg_lam = lam.copy()
+        g = divergence_residual(Qt, ident, lam_grid, via_boundary=True)
+        vals = np.abs(lam_grid[:, 0]) * np.abs(g)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            arg_t = t.copy()
+            arg_lam = lam_grid[k].copy()
     return ConeBound(float(best), arg_t, arg_lam, min_sin)
 
 

@@ -299,7 +299,7 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     _, first, second = _unique_signed_diffs(L.points)
     # each distinct difference is evaluated at the exact difference of its
     # generating pair, grouped by time shift: one translate intersection per
-    # shift, and transforms only where the intersection has volume
+    # shift, and one batched transform where the intersection has volume
     W = L.points[first] - L.points[second]
     shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
@@ -309,8 +309,8 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
         Q = translate_intersection(P, t)
         if Q.empty or Q.degenerate:
             continue
-        for k in members:
-            values[k] = ft_indicator(Q, W[k, d:]) / vol
+        # each part divided by vol, as a complex / float division does
+        values[members] = (ft_indicator_many(Q, W[members, d:]).view(float) / vol).view(complex)
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
@@ -413,7 +413,7 @@ def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
 
 def _axis_sigma(Qt: HPolytope, lams: np.ndarray):
     """(sigma_A, sigma_B) arrays over rows of lams for the axis facet pair."""
-    fa, fb = _axis_facets(Qt)
+    _, fa, fb = _axis_facets(Qt)
     n = lams.shape[0]
     sa = np.zeros(n, dtype=complex)
     sb = np.zeros(n, dtype=complex)

@@ -19,24 +19,39 @@ from .polytope import HPolytope, from_vertices, normalize
 
 
 def load_polytope(source) -> HPolytope:
-    """Parse {"dim", "halfspaces": [...]} or {"dim", "vertices": [...]} JSON."""
+    """Parse {"dim", "halfspaces": [...]} or {"dim", "vertices": [...]} JSON.
+
+    Normals need ``dim`` finite entries, offsets and vertex coordinates must
+    be finite; anything else is a ParseError.
+    """
     data = _load(source)
     try:
         dim = int(data["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"polytope JSON needs an integer 'dim': {exc}") from exc
+    if dim < 1:
+        raise ParseError("polytope dimension must be >= 1")
     if "halfspaces" in data:
         try:
-            raw = [(hs["normal"], hs["offset"]) for hs in data["halfspaces"]]
+            raw = [(_float_array(hs["normal"], "normal"), _float_array(hs["offset"], "offset"))
+                   for hs in data["halfspaces"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad halfspace entry: {exc}") from exc
         if not raw:
             raise ParseError("empty halfspace list")
+        for normal, offset in raw:
+            if normal.shape != (dim,) or offset.shape != ():
+                raise ParseError(f"a halfspace needs a normal of {dim} entries "
+                                 f"and one offset")
+            if not (np.all(np.isfinite(normal)) and np.isfinite(offset)):
+                raise ParseError("halfspace normals and offsets must be finite")
         return normalize(raw, dim)
     if "vertices" in data:
-        verts = np.asarray(data["vertices"], dtype=float)
+        verts = _float_array(data["vertices"], "vertices")
         if verts.ndim != 2 or verts.shape[1] != dim:
             raise ParseError("vertices must be rows of length dim")
+        if not np.all(np.isfinite(verts)):
+            raise ParseError("vertex coordinates must be finite")
         return from_vertices(verts, dim)
     raise ParseError("polytope JSON needs 'halfspaces' or 'vertices'")
 

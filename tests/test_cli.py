@@ -140,6 +140,15 @@ def test_scan_empty_region_is_parse_error(square_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("box", ["nan:1,0:1", "0:inf,0:1", "0:1,-inf:0"])
+def test_scan_rejects_non_finite_ranges(box, square_file, tmp_path, capsys):
+    code = run(["scan", "--in", square_file, "--field", "ft", f"--lambda-box={box}",
+                "--grid", "3", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and "non-finite" in err
+
+
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -269,3 +278,27 @@ def test_vector_flags_validated(argv, square_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("ParseError: vector")
+
+
+_SQUARE_HALFSPACES = [{"normal": [1, 0], "offset": 1}, {"normal": [-1, 0], "offset": 0},
+                      {"normal": [0, 1], "offset": 1}]
+
+
+@pytest.mark.parametrize("poly, message", [
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [0, -1], "offset": "NaN"}]},
+     "finite"),
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": ["NaN", -1], "offset": 0}]},
+     "finite"),
+    ({"dim": 2, "vertices": [[0, 0], [1, 0], ["Infinity", 1]]}, "finite"),
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [0, -1, 0], "offset": 0}]},
+     "2 entries"),
+])
+def test_polytope_json_rejects_bad_numbers(poly, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    # NaN and Infinity are written as bare JSON tokens
+    path.write_text(json.dumps(poly).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    code = run(["symmetry", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and message in err
+    assert "Traceback" not in err

@@ -106,6 +106,42 @@ def test_divdiff_two_far_clusters():
     assert abs(divdiff_exp(z2) - direct_wide) < 2e-3
 
 
+def _mp_divdiff_exp(y, mpmath):
+    """Divided difference of exp over the nodes i*y at the working precision."""
+    z = [mpmath.mpc(0, float(v)) for v in y]
+    table = [mpmath.exp(v) for v in z]
+    for lv in range(1, len(z)):
+        table = [(table[i + 1] - table[i]) / (z[i + lv] - z[i])
+                 for i in range(len(z) - lv)]
+    return complex(table[0])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_divdiff_matches_mpmath_across_the_regime_split(k):
+    """Gaps straddle 1e-4 (where a subset recursion switching to the series
+    lost accuracy) and 1 (the split between series and recurrence)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(k)
+    rows = []
+    for gap in (1e-7, 5e-5, 9.9e-5, 1.01e-4, 2e-4, 1e-3, 0.3, 0.99, 1.0, 1.01, 2.0, 30.0):
+        for _ in range(6):
+            y = rng.uniform(-20, 20) + np.cumsum(gap * rng.uniform(0.5, 1.5, k))
+            rows.append(rng.permutation(y))
+    rows = np.array(rows)
+    batch = divdiff_exp(1j * rows)
+    with mpmath.workdps(60):
+        for y, got in zip(rows, batch):
+            ref = _mp_divdiff_exp(y, mpmath)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+            assert divdiff_exp(1j * y) == got  # a row has the same bits alone
+
+
+def test_divdiff_rejects_bad_nodes():
+    for z in ([0.0, np.nan * 1j], [0.0, np.inf], [0.0, 1.0 + 2.0j]):
+        with pytest.raises(ValueError):
+            divdiff_exp(np.array(z, dtype=complex))
+
+
 # -- ft_simplex ----------------------------------------------------------------
 
 
@@ -195,6 +231,59 @@ def test_ft_indicator_many_matches_single(pentagon):
     many = ft_indicator_many(pentagon, lams)
     for row, lam in zip(many, lams):
         assert row == pytest.approx(ft_indicator(pentagon, lam), abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "polygon"])
+def test_ft_indicator_many_rows_are_single_calls_bit_for_bit(name):
+    P = make_pentagon() if name == "pentagon" else random_polygon(np.random.default_rng(8))
+    Q = translate_intersection(P, (0.5, -0.25))
+    assert not Q.empty
+    rng = np.random.default_rng(600)
+    lams = rng.uniform(-12, 12, (600, 2)) * 10.0 ** rng.uniform(-6, 1, (600, 1))
+    many = ft_indicator_many(Q, lams)
+    assert np.array_equal(many, [ft_indicator(Q, lam) for lam in lams])
+
+
+def _box(d):
+    return normalize([(tuple(s * e), 1.0 if s > 0 else 0.0)
+                      for e in np.eye(d) for s in (1, -1)], d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1.0])
+def test_box_transform_matches_sinc_product(d, scale):
+    rng = np.random.default_rng(d)
+    lams = scale * np.concatenate([[[3.0, 1.0, -2.0, 0.5][:d]],
+                                   rng.uniform(-3, 3, (7, d))])
+    exact = np.prod(np.exp(-1j * np.pi * lams) * np.sinc(lams), axis=1)
+    assert np.abs(ft_indicator_many(_box(d), lams) - exact).max() <= 1e-13
+
+
+def test_thin_simplex_4d_at_small_frequency():
+    """x >= 0, sum x_i / a_i <= 1: nodes 0 and -2 pi i a_i lam_i, spread 5e-4."""
+    mpmath = pytest.importorskip("mpmath")
+    a = np.array([1.0, 2.0, 3.0, 4.0])
+    S = normalize([(tuple(-e), 0.0) for e in np.eye(4)] + [(tuple(1 / a), 1.0)], 4)
+    assert volume(S) == pytest.approx(1.0, abs=1e-12)  # prod(a) / 4!
+    lam = 2e-5 * np.ones(4)
+    val = ft_indicator(S, lam)
+    assert abs(abs(val) / volume(S) - 1.0) <= 1e-8
+    with mpmath.workdps(60):
+        ref = 24.0 * _mp_divdiff_exp(np.concatenate([[0.0], -2 * np.pi * a * lam]), mpmath)
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transforms_reject_non_finite_frequencies(bad, pentagon):
+    F = facets(pentagon)[0]
+    with pytest.raises(ValueError):
+        ft_indicator(pentagon, (bad, 0.0))
+    with pytest.raises(ValueError):
+        ft_indicator_many(pentagon, [[0.0, 1.0], [1.0, bad]])
+    with pytest.raises(ValueError):
+        ft_facet_measure(F, (0.0, bad))
+    with pytest.raises(ValueError):
+        ft_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (bad, 1.0))
 
 
 # -- quadrature oracle -----------------------------------------------------------
@@ -326,7 +415,7 @@ def test_divergence_residual_at_zero_frequency(pentagon):
     from gonb.fourier import _axis_facets
 
     Q = apply_frame(pentagon, frame)
-    fa, fb = _axis_facets(Q)
+    _, fa, fb = _axis_facets(Q)
     assert g0 == pytest.approx(fa.volume_dm1 - fb.volume_dm1, abs=1e-12)
 
 
@@ -341,6 +430,22 @@ def test_divergence_residual_routes_agree(pentagon):
         a = divergence_residual(Qt, frame, lam)
         b = divergence_residual(Qt, frame, lam, via_boundary=True)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def test_batched_residual_and_facet_measure_match_single_rows(pentagon):
+    frame = build_axis_frame(pentagon, *is_symmetric(pentagon, 1e-9).witness)
+    rng = np.random.default_rng(9)
+    lams = rng.uniform(-30, 30, (40, 2))
+    Qt = translate_intersection(pentagon, (0.03, -0.02))
+    cases = [(lambda x, via=via: divergence_residual(Qt, frame, x, via_boundary=via))
+             for via in (False, True)]
+    cases += [(lambda x, F=F: ft_facet_measure(F, x)) for F in facets(pentagon)]
+    for fn in cases:
+        batch = fn(lams)
+        assert batch.shape == (40,)
+        for lam, val in zip(lams, batch):
+            one = fn(lam)
+            assert isinstance(one, complex) and one == val
 
 
 # -- sigma bound ----------------------------------------------------------------
@@ -426,6 +531,29 @@ def test_cone_region_membership(pentagon):
     # every generated cone grid point is a member
     grid = cone_lambda_grid(2, 0.2, ConeScanParams(r0=5, r1=20, n_radial=6, n_cross=7))
     assert all(cone.contains(lam) for lam in grid)
+
+
+def test_cone_constant_matches_pointwise_scan(pentagon):
+    """The batched scan against the loop over (t, lam) it replaced."""
+    from gonb import apply_frame
+    from gonb.fourier import cone_lambda_grid
+    from gonb.polytope import ball_grid
+
+    frame = _pentagon_frame(pentagon)
+    params = ConeScanParams(r0=10, r1=100, n_radial=12, n_cross=5, t_radius=0.05,
+                            n_t_angles=4, n_t_radii=1)
+    bound = cone_constant(pentagon, frame, 0.2, params)
+    Q = apply_frame(pentagon, frame)
+    ident = AxisFrame.identity(2)
+
+    def scaled_residual(t, lam):
+        Qt = translate_intersection(Q, t)
+        return abs(lam[0]) * abs(divergence_residual(Qt, ident, lam, via_boundary=True))
+
+    best = max(scaled_residual(t, lam) for t in ball_grid(2, 0.05, 4, 1)
+               for lam in cone_lambda_grid(2, 0.2, params))
+    assert bound.value == pytest.approx(best, rel=1e-13)
+    assert scaled_residual(bound.arg_t, bound.arg_lam) == pytest.approx(best, rel=1e-13)
 
 
 def test_cone_too_wide_detects_parallel_normal(pentagon):

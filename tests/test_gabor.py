@@ -19,7 +19,9 @@ from gonb import (
     check_orthogonality,
     covering_radius,
     find_violation_pair,
+    ft_indicator,
     lattice_points,
+    normalize,
     separation,
     stft_indicator,
     stft_indicator_quadrature,
@@ -166,6 +168,30 @@ def test_pentagon_small_lattice_violates(pentagon):
         assert direct == pytest.approx(rep.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["float", "lattice"])
+def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon):
+    """One batched transform per shift group gives, bit for bit, the value of
+    one transform per difference, the evaluation it replaced."""
+    if name == "float":
+        pts = np.random.default_rng(12).uniform(-1.5, 1.5, (30, 4))
+    else:
+        pts = lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
+    L = TimeFrequencySet(pts)
+    out = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+    _, first, second = _unique_signed_diffs(pts)
+    expected = {}
+    for i, j in zip(first, second):
+        w = pts[i] - pts[j]
+        Q = translate_intersection(pentagon, w[:2])
+        val = 0.0 if Q.empty or Q.degenerate else ft_indicator(Q, w[2:]) / volume(pentagon)
+        if abs(val) > 1e-9:
+            expected[(i, j)] = val
+    index = {tuple(p): k for k, p in enumerate(pts)}
+    got = {(index[tuple(r.pair[0].as_row())], index[tuple(r.pair[1].as_row())]): r.value
+           for r in out}
+    assert len(out) > 0 and got == expected
+
+
 def test_single_point_no_pairs(pentagon):
     L = TimeFrequencySet(np.array([[0.0, 0.0, 0.0, 0.0]]))
     assert check_orthogonality(pentagon, L, 1e-9) == []
@@ -280,6 +306,20 @@ def test_build_certificate_pentagon(pentagon):
         assert abs(cert.frame.to_frame_point(v)[0]) <= 1e-9
     for v in G.vertices:
         assert abs(cert.frame.to_frame_point(v)[0] - 1.0) <= 1e-9
+
+
+def test_build_certificate_cut_cube_3d():
+    """Unit cube cut by x + y <= 1.5 at reduced grids: the criterion-5
+    inequalities hold in three dimensions."""
+    cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
+    P = normalize(cube + [((1, 1, 0), 1.5)], 3)
+    params = CertificateScanParams(n_lambda1=12, n_cross=7, n_t_angles=4, n_t_radii=1,
+                                   cone_n_radial=16, cone_n_cross=6)
+    cert = build_certificate(P, 0.1, 0.2, params)
+    assert cert.eta > 0
+    assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
+    assert cert.min_abs_scanned > 0
+    assert cert.provenance.min_chain_slack >= -1e-12
 
 
 def test_build_certificate_symmetric_window_refused(unit_square):
