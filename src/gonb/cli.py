@@ -34,10 +34,17 @@ from .gabor import (
     NotFound,
     build_certificate,
     check_orthogonality,
+    check_coordinates,
+    check_scale,
     find_violation_pair,
     stft_indicator,
 )
 from .polytope import is_symmetric, translate_intersection, volume
+
+# Bound on the points of a scan grid (grid**d for a box scan, grid *
+# n_cross**(d-1) for a gt_abs scan) and on the rows of a --quadrature oracle,
+# checked before the grid is built.
+MAX_SCAN_POINTS = 1 << 20
 
 
 def _vector(text: str, dim: int) -> np.ndarray:
@@ -47,9 +54,13 @@ def _vector(text: str, dim: int) -> np.ndarray:
         raise ParseError(f"bad vector {text!r}: {exc}") from exc
     if vec.size != dim:
         raise ParseError(f"vector {text!r} needs {dim} entries, got {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"vector {text!r} has a non-finite entry")
+    check_coordinates(vec, f"vector {text!r}")
     return vec
+
+
+def _grid_size(n: int, flag: str) -> None:
+    if n > MAX_SCAN_POINTS:
+        raise ParseError(f"{flag} gives {n} points, more than {MAX_SCAN_POINTS}")
 
 
 def _tf_set(path, P):
@@ -71,7 +82,17 @@ def _ranges(text: str) -> list[tuple[float, float]]:
             raise ParseError(f"bad range {part!r}: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise ParseError(f"range {text!r} has a non-finite end")
+    check_coordinates(np.array(out), f"range {text!r}")
     return out
+
+
+def _certificate(path, P):
+    """Certificate whose frame has the window's dimension."""
+    cert = gio.load_certificate(path)
+    if cert.frame.basis.shape != (P.dim, P.dim):
+        raise ParseError(f"certificate frame has dimension {cert.frame.basis.shape[0]}, "
+                         f"the window {P.dim}")
+    return cert
 
 
 def _open_out(path):
@@ -123,6 +144,9 @@ def cmd_ft(args) -> int:
     val = ft_indicator(P, lam)
     out = {"lambda": [float(x) for x in lam], "value": _complex_dict(val)}
     if args.quadrature:
+        if args.quadrature < 2:
+            raise ParseError("--quadrature needs at least 2 points per axis")
+        _grid_size(args.quadrature ** (P.dim - 1), "--quadrature rows")
         q = ft_indicator_quadrature(P, lam, args.quadrature)
         out["quadrature"] = _complex_dict(q)
     _emit(args, out)
@@ -141,8 +165,9 @@ def cmd_stft(args) -> int:
 
 def cmd_certificate(args) -> int:
     P = gio.load_polytope(args.infile)
-    params = CertificateScanParams(lambda_max=args.lambda_max)
-    cert = build_certificate(P, args.eps, args.omega, params)
+    params = CertificateScanParams(lambda_max=check_scale(args.lambda_max, "--lambda-max"))
+    cert = build_certificate(P, check_scale(args.eps, "--eps"),
+                             check_scale(args.omega, "--omega"), params)
     _emit(args, gio.certificate_to_dict(cert))
     return 0
 
@@ -150,6 +175,8 @@ def cmd_certificate(args) -> int:
 def cmd_check_orth(args) -> int:
     P = gio.load_polytope(args.infile)
     L = _tf_set(args.lattice, P)
+    if args.max_reports < 0:
+        raise ParseError("--max-reports must be >= 0")
     reports = check_orthogonality(P, L, args.tol_zero,
                                   max_reports=args.max_reports)
     out = {
@@ -172,7 +199,7 @@ def cmd_check_orth(args) -> int:
 def cmd_find_violation(args) -> int:
     P = gio.load_polytope(args.infile)
     L = _tf_set(args.lattice, P)
-    cert = gio.load_certificate(args.certificate)
+    cert = _certificate(args.certificate, P)
     result = find_violation_pair(P, L, cert)
     if isinstance(result, NotFound):
         _emit(args, {"found": False, "n_pairs": result.n_pairs,
@@ -200,6 +227,7 @@ def cmd_scan(args) -> int:
             raise ParseError(f"--lambda-box needs {d} ranges")
         if args.grid < 2 or any(hi <= lo for lo, hi in ranges):
             raise ParseError("empty scan region")
+        _grid_size(args.grid ** d, "--grid")
         axes = [np.linspace(lo, hi, args.grid) for lo, hi in ranges]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         t = _vector(args.t, d) if args.t else np.zeros(d)
@@ -212,10 +240,11 @@ def cmd_scan(args) -> int:
         if not args.certificate:
             from .errors import RegionFrameMissing
             raise RegionFrameMissing("gt_abs scans need --certificate for the frame")
-        cert = gio.load_certificate(args.certificate)
+        cert = _certificate(args.certificate, P)
         lo, hi = _ranges(args.lambda1)[0] if args.lambda1 else (10.0, 200.0)
-        if args.grid < 2 or hi <= lo:
+        if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")
+        _grid_size(args.grid * args.n_cross ** (d - 1), "--grid with --n-cross")
         params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid,
                                 n_cross=args.n_cross)
         mesh = cone_lambda_grid(d, cert.omega, params)
@@ -309,6 +338,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 drops an option value of "--" (as in
+        # --t=--) and passes an empty list that skipped the option's type
+        if any(value == [] for value in vars(args).values()):
+            parser.error("an option value may not be '--'")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -319,7 +352,7 @@ def main(argv=None) -> int:
     except ScanFailure as exc:
         print(f"ScanFailure: {exc}", file=sys.stderr)
         return 4
-    except (PreconditionError, ValueError) as exc:
+    except PreconditionError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except WorkbenchError as exc:

@@ -303,8 +303,11 @@ class AxisFrame:
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=float).copy()
         U = np.asarray(self.basis, dtype=float).copy()
-        if self.scale <= 0:
-            raise ValueError("frame scale must be positive")
+        if U.shape != (o.size, o.size) or not np.all(np.isfinite(U)) \
+                or not np.all(np.isfinite(o)):
+            raise ValueError("frame needs a finite square basis of the origin's size")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("frame scale must be positive and finite")
         if np.linalg.norm(U.T @ U - np.eye(U.shape[0])) > 1e-7:
             raise ValueError("frame basis is not orthonormal")
         o.setflags(write=False)

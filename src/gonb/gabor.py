@@ -57,6 +57,16 @@ TOL_ZERO = 1e-9
 # rint(D * KEY_SCALE) stay exact in int64 and in float64 (|key| <= 2e15 < 2^53).
 COORD_BOUND = 1e6
 KEY_SCALE = 1e9
+# Size bounds, checked before the arrays they bound are allocated: the
+# candidate grid of a lattice truncation, the ordered pairs a pair search
+# visits, the per-column difference key tables of the dedup (one entry per
+# pair of distinct coordinate values) and the per-chunk distinct differences
+# it merges. Z^4 in [-3,3]^4 needs 6,561 candidates, 5,762,400 pairs, 196
+# table entries and 128,613 differences to merge.
+MAX_LATTICE_CANDIDATES = 1 << 20
+MAX_PAIRS = 1 << 23
+MAX_KEY_TABLE = 1 << 22
+MAX_DIFFS = 1 << 20
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -71,6 +81,15 @@ def check_coordinates(values: np.ndarray, what: str) -> None:
         raise ParseError(f"{what} coordinates must be finite")
     if np.any(np.abs(values) > COORD_BOUND):
         raise ParseError(f"{what} coordinates must satisfy |x| <= {COORD_BOUND:g}")
+
+
+def check_scale(value: float, what: str) -> float:
+    """Raise ParseError unless a positive parameter (a radius, an aperture, a
+    frame scale) lies in [1 / COORD_BOUND, COORD_BOUND]; return it."""
+    if not 1 / COORD_BOUND <= value <= COORD_BOUND:
+        raise ParseError(f"{what} must lie in [{1 / COORD_BOUND:g}, {COORD_BOUND:g}], "
+                         f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,17 +143,31 @@ def lattice_points(basis, shift, lo, hi) -> np.ndarray:
     shift = np.asarray(shift, dtype=float).reshape(n)
     lo = np.asarray(lo, dtype=float).reshape(n)
     hi = np.asarray(hi, dtype=float).reshape(n)
-    Binv = np.linalg.inv(B)
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise ParseError("lattice basis must be invertible") from exc
     corners = np.array(list(np.ndindex(*(2,) * n)))
     xs = np.where(corners == 0, lo, hi)
     ks = (xs - shift) @ Binv.T
-    klo = np.floor(ks.min(axis=0)).astype(int) - 1
-    khi = np.ceil(ks.max(axis=0)).astype(int) + 1
-    ranges = [np.arange(a, b + 1) for a, b in zip(klo, khi)]
+    klo = np.floor(ks.min(axis=0)) - 1
+    khi = np.ceil(ks.max(axis=0)) + 1
+    candidates = math.prod((khi - klo + 1).tolist())
+    if not candidates <= MAX_LATTICE_CANDIDATES:
+        raise ParseError(f"lattice truncation needs {candidates:.3g} candidate points, "
+                         f"more than {MAX_LATTICE_CANDIDATES}")
+    ranges = [np.arange(a, b + 1) for a, b in zip(klo.astype(int), khi.astype(int))]
     grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, n)
     pts = grid @ B.T + shift
     inside = np.all((pts >= lo - 1e-9) & (pts <= hi + 1e-9), axis=1)
     return pts[inside]
+
+
+def check_pair_count(m: int) -> None:
+    """Raise ParseError when the m(m-1) ordered pairs of m points exceed MAX_PAIRS."""
+    if m * (m - 1) > MAX_PAIRS:
+        raise ParseError(f"{m} time-frequency points give {m * (m - 1)} ordered pairs, "
+                         f"more than {MAX_PAIRS}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +276,14 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     with points[i] - points[j] equal to it and the smallest i.
     """
     m, k = pts.shape
+    check_pair_count(m)
+    values = [np.unique(pts[:, c], return_inverse=True) for c in range(k)]
+    entries = sum(u.size ** 2 for u, _ in values)
+    if entries > MAX_KEY_TABLE:
+        raise ParseError(f"the difference key tables of the {m} time-frequency points "
+                         f"need {entries} entries, more than {MAX_KEY_TABLE}")
     cols = []  # per column: point value index, rank table of the keys, keys
-    for c in range(k):
-        u, idx = np.unique(pts[:, c], return_inverse=True)
+    for u, idx in values:
         keys, rank = np.unique(np.rint((u[:, None] - u) * KEY_SCALE).astype(np.int64),
                                return_inverse=True)
         # ranks stay below m^2, within int32 for any table that fits in memory
@@ -254,6 +292,7 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     zeros = [int(np.searchsorted(keys, 0)) for _, _, keys in cols]
     step = max(1, pairs_per_chunk // m)
     parts = []
+    n_parts = 0
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
         R = [rank[idx[rows]][:, idx].ravel() for idx, rank, _ in cols]
@@ -266,6 +305,10 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
         flat = np.flatnonzero(positive)
         R = [r[flat] for r in R]
         _, first = np.unique(_lex_codes(R, radices), return_index=True)
+        n_parts += first.size
+        if n_parts > MAX_DIFFS:
+            raise ParseError(f"the {m} time-frequency points give more than "
+                             f"{MAX_DIFFS} pair differences to merge")
         parts.append((np.stack([r[first] for r in R]), start * m + flat[first]))
     R = np.concatenate([p[0] for p in parts], axis=1)
     flat = np.concatenate([p[1] for p in parts])
@@ -384,6 +427,9 @@ class NonZeroCertificate:
     provenance: CertificateProvenance
 
     def __post_init__(self):
+        fields = (self.eps, self.delta, self.R, self.omega, self.eta, self.C)
+        if not (np.all(np.isfinite(fields)) and min(fields) >= 0 and self.R > 0):
+            raise ValueError("certificate fields must be finite and non-negative, R > 0")
         if not (self.eta - self.C / self.R > 0):
             raise ValueError("certificate violates eta - C/R > 0")
         if not (self.min_abs_scanned > 0):
@@ -608,6 +654,7 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
     d = P.dim
     pts = L.points
     m = pts.shape[0]
+    check_pair_count(m)
     T = (pts[:, :d] @ frame.basis) / frame.scale
     Lam = frame.scale * (pts[:, d:] @ frame.basis)
     n_time = n_cyl = n_rad = 0

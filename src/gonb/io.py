@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -13,21 +14,31 @@ from .gabor import (
     NonZeroCertificate,
     TimeFrequencySet,
     check_coordinates,
+    check_scale,
     lattice_points,
 )
-from .polytope import HPolytope, from_vertices, normalize
+from .polytope import (
+    GEOM_TOL,
+    MAX_VERTEX_CANDIDATES,
+    HPolytope,
+    from_vertices,
+    normalize,
+)
 
 
 def load_polytope(source) -> HPolytope:
     """Parse {"dim", "halfspaces": [...]} or {"dim", "vertices": [...]} JSON.
 
-    Normals need ``dim`` finite entries, offsets and vertex coordinates must
-    be finite; anything else is a ParseError.
+    Normals need ``dim`` entries and a norm above GEOM_TOL; normal entries,
+    offsets and vertex coordinates must be finite with |x| <= COORD_BOUND;
+    the vertex candidates C(n, dim) of n halfspaces are bounded by
+    MAX_VERTEX_CANDIDATES and vertex input needs dim <= 3. Anything else is a
+    ParseError.
     """
     data = _load(source)
     try:
         dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"polytope JSON needs an integer 'dim': {exc}") from exc
     if dim < 1:
         raise ParseError("polytope dimension must be >= 1")
@@ -43,15 +54,20 @@ def load_polytope(source) -> HPolytope:
             if normal.shape != (dim,) or offset.shape != ():
                 raise ParseError(f"a halfspace needs a normal of {dim} entries "
                                  f"and one offset")
-            if not (np.all(np.isfinite(normal)) and np.isfinite(offset)):
-                raise ParseError("halfspace normals and offsets must be finite")
+            check_coordinates(np.append(normal, offset), "halfspace")
+            if np.linalg.norm(normal) <= GEOM_TOL:
+                raise ParseError(f"a halfspace normal needs a norm above {GEOM_TOL:g}")
+        if math.comb(len(raw), dim) > MAX_VERTEX_CANDIDATES:
+            raise ParseError(f"{len(raw)} halfspaces in dimension {dim} give more than "
+                             f"{MAX_VERTEX_CANDIDATES} vertex candidates")
         return normalize(raw, dim)
     if "vertices" in data:
         verts = _float_array(data["vertices"], "vertices")
         if verts.ndim != 2 or verts.shape[1] != dim:
             raise ParseError("vertices must be rows of length dim")
-        if not np.all(np.isfinite(verts)):
-            raise ParseError("vertex coordinates must be finite")
+        if dim > 3:
+            raise ParseError("vertex input needs dim <= 3")
+        check_coordinates(verts, "vertex")
         return from_vertices(verts, dim)
     raise ParseError("polytope JSON needs 'halfspaces' or 'vertices'")
 
@@ -77,7 +93,7 @@ def load_tf_set(source) -> TimeFrequencySet:
         pts = _float_array(data["points"], "points")
         if pts.ndim != 2 or pts.shape[1] % 2 != 0:
             raise ParseError("points must be rows of even length 2d")
-        return TimeFrequencySet(pts)
+        return _distinct_set(pts)
     if "lattice" in data:
         lat = data["lattice"]
         try:
@@ -100,8 +116,15 @@ def load_tf_set(source) -> TimeFrequencySet:
         pts = lattice_points(basis, shift, lo, hi)
         if pts.shape[0] == 0:
             raise ParseError("lattice truncation is empty")
-        return TimeFrequencySet(pts, (lo, hi))
+        return _distinct_set(pts, (lo, hi))
     raise ParseError("time-frequency JSON needs 'points' or 'lattice'")
+
+
+def _distinct_set(pts, box=None) -> TimeFrequencySet:
+    try:
+        return TimeFrequencySet(pts, box)
+    except ValueError as exc:  # a repeated point
+        raise ParseError(str(exc)) from exc
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -172,14 +195,20 @@ def certificate_from_dict(data: dict) -> NonZeroCertificate:
             (np.asarray(prov["min_abs_point"]["t"], float),
              np.asarray(prov["min_abs_point"]["lam"], float)),
         )
-        return NonZeroCertificate(
+        cert = NonZeroCertificate(
             float(data["eps"]), float(data["delta"]), float(data["R"]),
             float(data["omega"]), float(data["eta"]), float(data["C"]),
             frame_from_dict(data["frame"]), float(data["min_abs_scanned"]),
             provenance,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from exc
+    # the bounds of the CLI flags, which keep frame coordinates and
+    # frequencies finite
+    check_coordinates(cert.frame.origin, "certificate frame origin")
+    check_scale(cert.frame.scale, "certificate frame scale")
+    check_scale(cert.omega, "certificate omega")
+    return cert
 
 
 def load_certificate(source) -> NonZeroCertificate:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegeneratePolytope,
@@ -27,6 +26,9 @@ from .errors import (
 )
 
 GEOM_TOL = 1e-9
+# Vertex enumeration solves one d x d system per d-subset of the halfspaces;
+# 30 halfspaces in 4-d give 27,405 of them.
+MAX_VERTEX_CANDIDATES = 1 << 16
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -291,19 +293,34 @@ def normalize(raw_halfspaces, dim: int) -> HPolytope:
 
 
 def _check_bounded(A: np.ndarray, dim: int) -> None:
-    """Raise UnboundedPolytope if some direction u != 0 has Au <= 0."""
-    for i in range(dim):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(dim)
-            c[i] = -sgn  # maximize sgn * x_i
-            res = linprog(c, A_ub=A, b_ub=np.zeros(A.shape[0]), bounds=[(-1, 1)] * dim,
-                          method="highs")
-            if res.status != 0:
-                raise UnboundedPolytope("recession-cone LP failed to solve")
-            if -res.fun > 1e-9:
-                raise UnboundedPolytope(
-                    f"direction with recession component along axis {i} exists"
-                )
+    """Raise UnboundedPolytope unless the recession cone {u : A u <= 0} is {0}.
+
+    The rows of A are unit normals. A nonzero cone either holds a line, so
+    that some unit u has |A u| <= GEOM_TOL (rank A < dim), or it is pointed
+    and has an extreme ray: the null vector u of dim - 1 independent rows
+    with A u <= 0 or A u >= 0. Every such candidate is tested in one batch;
+    the null vector of rows M is their cofactor vector
+    u_k = (-1)^k det(M without column k), and for dim = 1 the empty subset
+    gives u = 1, so the test reads "A has entries of both signs".
+    """
+    n = A.shape[0]
+    if n <= dim:
+        raise UnboundedPolytope(f"{n} halfspaces cannot bound a {dim}-d polytope")
+    if np.linalg.svd(A, compute_uv=False)[-1] <= GEOM_TOL:
+        raise UnboundedPolytope("the normals do not span the space")
+    subsets = np.array(list(itertools.combinations(range(n), dim - 1)), dtype=np.intp)
+    M = A[subsets]
+    U = np.stack([(-1) ** k * np.linalg.det(np.delete(M, k, axis=2)) for k in range(dim)],
+                 axis=1)
+    norms = np.linalg.norm(U, axis=1)
+    live = norms > GEOM_TOL
+    U = U[live] / norms[live, None]
+    S = U @ A.T
+    ray = (S.max(axis=1) <= GEOM_TOL) | (S.min(axis=1) >= -GEOM_TOL)
+    if np.any(ray):
+        k = int(np.argmax(ray))
+        u = np.round(U[k] if S[k].max() <= GEOM_TOL else -U[k], 12) + 0.0
+        raise UnboundedPolytope(f"recession direction {u.tolist()} exists")
 
 
 def from_vertices(points, dim: int | None = None) -> HPolytope:
@@ -321,9 +338,12 @@ def from_vertices(points, dim: int | None = None) -> HPolytope:
         return normalize([((1.0,), hi), ((-1.0,), -lo)], 1)
     if _affine_rank(pts) < d:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
-    hull = ConvexHull(pts)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError as exc:
+        raise DegeneratePolytope(f"convex hull failed: {str(exc).splitlines()[0]}") from exc
     raw = [(eq[:-1], -eq[-1]) for eq in hull.equations]
     return normalize(raw, d)
 

@@ -1,10 +1,17 @@
 """CLI harness: commands, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gonb
 from gonb.cli import main
 from gonb import cone_constant, ConeScanParams, stft_indicator
 from gonb.io import load_certificate, load_polytope, polytope_to_dict
@@ -302,3 +309,171 @@ def test_polytope_json_rejects_bad_numbers(poly, message, tmp_path, capsys):
     assert code == 2
     assert err.startswith("ParseError") and message in err
     assert "Traceback" not in err
+
+
+_PENTAGON_HALFSPACES = {"dim": 2, "halfspaces": [
+    {"normal": [0, -1], "offset": 0}, {"normal": [1, 0], "offset": 2},
+    {"normal": [0, 1], "offset": 2}, {"normal": [-1, 1], "offset": 1},
+    {"normal": [-1, 0], "offset": 0}]}
+
+
+def test_cold_path_never_imports_scipy(tmp_path):
+    """Importing the CLI, loading a half-space window and building its
+    certificate leave scipy unloaded; only vertex input needs ConvexHull."""
+    window = tmp_path / "pentagon.json"
+    window.write_text(json.dumps(_PENTAGON_HALFSPACES))
+    code = textwrap.dedent("""
+        import sys
+        from gonb import cli, io
+        io.load_polytope(sys.argv[1])
+        code = cli.main(["certificate", "--in", sys.argv[1], "--eps", "0.2",
+                         "--omega", "0.2", "--out", sys.argv[2]])
+        print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(gonb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(window), str(tmp_path / "c.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("poly, message", [
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [0, 0], "offset": 1}]},
+     "norm above"),
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [1e308, 0], "offset": 1}]},
+     "|x| <="),
+    ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [0, -1], "offset": 1e7}]},
+     "|x| <="),
+    ({"dim": 2, "vertices": [[0, 0], [1e308, 0], [0, 1]]}, "|x| <="),
+    ({"dim": 4, "vertices": np.vstack([np.zeros(4), np.eye(4)]).tolist()}, "dim <= 3"),
+    ({"dim": 8, "halfspaces": [{"normal": list(row), "offset": 1}
+                               for row in np.vstack([np.eye(8), -np.eye(8)] * 2)]},
+     "vertex candidates"),
+])
+def test_polytope_json_contract(poly, message, tmp_path, capsys):
+    code = run(["symmetry", "--in", _write(tmp_path, "p.json", poly)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ft", "--lambda", "1,0", "--quadrature", "1"], "--quadrature"),
+    (["ft", "--lambda", "1,0", "--quadrature", "2000000"], "--quadrature rows"),
+    (["ft", "--lambda", "1e308,0"], "|x| <="),
+    (["stft", "--t", "0,0", "--lambda", "2e6,0"], "|x| <="),
+    (["certificate", "--eps", "0", "--omega", "0.2"], "--eps"),
+    (["certificate", "--eps", "0.2", "--omega", "nan"], "--omega"),
+    (["certificate", "--eps", "0.2", "--omega", "1e-300"], "--omega"),
+    (["certificate", "--eps", "0.2", "--omega", "0.2", "--lambda-max", "0"], "--lambda-max"),
+    (["scan", "--field", "ft", "--lambda-box=-1e308:1,0:1", "--grid", "3"], "|x| <="),
+    (["intersect", "--t=--"], "may not be '--'"),
+    (["scan", "--field", "ft", "--lambda-box=-1:1,0:1", "--grid=--"], "may not be '--'"),
+])
+def test_flag_contract(argv, message, square_file, tmp_path, capsys):
+    code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"points": [[0, 0, 1, 0], [0, 0, 1, 0]]}, "duplicate"),
+    ({"lattice": {**_LATTICE_4D, "basis": np.diag([1.0, 1.0, 0.0, 1.0]).tolist()}},
+     "invertible"),
+])
+def test_time_frequency_contract(spec, message, square_file, tmp_path, capsys):
+    code = run(["check-orth", "--in", square_file, "--lattice",
+                _write(tmp_path, "l.json", spec), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and message in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("R", 0.0, "R > 0"),
+    ("eta", float("nan"), "finite"),
+    ("frame", {"origin": [0, 0, 0], "basis": np.eye(3).tolist(), "scale": 1.0},
+     "dimension 3, the window 2"),
+    ("frame", {"origin": [0, 0], "basis": np.eye(2).tolist(), "scale": -1.0}, "scale"),
+    ("frame", {"origin": [0, 0], "basis": np.eye(2).tolist(), "scale": 5e-324}, "scale"),
+    ("frame", {"origin": [-1e308, 0], "basis": np.eye(2).tolist(), "scale": 1.0}, "|x| <="),
+    ("omega", 1e7, "omega"),
+])
+def test_certificate_contract(field, value, message, tmp_path, capsys):
+    window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
+    cert_path = tmp_path / "cert.json"
+    assert run(["certificate", "--in", window, "--eps", "0.2", "--omega", "0.2",
+                "--out", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert[field] = value
+    bad = _write(tmp_path, "bad.json", cert)
+    for argv in (["scan", "--field", "gt_abs", "--certificate", bad],
+                 ["find-violation", "--lattice", _write(tmp_path, "l.json", {"points": [[0] * 4]}),
+                  "--certificate", bad]):
+        code = run(argv + ["--in", window, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ParseError") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--field", "gt_abs", "--n-cross", "0"],
+    ["scan", "--field", "gt_abs", "--lambda1", "0:10"],
+])
+def test_empty_gt_abs_region(argv, tmp_path, capsys):
+    window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
+    cert_path = tmp_path / "cert.json"
+    assert run(["certificate", "--in", window, "--eps", "0.2", "--omega", "0.2",
+                "--out", str(cert_path)]) == 0
+    code = run(argv + ["--in", window, "--certificate", str(cert_path),
+                       "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "empty scan region" in capsys.readouterr().err
+
+
+def _oversize_inputs(tmp_path):
+    rng = np.random.default_rng(0)
+    huge_box = {"lattice": {"basis": np.eye(4).tolist(),
+                            "box": {"lo": [-1e6] * 4, "hi": [1e6] * 4}}}
+    return [
+        # 2,401 float points: 2.88M distinct differences
+        (["check-orth", "--lattice",
+          _write(tmp_path, "float.json", {"points": rng.uniform(-3, 3, (2401, 4)).tolist()})],
+         "key tables"),
+        (["check-orth", "--lattice", _write(tmp_path, "box.json", huge_box)], "candidate"),
+        (["scan", "--field", "ft", "--lambda-box=-1:1,-1:1", "--grid", "100000"], "--grid"),
+    ]
+
+
+def test_oversize_inputs_exit_2_without_allocating(square_file, tmp_path, capsys):
+    for argv, message in _oversize_inputs(tmp_path):
+        tracemalloc.start()
+        try:
+            code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ParseError") and message in err
+        assert peak < 16 * 2 ** 20, f"{argv[0]} traced {peak} bytes before refusing"
+
+
+def test_unexpected_value_error_is_not_a_precondition_failure(square_file, monkeypatch):
+    """A ValueError the input contract does not foresee is a bug: it
+    propagates instead of exiting 3."""
+    def broken(*_args, **_kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("gonb.cli.is_symmetric", broken)
+    with pytest.raises(ValueError, match="bug"):
+        run(["symmetry", "--in", square_file])

@@ -28,6 +28,7 @@ from gonb import (
     translate_intersection,
     volume,
 )
+from gonb import gabor
 from gonb.gabor import _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import is_symmetric
@@ -268,6 +269,37 @@ def test_unique_signed_diffs_chunking_is_invisible():
     pieces = _unique_signed_diffs(pts, pairs_per_chunk=1)
     for a, b in zip(whole, pieces):
         assert np.array_equal(a, b)
+
+
+def test_lattice_truncation_refused_before_allocation():
+    # 2e6 + 3 candidates per axis: about 1.6e25 points, never built
+    with pytest.raises(ParseError, match="candidate points"):
+        lattice_points(np.eye(4), np.zeros(4), [-1e6] * 4, [1e6] * 4)
+    with pytest.raises(ParseError, match="invertible"):
+        lattice_points(np.zeros((2, 2)), np.zeros(2), [-1] * 2, [1] * 2)
+
+
+def test_pair_and_key_table_bounds_refuse_before_allocation():
+    m = math.isqrt(gabor.MAX_PAIRS) + 2
+    many = np.zeros((m, 4))
+    with pytest.raises(ParseError, match="ordered pairs"):
+        _unique_signed_diffs(many)
+    with pytest.raises(ParseError, match="ordered pairs"):
+        gabor.check_pair_count(m)
+    # 1,100 distinct values per column: 4 tables of 1.21M entries
+    spread = np.random.default_rng(0).uniform(-3, 3, (1100, 4))
+    with pytest.raises(ParseError, match="key tables"):
+        _unique_signed_diffs(spread)
+
+
+def test_merge_bound_refuses_before_the_merge(monkeypatch):
+    pts = np.random.default_rng(1).uniform(-1, 1, (60, 2))
+    n_diffs = _unique_signed_diffs(pts)[0].shape[0]  # 1,770: all distinct
+    monkeypatch.setattr(gabor, "MAX_DIFFS", n_diffs)
+    assert _unique_signed_diffs(pts)[0].shape[0] == n_diffs
+    monkeypatch.setattr(gabor, "MAX_DIFFS", n_diffs - 1)
+    with pytest.raises(ParseError, match="pair differences to merge"):
+        _unique_signed_diffs(pts)
 
 
 def test_check_orthogonality_float_points_report_their_pairs(pentagon):

@@ -24,7 +24,14 @@ from gonb import (
     vertices,
     volume,
 )
-from gonb.polytope import _reduce, ball_grid, distance_to_polytope, facet_volume_by_normal
+from gonb.polytope import (
+    _check_bounded,
+    _merge_duplicate_normals,
+    _reduce,
+    ball_grid,
+    distance_to_polytope,
+    facet_volume_by_normal,
+)
 
 from conftest import PENTAGON_VERTICES, random_polygon, symmetrized_polygon
 
@@ -71,6 +78,126 @@ def test_normalize_merges_duplicate_normals():
     # (2,0)<=4 normalizes to (1,0)<=2, merged with (1,0)<=1 keeping min offset
     assert len(P.halfspaces) == 4
     assert volume(P) == pytest.approx(1.0)
+
+
+# -- boundedness -------------------------------------------------------------
+
+
+def _lp_bounded(A):
+    """Reference verdict: the recession cone {A u <= 0} is {0} when the LP
+    max sgn * u_i over it, inside the box |u| <= 1, is 0 for every axis i and
+    both signs."""
+    from scipy.optimize import linprog
+
+    d = A.shape[1]
+    for i in range(d):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(d)
+            c[i] = -sgn
+            res = linprog(c, A_ub=A, b_ub=np.zeros(A.shape[0]), bounds=[(-1, 1)] * d,
+                          method="highs")
+            if res.status != 0 or -res.fun > 1e-9:
+                return False
+    return True
+
+
+def _bounded(A):
+    try:
+        _check_bounded(A, A.shape[1])
+    except UnboundedPolytope:
+        return False
+    return True
+
+
+def _unit_rows(A):
+    """Unit normals with duplicates merged, as normalize hands them over."""
+    A = np.asarray(A, dtype=float)
+    A = A / np.linalg.norm(A, axis=1, keepdims=True)
+    return _merge_duplicate_normals(A, np.zeros(A.shape[0]))[0]
+
+
+def _normal_set(kind, d, rng):
+    n = int(rng.integers(1, 3 * d + 4))
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    if kind == "random":
+        return rng.normal(size=(n, d))
+    if kind == "cone":  # every normal in the half-space <w, a> > 0
+        A = rng.normal(size=(n, d))
+        return A * np.sign(A @ w)[:, None]
+    if kind == "hyperplane":  # every normal orthogonal to w
+        A = rng.normal(size=(n + d, d))
+        return A - np.outer(A @ w, w)
+    if kind == "d rows":
+        return rng.normal(size=(d, d))
+    if kind == "d+1 rows":
+        return rng.normal(size=(d + 1, d))
+    # a simplex: d random normals and minus a positive combination of them
+    V = rng.normal(size=(d, d))
+    return np.vstack([V, -(rng.uniform(0.1, 1.0, d) @ V)])
+
+
+# kinds whose verdict is known; "random" and "d+1 rows" must show both
+_KNOWN = {"cone": False, "hyperplane": False, "d rows": False, "simplex": True}
+
+
+@pytest.mark.parametrize("kind, d", [
+    (kind, d) for kind in ("random", "cone", "hyperplane", "d rows", "d+1 rows", "simplex")
+    for d in (1, 2, 3, 4) if (kind, d) != ("hyperplane", 1)  # no nonzero 1-d normal is flat
+])
+def test_boundedness_matches_lp_reference(kind, d):
+    rng = np.random.default_rng(1000 * d + len(kind))
+    verdicts = set()
+    for _ in range(12):
+        A = _unit_rows(_normal_set(kind, d, rng))
+        verdict = _bounded(A)
+        assert verdict == _lp_bounded(A), A
+        verdicts.add(verdict)
+    if kind in _KNOWN:
+        assert verdicts == {_KNOWN[kind]}
+    elif d > 1:
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_boundedness_of_boxes_with_a_face_dropped(d):
+    rng = np.random.default_rng(d)
+    R = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    box = np.vstack([np.eye(d), -np.eye(d)]) @ R.T
+    assert _bounded(box) and _lp_bounded(box)
+    for k in range(2 * d):
+        A = np.delete(box, k, axis=0)
+        assert not _bounded(A) and not _lp_bounded(A)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_boundedness_of_thin_wedges(d, gap):
+    """The wedge |u_2| <= gap * u_1 is capped by u_1 <= 0 (bounded) or only
+    narrowed by u_2 <= -gap/2 * u_1 (unbounded); the other axes are boxed.
+    The LP reference is compared down to gap 1e-7, its solver's feasibility
+    tolerance; below that it calls the capped wedge unbounded."""
+    rng = np.random.default_rng(d)
+    R = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    rest = np.vstack([np.eye(d)[2:], -np.eye(d)[2:]])
+    wedge = np.zeros((2, d))
+    wedge[:, :2] = [[-gap, 1.0], [-gap, -1.0]]
+    for cap, expected in (([1.0, 0.0], True), ([0.5 * gap, 1.0], False)):
+        row = np.zeros((1, d))
+        row[0, :2] = cap
+        A = _unit_rows(np.vstack([wedge, row, rest]) @ R.T)
+        assert _bounded(A) == expected
+        if gap >= 1e-7:
+            assert _lp_bounded(A) == expected
+
+
+def test_normalize_reports_the_recession_direction():
+    with pytest.raises(UnboundedPolytope, match="cannot bound"):
+        normalize([((1, 0), 1), ((0, 1), 1)], 2)
+    with pytest.raises(UnboundedPolytope, match="do not span"):
+        normalize([((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)], 3)
+    with pytest.raises(UnboundedPolytope, match=r"recession direction \[0\.0, 1\.0\]"):
+        normalize([((1, 0), 1), ((-1, 0), 1), ((0, -1), 1)], 2)
 
 
 # -- vertices ----------------------------------------------------------------
