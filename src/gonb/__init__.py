@@ -63,7 +63,6 @@ from .polytope import (
     Facet,
     GEOM_TOL,
     HPolytope,
-    HalfSpace,
     SymmetryReport,
     facet_hausdorff,
     facets,

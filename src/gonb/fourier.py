@@ -435,6 +435,15 @@ def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]
     return fs, fa, fb
 
 
+def axis_sigmas(Q: HPolytope, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_A, sigma_B): ft_facet_measure of the facets of Q with unit
+    normals -e1 and +e1 at each row of lams (n, d), zeros where a facet is
+    absent; FrameMismatch when both are."""
+    _, fa, fb = _axis_facets(Q)
+    return tuple(np.zeros(lams.shape[0], dtype=complex) if F is None
+                 else ft_facet_measure(F, lams) for F in (fa, fb))
+
+
 def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
                         via_boundary: bool = False):
     """Residual G_t(lam) of the axis divergence identity in frame coordinates,
@@ -451,14 +460,13 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
     """
     Q = apply_frame(P_t, frame)
     lams, one = _freqs(lams, Q.dim)
-    fs, fa, fb = _axis_facets(Q)
     if via_boundary:
+        fs, fa, fb = _axis_facets(Q)
         rest = [F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14]
         vals = sum((F.normal[0] * ft_facet_measure(F, lams) for F in rest),
                    np.zeros(lams.shape[0], dtype=complex))
     else:
-        sa = ft_facet_measure(fa, lams) if fa is not None else 0.0
-        sb = ft_facet_measure(fb, lams) if fb is not None else 0.0
+        sa, sb = axis_sigmas(Q, lams)
         vals = -2j * np.pi * lams[:, 0] * ft_indicator_many(Q, lams) + sa - sb
     return complex(vals[0]) if one else vals
 

@@ -33,8 +33,8 @@ from .fourier import (
     AxisFrame,
     ConeBound,
     ConeScanParams,
-    _axis_facets,
     apply_frame,
+    axis_sigmas,
     cone_constant,
     ft_indicator,
     ft_indicator_many,
@@ -45,7 +45,7 @@ from .polytope import (
     GEOM_TOL,
     HPolytope,
     ball_grid,
-    facet_volume_by_normal,
+    facet_gap,
     is_symmetric,
     tangent_basis,
     translate_intersection,
@@ -106,7 +106,6 @@ class TimeFrequencySet:
     """Finite candidate set in R^{2d}: rows are (t_1..t_d, lam_1..lam_d)."""
 
     points: np.ndarray
-    window_box: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -119,10 +118,6 @@ class TimeFrequencySet:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.window_box is None:
-            object.__setattr__(
-                self, "window_box", (pts.min(axis=0), pts.max(axis=0))
-            )
 
     @property
     def d(self) -> int:
@@ -449,29 +444,12 @@ def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
     absent)."""
     u1 = -F.normal
     if G is not None:
-        s = F.supporting.offset + G.supporting.offset
+        s = F.offset + G.offset
     else:
         heights = (P.vertex_array() - F.origin) @ u1
         s = float(heights.max())
     U = np.column_stack([u1, tangent_basis(u1)])
     return AxisFrame(F.origin, U, float(s))
-
-
-def _axis_sigma(Qt: HPolytope, lams: np.ndarray):
-    """(sigma_A, sigma_B) arrays over rows of lams for the axis facet pair."""
-    _, fa, fb = _axis_facets(Qt)
-    n = lams.shape[0]
-    sa = np.zeros(n, dtype=complex)
-    sb = np.zeros(n, dtype=complex)
-    for F, out in ((fa, sa), (fb, sb)):
-        if F is None:
-            continue
-        phases = np.exp(-2j * np.pi * (lams @ F.origin))
-        if F.dim == 1:
-            out[:] = phases
-        else:
-            out[:] = phases * ft_indicator_many(F.body, lams @ F.tangent)
-    return sa, sb
 
 
 def _axis_gap_profile(Qt: HPolytope, transverse: np.ndarray) -> np.ndarray:
@@ -480,7 +458,7 @@ def _axis_gap_profile(Qt: HPolytope, transverse: np.ndarray) -> np.ndarray:
     d = Qt.dim
     lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1) \
         if d > 1 else np.zeros((transverse.shape[0], 1))
-    sa, sb = _axis_sigma(Qt, lams)
+    sa, sb = axis_sigmas(Qt, lams)
     return np.abs(np.abs(sa) - np.abs(sb))
 
 
@@ -522,18 +500,8 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     e1[0] = 1.0
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
-    Qts = []
-    gaps = []
-    for t in tgrid:
-        Qt = translate_intersection(Q, t)
-        Qts.append(Qt)
-        if Qt.empty or Qt.degenerate:
-            gaps.append(0.0)
-            continue
-        va = facet_volume_by_normal(Qt, -e1)
-        vb = facet_volume_by_normal(Qt, e1)
-        gaps.append(abs(va - vb))
-    eta = float(min(gaps))
+    Qts = [translate_intersection(Q, t) for t in tgrid]
+    eta = min(facet_gap(Qt, -e1, e1) for Qt in Qts)
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
 
@@ -581,7 +549,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
             if Qt.empty or Qt.degenerate:
                 raise ScanFailure("translate intersection vanished inside the ball")
             vals = ft_indicator_many(Qt, lams) / vol_q
-            sa, sb = _axis_sigma(Qt, lams)
+            sa, sb = axis_sigmas(Qt, lams)
             g = -2j * np.pi * lams[:, 0] * (vals * vol_q) + sa - sb
             gap = np.abs(np.abs(sa) - np.abs(sb))
             l1g = np.abs(lams[:, 0]) * np.abs(g)

@@ -29,17 +29,18 @@ from .polytope import (
 def load_polytope(source) -> HPolytope:
     """Parse {"dim", "halfspaces": [...]} or {"dim", "vertices": [...]} JSON.
 
-    Normals need ``dim`` entries and a norm above GEOM_TOL; normal entries,
-    offsets and vertex coordinates must be finite with |x| <= COORD_BOUND;
-    the vertex candidates C(n, dim) of n halfspaces are bounded by
-    MAX_VERTEX_CANDIDATES and vertex input needs dim <= 3. Anything else is a
-    ParseError.
+    ``dim`` is a number with an integral value >= 1, not a boolean. Normals
+    need ``dim`` entries and a norm above GEOM_TOL; normal entries, offsets
+    and vertex coordinates must be finite with |x| <= COORD_BOUND; the vertex
+    candidates C(n, dim) of n halfspaces are bounded by MAX_VERTEX_CANDIDATES
+    and vertex input needs dim <= 3. Anything else is a ParseError.
     """
     data = _load(source)
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"polytope JSON needs an integer 'dim': {exc}") from exc
+    dim = data.get("dim")
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"polytope JSON needs an integer 'dim', got {dim!r}")
     if dim < 1:
         raise ParseError("polytope dimension must be >= 1")
     if "halfspaces" in data:
@@ -76,8 +77,8 @@ def polytope_to_dict(P: HPolytope) -> dict:
     return {
         "dim": P.dim,
         "halfspaces": [
-            {"normal": [float(x) for x in h.normal], "offset": float(h.offset)}
-            for h in P.halfspaces
+            {"normal": [float(x) for x in a], "offset": float(c)}
+            for a, c in zip(P.A, P.b)
         ],
     }
 
@@ -116,13 +117,13 @@ def load_tf_set(source) -> TimeFrequencySet:
         pts = lattice_points(basis, shift, lo, hi)
         if pts.shape[0] == 0:
             raise ParseError("lattice truncation is empty")
-        return _distinct_set(pts, (lo, hi))
+        return _distinct_set(pts)
     raise ParseError("time-frequency JSON needs 'points' or 'lattice'")
 
 
-def _distinct_set(pts, box=None) -> TimeFrequencySet:
+def _distinct_set(pts) -> TimeFrequencySet:
     try:
-        return TimeFrequencySet(pts, box)
+        return TimeFrequencySet(pts)
     except ValueError as exc:  # a repeated point
         raise ParseError(str(exc)) from exc
 

@@ -31,13 +31,6 @@ GEOM_TOL = 1e-9
 MAX_VERTEX_CANDIDATES = 1 << 16
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n <= GEOM_TOL:
-        raise ValueError("zero normal vector")
-    return v / n
-
-
 def tangent_basis(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane {x : <normal,x>=0}.
 
@@ -56,29 +49,9 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> <= offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        a = _unit(np.asarray(self.normal, dtype=float))
-        a.setflags(write=False)
-        object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
-
-    def signed_distance(self, x) -> float:
-        return float(self.normal @ np.asarray(x, dtype=float) - self.offset)
-
-
-@dataclass(frozen=True, eq=False)
 class Facet:
-    """(d-1)-face of a polytope: supporting halfspace, vertices, (d-1)-volume.
+    """(d-1)-face of a polytope: the row {x : <normal, x> <= offset} of its
+    polytope's (A, b) that supports it, its vertices and (d-1)-volume.
 
     ``origin``/``tangent`` give the isometric chart y -> origin + tangent @ y
     of the supporting hyperplane; ``body`` is the facet as a (d-1)-dimensional
@@ -86,7 +59,8 @@ class Facet:
     counting measure 1).
     """
 
-    supporting: HalfSpace
+    normal: np.ndarray
+    offset: float
     vertices: np.ndarray
     volume_dm1: float
     origin: np.ndarray = field(repr=False)
@@ -94,12 +68,8 @@ class Facet:
     body: "HPolytope | None" = field(repr=False)
 
     @property
-    def normal(self) -> np.ndarray:
-        return self.supporting.normal
-
-    @property
     def dim(self) -> int:
-        return self.supporting.dim
+        return self.normal.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +88,9 @@ class SymmetryReport:
 
 @dataclass(frozen=True, eq=False)
 class HPolytope:
-    """Bounded intersection of closed half-spaces in canonical form.
+    """Bounded intersection {x : A x <= b} of closed half-spaces in canonical
+    form: ``A`` (n, dim) holds the unit normals and ``b`` (n,) the offsets,
+    both read-only copies.
 
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
     with no interior (volume 0). Instances are immutable; the vertex, volume,
@@ -126,26 +98,22 @@ class HPolytope:
     """
 
     dim: int
-    halfspaces: tuple[HalfSpace, ...]
+    A: np.ndarray
+    b: np.ndarray
     empty: bool = False
     degenerate: bool = False
 
     def __post_init__(self):
+        A = np.array(self.A, dtype=float).reshape(-1, self.dim)
+        b = np.array(self.b, dtype=float).reshape(A.shape[0])
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "_vertices", None)
         object.__setattr__(self, "_volume", None)
         object.__setattr__(self, "_facets", None)
         object.__setattr__(self, "_simplices", None)
-
-    # -- matrix views ----------------------------------------------------
-    @property
-    def A(self) -> np.ndarray:
-        return np.array([h.normal for h in self.halfspaces], dtype=float).reshape(
-            len(self.halfspaces), self.dim
-        )
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([h.offset for h in self.halfspaces], dtype=float)
 
     # -- membership -------------------------------------------------------
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
@@ -241,22 +209,20 @@ def _reduce(A: np.ndarray, b: np.ndarray, dim: int, *, drop_redundant: bool = Tr
     b = np.asarray(b, dtype=float).reshape(-1).copy()
     A, b = _merge_duplicate_normals(A, b)
     verts = _enumerate_vertices(A, b, dim)
-    if verts.shape[0] == 0:
-        A, b = _canonical_order(A, b)
-        hs = tuple(HalfSpace(a, bb) for a, bb in zip(A, b))
-        return HPolytope(dim, hs, empty=True, degenerate=True)
-    degenerate = verts.shape[0] < dim + 1 or _affine_rank(verts) < dim
+    empty = verts.shape[0] == 0
+    degenerate = empty or verts.shape[0] < dim + 1 or _affine_rank(verts) < dim
     if not degenerate and drop_redundant:
-        supported = []
-        for i in range(A.shape[0]):
-            geo = _facet_chart(A[i], b[i], A, b, i, verts, dim)
-            if geo is not None:
-                supported.append(i)
+        supported = [i for i in range(A.shape[0])
+                     if _facet_chart(A, b, i, verts, dim) is not None]
         A, b = A[supported], b[supported]
     A, b = _canonical_order(A, b)
-    hs = tuple(HalfSpace(a, bb) for a, bb in zip(A, b))
-    P = HPolytope(dim, hs, empty=False, degenerate=degenerate)
-    object.__setattr__(P, "_vertices", verts)
+    # unit-normalize each stored row once more by its scalar norm, after the
+    # vertices: this moves last bits (and a vectorized norm would move others)
+    # on which witness ties and certificate frames have always depended
+    A = np.array([a / float(np.linalg.norm(a)) for a in A]).reshape(-1, dim)
+    P = HPolytope(dim, A, b, empty=empty, degenerate=degenerate)
+    if not empty:
+        object.__setattr__(P, "_vertices", verts)
     return P
 
 
@@ -353,9 +319,10 @@ def from_vertices(points, dim: int | None = None) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _facet_chart(a, bb, A, b, i, verts, dim):
+def _facet_chart(A, b, i, verts, dim):
     """Geometry of the facet supported by constraint i, or None if it has
     zero (d-1)-volume. Returns (vertices, volume, origin, tangent, body)."""
+    a, bb = A[i], b[i]
     on = verts[np.abs(verts @ a - bb) <= 1e-7]
     if on.shape[0] < dim:
         return None
@@ -396,8 +363,7 @@ def _facet_chart(a, bb, A, b, i, verts, dim):
 
 
 def _interval(lo: float, hi: float) -> HPolytope:
-    hs = (HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi))
-    P = HPolytope(1, hs, empty=False, degenerate=False)
+    P = HPolytope(1, [[-1.0], [1.0]], [-lo, hi], empty=False, degenerate=False)
     v = np.array([[lo], [hi]])
     v.setflags(write=False)
     object.__setattr__(P, "_vertices", v)
@@ -415,12 +381,12 @@ def facets(P: HPolytope) -> list[Facet]:
     A, b = P.A, P.b
     verts = P.vertex_array()
     out = []
-    for i, h in enumerate(P.halfspaces):
-        geo = _facet_chart(A[i], b[i], A, b, i, verts, P.dim)
+    for i in range(A.shape[0]):
+        geo = _facet_chart(A, b, i, verts, P.dim)
         if geo is None:
             continue
         vv, vol, origin, T, body = geo
-        out.append(Facet(h, vv, float(vol), origin, T, body))
+        out.append(Facet(A[i], float(b[i]), vv, float(vol), origin, T, body))
     object.__setattr__(P, "_facets", tuple(out))
     return out
 
@@ -508,7 +474,7 @@ def parallel_facet(P: HPolytope, F: Facet) -> Facet | None:
     def same_facet(G: Facet) -> bool:
         if np.linalg.norm(G.normal - F.normal) > 1e-7:
             return False
-        if abs(G.supporting.offset - F.supporting.offset) > 1e-7:
+        if abs(G.offset - F.offset) > 1e-7:
             return False
         if G.vertices.shape != F.vertices.shape:
             return False
@@ -528,8 +494,9 @@ def is_symmetric(P: HPolytope, tol: float = GEOM_TOL) -> SymmetryReport:
     equal (d-1)-volume within ``tol``.
 
     The witness prefers a true facet pair with the largest volume gap; a
-    facet with no parallel partner is used only when no paired violation
-    exists (its margin is then its own volume).
+    facet with no parallel partner, the largest, is used only when no paired
+    violation exists (its margin is then its own volume). Among gaps or
+    volumes equal within ``tol`` the first in canonical facet order wins.
     """
     fs = facets(P)
     best_pair: tuple[Facet, Facet | None] | None = None
@@ -544,13 +511,13 @@ def is_symmetric(P: HPolytope, tol: float = GEOM_TOL) -> SymmetryReport:
                 break
         if partner is None:
             symmetric = False
-            if worst_unpaired is None or F.volume_dm1 > worst_unpaired.volume_dm1:
+            if worst_unpaired is None or F.volume_dm1 > worst_unpaired.volume_dm1 + tol:
                 worst_unpaired = F
             continue
         gap = abs(F.volume_dm1 - partner.volume_dm1)
         if gap > tol:
             symmetric = False
-            if gap > best_gap:
+            if gap > best_gap + tol:
                 best_gap = gap
                 if F.volume_dm1 >= partner.volume_dm1:
                     best_pair = (F, partner)
@@ -630,7 +597,7 @@ def distance_to_polytope(P: HPolytope, x) -> float:
         return 0.0
     best = math.inf
     for F in facets(P):
-        h = float(F.normal @ x - F.supporting.offset)
+        h = float(F.normal @ x - F.offset)
         y = (x - h * F.normal) - F.origin
         yt = F.tangent.T @ y
         if F.body.dim == 1:
@@ -662,7 +629,7 @@ def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
 def facet_hausdorff(F: Facet, G: Facet) -> float:
     """Hausdorff metric between two facets (as compact convex sets in R^d)."""
     def dist_to(H: Facet, x):
-        h = float(H.normal @ x - H.supporting.offset)
+        h = float(H.normal @ x - H.offset)
         y = (x - h * H.normal) - H.origin
         if H.dim == 1:
             return abs(h)
@@ -728,6 +695,14 @@ def facet_volume_by_normal(P: HPolytope, normal: np.ndarray) -> float:
     return 0.0
 
 
+def facet_gap(Q: HPolytope, nA: np.ndarray, nB: np.ndarray | None) -> float:
+    """|V(A) - V(B)| for the facets A, B of Q with unit normals nA, nB; an
+    absent facet (or nB None) has volume 0, so the gap is 0 on an empty or
+    degenerate Q."""
+    vB = facet_volume_by_normal(Q, nB) if nB is not None else 0.0
+    return abs(facet_volume_by_normal(Q, nA) - vB)
+
+
 def nonsymmetry_margin(P: HPolytope, eps: float, n_samples: int = 8) -> float:
     """Sampled min over the ball {|t| <= eps} of the witness facet-pair
     volume gap |V(A(t)) - V(B(t))| on the translate-intersections.
@@ -737,13 +712,7 @@ def nonsymmetry_margin(P: HPolytope, eps: float, n_samples: int = 8) -> float:
     """
     nA, nB = _witness_normals(P)
     grid = ball_grid(P.dim, float(eps), n_samples, n_samples)
-    best = math.inf
-    for t in grid:
-        Q = translate_intersection(P, t)
-        vA = facet_volume_by_normal(Q, nA) if not Q.empty else 0.0
-        vB = (facet_volume_by_normal(Q, nB) if nB is not None else 0.0) if not Q.empty else 0.0
-        best = min(best, abs(vA - vB))
-    return best
+    return min(facet_gap(translate_intersection(P, t), nA, nB) for t in grid)
 
 
 def persistence_epsilon(P: HPolytope, n_samples: int = 8, iters: int = 24,

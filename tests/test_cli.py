@@ -206,10 +206,10 @@ def test_find_violation_cli(pentagon_file, tmp_path):
 def test_polytope_json_round_trip(pentagon_file):
     P = load_polytope(pentagon_file)
     again = load_polytope(polytope_to_dict(P))
-    assert len(P.halfspaces) == len(again.halfspaces)
-    for h1, h2 in zip(P.halfspaces, again.halfspaces):
-        assert np.allclose(h1.normal, h2.normal, atol=0)
-        assert h1.offset == h2.offset
+    assert len(P.b) == len(again.b)
+    for a1, c1, a2, c2 in zip(P.A, P.b, again.A, again.b):
+        assert np.allclose(a1, a2, atol=0)
+        assert c1 == c2
 
 
 def test_check_orth_float_points_cli(pentagon_file, tmp_path):
@@ -357,6 +357,9 @@ def _write(tmp_path, name, obj):
     ({"dim": 8, "halfspaces": [{"normal": list(row), "offset": 1}
                                for row in np.vstack([np.eye(8), -np.eye(8)] * 2)]},
      "vertex candidates"),
+    ({**_PENTAGON_HALFSPACES, "dim": 2.5}, "integer 'dim'"),
+    ({**_PENTAGON_HALFSPACES, "dim": True}, "integer 'dim'"),
+    ({**_PENTAGON_HALFSPACES, "dim": "2"}, "integer 'dim'"),
 ])
 def test_polytope_json_contract(poly, message, tmp_path, capsys):
     code = run(["symmetry", "--in", _write(tmp_path, "p.json", poly)])

@@ -28,12 +28,15 @@ from gonb import (
     volume,
 )
 from gonb.fourier import (
+    _axis_facets,
+    apply_frame,
+    axis_sigmas,
     divdiff_exp,
     divdiff_exp_direct,
     divdiff_exp_series,
 )
 from gonb.gabor import build_axis_frame
-from gonb.polytope import is_symmetric
+from gonb.polytope import ball_grid, is_symmetric
 
 from conftest import make_pentagon, random_polygon, random_polytope_3d
 
@@ -220,7 +223,7 @@ def test_ft_translation_phase_law():
         P = random_polygon(rng)
         v = rng.uniform(-2, 2, 2)
         lam = rng.uniform(-6, 6, 2)
-        shifted = normalize([(h.normal, h.offset + h.normal @ v) for h in P.halfspaces], 2)
+        shifted = normalize([(a, c + a @ v) for a, c in zip(P.A, P.b)], 2)
         lhs = ft_indicator(shifted, lam)
         rhs = np.exp(-2j * np.pi * (lam @ v)) * ft_indicator(P, lam)
         assert abs(lhs - rhs) <= 1e-10
@@ -446,6 +449,50 @@ def test_batched_residual_and_facet_measure_match_single_rows(pentagon):
         for lam, val in zip(lams, batch):
             one = fn(lam)
             assert isinstance(one, complex) and one == val
+
+
+def _axis_sigma_reference(Qt, lams):
+    """(sigma_A, sigma_B) arrays over rows of lams for the axis facet pair,
+    as the certificate scan computed them before fourier.axis_sigmas."""
+    _, fa, fb = _axis_facets(Qt)
+    n = lams.shape[0]
+    sa = np.zeros(n, dtype=complex)
+    sb = np.zeros(n, dtype=complex)
+    for F, out in ((fa, sa), (fb, sb)):
+        if F is None:
+            continue
+        phases = np.exp(-2j * np.pi * (lams @ F.origin))
+        if F.dim == 1:
+            out[:] = phases
+        else:
+            out[:] = phases * ft_indicator_many(F.body, lams @ F.tangent)
+    return sa, sb
+
+
+def _certificate_translates(P, eps, n_angles, n_radii):
+    """Translates of the witness-frame window over a certificate translate
+    grid, and frequencies like those of its scan and cylinder."""
+    Q = apply_frame(P, build_axis_frame(P, *is_symmetric(P, 1e-9).witness))
+    grid = ball_grid(P.dim, eps, n_angles, n_radii)
+    tr = ball_grid(P.dim - 1, 0.5, 8, 2)
+    lam1 = np.concatenate([[0.0], np.geomspace(10.0, 200.0, 12)])
+    lams = np.concatenate([np.repeat(lam1, tr.shape[0])[:, None],
+                           np.tile(tr, (lam1.size, 1))], axis=1)
+    return [translate_intersection(Q, t) for t in grid], lams
+
+
+def test_axis_sigmas_match_the_scan_formula(pentagon):
+    cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
+    # the default translate grid in 2-d, the reduced one of the 3-d certificate test
+    for P, grid in ((pentagon, (8, 2)), (normalize(cube + [((1, 1, 0), 1.5)], 3), (4, 1))):
+        Qts, lams = _certificate_translates(P, 0.1, *grid)
+        # the reference's matmuls and ft_facet_measure's fixed-order sums can
+        # round <lam, origin> and the tangent coordinates an ulp apart; with
+        # frame coordinates below 2 a phase moves by a few ulps of 4*pi*|lam|_1
+        rel = 4 * np.finfo(float).eps * 4 * np.pi * np.abs(lams).sum(axis=1)
+        for Qt in Qts:
+            for got, ref in zip(axis_sigmas(Qt, lams), _axis_sigma_reference(Qt, lams)):
+                assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
 
 
 # -- sigma bound ----------------------------------------------------------------

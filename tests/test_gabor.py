@@ -19,6 +19,7 @@ from gonb import (
     check_orthogonality,
     covering_radius,
     find_violation_pair,
+    from_vertices,
     ft_indicator,
     lattice_points,
     normalize,
@@ -33,7 +34,7 @@ from gonb.gabor import _unique_signed_diffs, build_axis_frame, window_fingerprin
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import is_symmetric
 
-from conftest import random_polygon
+from conftest import PENTAGON_VERTICES, random_polygon
 
 SMALL_PARAMS = CertificateScanParams(n_lambda1=24, n_cross=9, cone_n_radial=32,
                                      cone_n_cross=8)
@@ -338,6 +339,21 @@ def test_build_certificate_pentagon(pentagon):
         assert abs(cert.frame.to_frame_point(v)[0]) <= 1e-9
     for v in G.vertices:
         assert abs(cert.frame.to_frame_point(v)[0] - 1.0) <= 1e-9
+
+
+def test_translated_pentagons_give_one_witness_and_frame(pentagon):
+    """The pentagon's two facet pairs tie at gap 1; the first pair in
+    canonical facet order (x = 2 over x = 0) wins for every translate, in
+    vertex and in half-space input, so the certificate frame basis is one."""
+    basis = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS).frame.basis
+    rng = np.random.default_rng(0)
+    for s in rng.uniform(-50, 50, (6, 2)):
+        for P in (from_vertices(PENTAGON_VERTICES + s),
+                  normalize([(a, c + a @ s) for a, c in zip(pentagon.A, pentagon.b)], 2)):
+            F, G = is_symmetric(P, 1e-9).witness
+            assert np.allclose(F.normal, (1, 0), rtol=0, atol=1e-12)
+            frame = build_certificate(P, 0.2, 0.2, SMALL_PARAMS).frame
+            assert np.allclose(frame.basis, basis, rtol=0, atol=1e-12)
 
 
 def test_build_certificate_cut_cube_3d():

@@ -1,5 +1,6 @@
 """Polytope geometry: canonical forms, facets, symmetry, intersections, metric."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,10 +31,11 @@ from gonb.polytope import (
     _reduce,
     ball_grid,
     distance_to_polytope,
+    facet_gap,
     facet_volume_by_normal,
 )
 
-from conftest import PENTAGON_VERTICES, random_polygon, symmetrized_polygon
+from conftest import PENTAGON_VERTICES, random_polygon, random_polytope_3d, symmetrized_polygon
 
 
 def vertex_set_equal(V, W, tol=1e-9):
@@ -49,13 +51,22 @@ def vertex_set_equal(V, W, tol=1e-9):
 
 def test_normalize_drops_dominated_constraint():
     P = normalize([((1,), 1), ((1,), 2), ((-1,), 0)], 1)
-    assert len(P.halfspaces) == 2
-    offs = sorted(h.offset for h in P.halfspaces)
+    assert len(P.b) == 2
+    offs = sorted(P.b.tolist())
     assert offs == [0.0, 1.0]
 
 
 def test_normalize_square_is_identity(unit_square):
-    assert len(unit_square.halfspaces) == 4
+    assert len(unit_square.b) == 4
+
+
+def test_polytope_arrays_are_read_only(pentagon):
+    with pytest.raises(ValueError):
+        pentagon.A[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        pentagon.b[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pentagon.A = np.eye(2)
 
 
 def test_normalize_half_line_unbounded():
@@ -76,7 +87,7 @@ def test_normalize_rejects_zero_normal():
 def test_normalize_merges_duplicate_normals():
     P = normalize([((2, 0), 4), ((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)], 2)
     # (2,0)<=4 normalizes to (1,0)<=2, merged with (1,0)<=1 keeping min offset
-    assert len(P.halfspaces) == 4
+    assert len(P.b) == 4
     assert volume(P) == pytest.approx(1.0)
 
 
@@ -272,7 +283,17 @@ def test_facets_simplex(simplex2):
 def test_facet_vertices_on_hyperplane(pentagon):
     for F in facets(pentagon):
         for v in F.vertices:
-            assert abs(F.normal @ v - F.supporting.offset) <= 1e-9
+            assert abs(F.normal @ v - F.offset) <= 1e-9
+
+
+def test_facets_are_rows_of_their_polytope(pentagon, unit_cube):
+    rng = np.random.default_rng(8)
+    for P in (pentagon, unit_cube, translate_intersection(pentagon, (0.3, -0.2)),
+              random_polygon(rng), random_polytope_3d(rng)):
+        rows = {(tuple(a), c) for a, c in zip(P.A.tolist(), P.b.tolist())}
+        fs = facets(P)
+        assert len(fs) == len(rows)
+        assert all((tuple(F.normal.tolist()), F.offset) in rows for F in fs)
 
 
 def test_facets_interval_are_unit_points():
@@ -499,6 +520,35 @@ def test_margin_small_ball_positive(pentagon):
 
 def test_margin_vanishes_at_symmetrizing_translate(pentagon):
     assert nonsymmetry_margin(pentagon, math.sqrt(2), 8) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_facet_gap_gives_the_margins(pentagon):
+    e1 = np.array([1.0, 0.0])
+
+    def margin(eps):
+        return min(facet_gap(translate_intersection(pentagon, t), e1, -e1)
+                   for t in ball_grid(2, eps, 8, 8))
+
+    # the nonsymmetry_margin values of the witness pair x = 2 / x = 0
+    assert margin(0.0) == pytest.approx(1.0)
+    assert 0.0 < margin(0.25) <= 1.0
+    assert margin(math.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
+    empty = translate_intersection(pentagon, (5.0, 0.0))
+    assert empty.empty and facet_gap(empty, e1, -e1) == 0.0
+    assert facet_gap(pentagon, np.array([0.0, -1.0]), None) == 2.0
+
+
+def test_unpaired_witness_ties_go_to_the_first_facet():
+    """An equilateral triangle has three unpaired facets of equal length; the
+    first in canonical facet order is the witness wherever the triangle sits."""
+    from gonb import from_vertices
+
+    T = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)])
+    rng = np.random.default_rng(1)
+    for s in rng.uniform(-50, 50, (20, 2)):
+        F, G = is_symmetric(from_vertices(T + s)).witness
+        assert G is None
+        assert np.allclose(F.normal, (-math.sqrt(3) / 2, 0.5), rtol=0, atol=1e-12)
 
 
 def test_margin_requires_witness(unit_square):
