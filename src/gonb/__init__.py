@@ -69,10 +69,8 @@ from .polytope import (
     from_vertices,
     hausdorff_distance,
     is_symmetric,
-    nonsymmetry_margin,
     normalize,
     parallel_facet,
-    persistence_epsilon,
     symmetry_center_oracle,
     translate_intersection,
     triangulate,

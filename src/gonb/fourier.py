@@ -381,14 +381,15 @@ def ft_facet_measure(F: Facet, lams):
     (n, d); a 1-D lam returns a complex.
 
     Parameterizes the facet isometrically by its tangent chart and reduces to
-    the (d-1)-dimensional indicator transform times the hyperplane phase.
+    the (d-1)-dimensional transform of its simplices times the hyperplane
+    phase.
     """
     if F.volume_dm1 <= 0:
         raise DegenerateFacet("facet has zero surface volume")
     lams, one = _freqs(lams, F.dim)
     vals = np.exp(-2j * np.pi * _dot(lams, F.origin))
     if F.dim > 1:
-        vals = vals * ft_indicator_many(F.body, _dot(lams, F.tangent))
+        vals = vals * _ft_simplices(F.simplices, _dot(lams, F.tangent))
     return complex(vals[0]) if one else vals
 
 
@@ -396,9 +397,7 @@ def boundary_volume_dm2(F: Facet) -> float:
     """(d-2)-volume of the facet boundary (ridge sum; endpoint count in d=2)."""
     if F.dim < 2:
         raise ValueError("facet boundary volume needs ambient dimension >= 2")
-    if F.dim == 2:
-        return 2.0
-    return sum(G.volume_dm1 for G in facets(F.body))
+    return F.boundary_dm2
 
 
 def sigma_bound(F: Facet, lam) -> float:

@@ -1,12 +1,19 @@
 """Convex polytope geometry on half-space representations.
 
-Canonical H-representations, brute-force vertex enumeration, facet volumes
-by isometric projection onto the facet hyperplane, translate-intersections
-via the per-halfspace offset minimum, Minkowski parallel-facet symmetry
-tests, and the exact Hausdorff metric for convex polytopes.
+Canonical H-representations, brute-force vertex enumeration, translate-
+intersections via the per-halfspace offset minimum, Minkowski parallel-facet
+symmetry tests, and the exact Hausdorff metric for convex polytopes.
+
+Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
+computed once per polytope: the facets of a face with vertex set S are the
+inclusion-maximal proper nonempty sets S & F_j. Polytopes and facets are
+triangulated by pulling (De Loera, Rambau and Santos, *Triangulations*,
+Springer 2010, section 4.3), so a face with k + 1 vertices is one simplex and a
+d-cube gives d! simplices.
 
 Coordinates are assumed to stay at desk scale (|x| <= ~1e3, n <= ~30
-halfspaces, d <= 4), so a single absolute tolerance GEOM_TOL is adequate.
+halfspaces, d <= 4; ``io.load_polytope`` refuses d > 4), so a single absolute
+tolerance GEOM_TOL is adequate.
 """
 
 from __future__ import annotations
@@ -21,11 +28,15 @@ from .errors import (
     DegeneratePolytope,
     EmptyPolytope,
     FacetNotInPolytope,
-    SymmetricInput,
     UnboundedPolytope,
 )
 
 GEOM_TOL = 1e-9
+# A vertex lies on a facet hyperplane within this distance: above the GEOM_TOL
+# at which vertex candidates merge, and at the 1e-8 below which _affine_rank
+# calls a body flat, so a thin body keeps a consistent incidence (at 1e-7 a
+# 5e-8 wide slab lost half its volume to the pulling triangulation).
+INCIDENCE_TOL = 1e-8
 # Vertex enumeration solves one d x d system per d-subset of the halfspaces;
 # 30 halfspaces in 4-d give 27,405 of them.
 MAX_VERTEX_CANDIDATES = 1 << 16
@@ -51,21 +62,23 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Facet:
     """(d-1)-face of a polytope: the row {x : <normal, x> <= offset} of its
-    polytope's (A, b) that supports it, its vertices and (d-1)-volume.
+    polytope's (A, b) that supports it, its incident vertices, its
+    (d-1)-volume and the (d-2)-volume of its ridges (2 endpoints when d == 2).
 
     ``origin``/``tangent`` give the isometric chart y -> origin + tangent @ y
-    of the supporting hyperplane; ``body`` is the facet as a (d-1)-dimensional
-    HPolytope in that chart (None when d == 1, where a facet is a point with
-    counting measure 1).
+    of the supporting hyperplane; ``simplices`` (m, d, d-1) is the facet's
+    pulling triangulation in that chart (one point with counting measure 1
+    when d == 1).
     """
 
     normal: np.ndarray
     offset: float
     vertices: np.ndarray
     volume_dm1: float
+    boundary_dm2: float
     origin: np.ndarray = field(repr=False)
     tangent: np.ndarray = field(repr=False)
-    body: "HPolytope | None" = field(repr=False)
+    simplices: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -93,8 +106,8 @@ class HPolytope:
     both read-only copies.
 
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
-    with no interior (volume 0). Instances are immutable; the vertex, volume,
-    facet and triangulation caches are write-once.
+    with no interior (volume 0). Instances are immutable; the vertex,
+    incidence, volume, facet and triangulation caches are write-once.
     """
 
     dim: int
@@ -111,6 +124,8 @@ class HPolytope:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_vertices", None)
+        object.__setattr__(self, "_incidence", None)
+        object.__setattr__(self, "_pulls", None)
         object.__setattr__(self, "_volume", None)
         object.__setattr__(self, "_facets", None)
         object.__setattr__(self, "_simplices", None)
@@ -135,9 +150,6 @@ class HPolytope:
         if v.size == 0:
             raise EmptyPolytope("empty polytope has no bounding box")
         return v.min(axis=0), v.max(axis=0)
-
-    def centroid(self) -> np.ndarray:
-        return self.vertex_array().mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +214,17 @@ def _affine_rank(pts: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-8))
 
 
-def _reduce(A: np.ndarray, b: np.ndarray, dim: int, *, drop_redundant: bool = True) -> HPolytope:
+def _reduce(A: np.ndarray, b: np.ndarray, dim: int) -> HPolytope:
     """Build a canonical HPolytope from unit-normal rows; never raises on
-    empty/degenerate results (they come back flagged)."""
+    empty/degenerate results (they come back flagged). A full-dimensional
+    result keeps a row iff its facet has (d-1)-volume > GEOM_TOL, and comes
+    with its vertices and incidence cached."""
     A = np.asarray(A, dtype=float).reshape(-1, dim).copy()
     b = np.asarray(b, dtype=float).reshape(-1).copy()
     A, b = _merge_duplicate_normals(A, b)
     verts = _enumerate_vertices(A, b, dim)
     empty = verts.shape[0] == 0
     degenerate = empty or verts.shape[0] < dim + 1 or _affine_rank(verts) < dim
-    if not degenerate and drop_redundant:
-        supported = [i for i in range(A.shape[0])
-                     if _facet_chart(A, b, i, verts, dim) is not None]
-        A, b = A[supported], b[supported]
     A, b = _canonical_order(A, b)
     # unit-normalize each stored row once more by its scalar norm, after the
     # vertices: this moves last bits (and a vectorized norm would move others)
@@ -223,6 +233,16 @@ def _reduce(A: np.ndarray, b: np.ndarray, dim: int, *, drop_redundant: bool = Tr
     P = HPolytope(dim, A, b, empty=empty, degenerate=degenerate)
     if not empty:
         object.__setattr__(P, "_vertices", verts)
+    if degenerate:
+        return P
+    # facets are built on demand; dropping rows needs only their volumes
+    keep = [i for i in range(A.shape[0]) if _facet_volume(P, i) > GEOM_TOL]
+    if len(keep) < A.shape[0]:
+        inc, pulls = _lattice(P)
+        P = HPolytope(dim, A[keep], b[keep])
+        for name, value in (("_vertices", verts), ("_incidence", inc[:, keep]),
+                            ("_pulls", pulls)):
+            object.__setattr__(P, name, value)
     return P
 
 
@@ -319,55 +339,104 @@ def from_vertices(points, dim: int | None = None) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _facet_chart(A, b, i, verts, dim):
-    """Geometry of the facet supported by constraint i, or None if it has
-    zero (d-1)-volume. Returns (vertices, volume, origin, tangent, body)."""
-    a, bb = A[i], b[i]
-    on = verts[np.abs(verts @ a - bb) <= 1e-7]
-    if on.shape[0] < dim:
+def _lattice(P: HPolytope) -> tuple[np.ndarray, dict]:
+    """Vertex-facet incidence |V A^T - b| <= INCIDENCE_TOL (m, n) of a nonempty
+    P and the memo of its pulled face triangulations, both computed once."""
+    if P._incidence is None:
+        inc = np.abs(P.vertex_array() @ P.A.T - P.b) <= INCIDENCE_TOL
+        object.__setattr__(P, "_incidence", inc)
+        object.__setattr__(P, "_pulls", {})
+    return P._incidence, P._pulls
+
+
+def _face_facets(inc: np.ndarray, S: np.ndarray, k: int) -> list[np.ndarray]:
+    """Facets of the k-face with ascending vertex indices S: the inclusion-
+    maximal proper nonempty sets S & F_j, each once, in column order; those
+    of a simplex are S less one vertex."""
+    if S.size == k + 1:
+        return [S[np.arange(S.size) != j] for j in range(S.size)]
+    sub = inc[S]
+    size = sub.sum(axis=0)
+    cols = np.flatnonzero((size > 0) & (size < S.size))
+    sub, size = sub[:, cols], size[cols]
+    M = sub.astype(np.intp)
+    inside = M.T @ M == size[:, None]  # [j, l]: S & F_j within S & F_l
+    # keep S & F_j unless it lies in a bigger set or equals an earlier one
+    beaten = (size[None, :] > size[:, None]) | np.tri(cols.size, k=-1, dtype=bool)
+    keep = ~np.any(inside & beaten, axis=1)
+    return [S[sub[:, j]] for j in np.flatnonzero(keep)]
+
+
+def _pull(inc: np.ndarray, S: np.ndarray, k: int, memo: dict) -> np.ndarray:
+    """Pulling triangulation of the k-face with ascending vertex indices S as
+    vertex-index rows (m, k+1): its first vertex coned over the pulled
+    triangulations of its facets that miss it."""
+    key = (k, S.tobytes())
+    cells = memo.get(key)
+    if cells is None:
+        if k == 0 or S.size == k + 1:  # a simplex is its own triangulation
+            cells = S[None, :k + 1]
+        else:
+            parts = [_pull(inc, G, k - 1, memo) for G in _face_facets(inc, S, k) if G[0] != S[0]]
+            cells = np.empty((sum(map(len, parts)), k + 1), np.intp)
+            cells[:, 0] = S[0]
+            if parts:
+                cells[:, 1:] = np.concatenate(parts)
+        memo[key] = cells
+    return cells
+
+
+def _content(cells: np.ndarray) -> np.ndarray:
+    """k-volumes of the k-simplices (m, k+1, n): a point counts 1, a segment
+    its exact length, otherwise |det| of the edges when n == k and the Gram
+    determinant when n > k."""
+    E = cells[:, 1:] - cells[:, :1]
+    k, n = E.shape[1:]
+    if k == 0:
+        return np.ones(E.shape[0])
+    if k == 1:
+        return np.sqrt(np.sum(E[:, 0] * E[:, 0], axis=1))
+    if n > k:
+        return np.sqrt(np.abs(np.linalg.det(E @ E.transpose(0, 2, 1)))) / math.factorial(k)
+    return np.abs(np.linalg.det(E)) / math.factorial(k)
+
+
+def _facet_volume(P: HPolytope, i: int) -> float:
+    """(d-1)-volume of the face of a full-dimensional P on row i: |det| of
+    each pulled simplex's edges with the row's unit normal added."""
+    inc, memo = _lattice(P)
+    S = np.flatnonzero(inc[:, i])
+    if S.size < P.dim:
+        return 0.0
+    cells = P.vertex_array()[_pull(inc, S, P.dim - 1, memo)]
+    normal = np.broadcast_to(P.A[i], (cells.shape[0], 1, P.dim))
+    edges = np.concatenate([normal, cells[:, 1:] - cells[:, :1]], axis=1)
+    return float(np.abs(np.linalg.det(edges)).sum()) / math.factorial(P.dim - 1)
+
+
+def _facet_chart(P: HPolytope, i: int) -> Facet | None:
+    """Facet supported by row i of a full-dimensional P, or None when its
+    (d-1)-volume is at most GEOM_TOL."""
+    inc, memo = _lattice(P)
+    S = np.flatnonzero(inc[:, i])
+    dim = P.dim
+    if S.size < dim:
         return None
-    if dim == 1:
-        x = float(on[0, 0])
-        return on[:1].copy(), 1.0, np.array([x]), np.zeros((1, 0)), None
+    a, bb = P.A[i], P.b[i]
+    verts = P.vertex_array()
+    on = verts[S]
     c = on.mean(axis=0)
     origin = c - (float(a @ c) - bb) * a  # exact projection onto the hyperplane
     T = tangent_basis(a)
-    if dim == 2:
-        params = (on - origin) @ T[:, 0]
-        lo, hi = float(params.min()), float(params.max())
-        if hi - lo <= GEOM_TOL:
-            return None
-        body = _interval(lo, hi)
-        vv = np.array([origin + lo * T[:, 0], origin + hi * T[:, 0]])
-        return vv, hi - lo, origin, T, body
-    rowsA, rowsb = [], []
-    for j in range(A.shape[0]):
-        if j == i:
-            continue
-        ap = T.T @ A[j]
-        nrm = float(np.linalg.norm(ap))
-        if nrm <= 1e-12:
-            continue
-        rowsA.append(ap / nrm)
-        rowsb.append((b[j] - float(A[j] @ origin)) / nrm)
-    if not rowsA:
-        return None
-    body = _reduce(np.array(rowsA), np.array(rowsb), dim - 1)
-    if body.empty or body.degenerate:
-        return None
-    vol = volume(body)
+    simp = ((verts - origin) @ T)[_pull(inc, S, dim - 1, memo)]
+    vol = float(_content(simp).sum())
     if vol <= GEOM_TOL:
         return None
-    vv = body.vertex_array() @ T.T + origin
-    return vv, vol, origin, T, body
-
-
-def _interval(lo: float, hi: float) -> HPolytope:
-    P = HPolytope(1, [[-1.0], [1.0]], [-lo, hi], empty=False, degenerate=False)
-    v = np.array([[lo], [hi]])
-    v.setflags(write=False)
-    object.__setattr__(P, "_vertices", v)
-    return P
+    boundary = 0.0
+    if dim > 1:
+        ridges = [_pull(inc, R, dim - 2, memo) for R in _face_facets(inc, S, dim - 1)]
+        boundary = float(_content(verts[np.concatenate(ridges)]).sum())
+    return Facet(a, float(bb), on, vol, boundary, origin, T, simp)
 
 
 def facets(P: HPolytope) -> list[Facet]:
@@ -378,15 +447,8 @@ def facets(P: HPolytope) -> list[Facet]:
     if P.empty or P.degenerate:
         object.__setattr__(P, "_facets", ())
         return []
-    A, b = P.A, P.b
-    verts = P.vertex_array()
-    out = []
-    for i in range(A.shape[0]):
-        geo = _facet_chart(A, b, i, verts, P.dim)
-        if geo is None:
-            continue
-        vv, vol, origin, T, body = geo
-        out.append(Facet(A[i], float(b[i]), vv, float(vol), origin, T, body))
+    charts = [_facet_chart(P, i) for i in range(P.A.shape[0])]
+    out = [F for F in charts if F is not None]
     object.__setattr__(P, "_facets", tuple(out))
     return out
 
@@ -411,39 +473,18 @@ def vertices(P: HPolytope) -> np.ndarray:
 def triangulate(P: HPolytope) -> np.ndarray:
     """Deterministic triangulation into d-simplices, shape (m, d+1, d).
 
-    Fan from the vertex centroid over recursively triangulated facets;
-    2-d polygons take a direct angular fan.
+    Pulling: the first vertex in canonical order coned over the pulled
+    triangulations of the facets that miss it; a d-simplex is one simplex.
     """
     cached = getattr(P, "_simplices")
     if cached is not None:
         return cached
-    d = P.dim
     if P.empty or P.degenerate:
-        simp = np.zeros((0, d + 1, d))
-    elif d == 1:
-        v = P.vertex_array()
-        simp = np.array([[v.min(axis=0), v.max(axis=0)]])
-    elif d == 2:
-        v = P.vertex_array()
-        c = v.mean(axis=0)
-        ang = np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0])
-        ring = v[np.argsort(ang)]
-        m = ring.shape[0]
-        simp = np.array([
-            [ring[k], ring[(k + 1) % m], c] for k in range(m)
-        ])
+        simp = np.zeros((0, P.dim + 1, P.dim))
     else:
-        c = P.centroid()
-        parts = []
-        for F in facets(P):
-            sub = triangulate(F.body)  # (m', d, d-1)
-            lifted = sub @ F.tangent.T + F.origin
-            m = lifted.shape[0]
-            block = np.concatenate(
-                [lifted, np.broadcast_to(c, (m, 1, d)).copy()], axis=1
-            )
-            parts.append(block)
-        simp = np.concatenate(parts, axis=0) if parts else np.zeros((0, d + 1, d))
+        inc, memo = _lattice(P)
+        V = P.vertex_array()
+        simp = V[_pull(inc, np.arange(V.shape[0]), P.dim, memo)]
     simp.setflags(write=False)
     object.__setattr__(P, "_simplices", simp)
     return simp
@@ -454,12 +495,7 @@ def volume(P: HPolytope) -> float:
     cached = getattr(P, "_volume")
     if cached is not None:
         return cached
-    if P.empty or P.degenerate:
-        vol = 0.0
-    else:
-        simp = triangulate(P)
-        edges = simp[:, 1:, :] - simp[:, :1, :]
-        vol = float(np.sum(np.abs(np.linalg.det(edges)))) / math.factorial(P.dim)
+    vol = float(_content(triangulate(P)).sum())
     object.__setattr__(P, "_volume", vol)
     return vol
 
@@ -535,8 +571,7 @@ def symmetry_center_oracle(P: HPolytope, tol: float = 1e-7) -> bool:
     """Independent symmetry test: is P equal to its reflection through the
     volume centroid? Vertex-set comparison, d-generic."""
     simp = triangulate(P)
-    edges = simp[:, 1:, :] - simp[:, :1, :]
-    vols = np.abs(np.linalg.det(edges)) / math.factorial(P.dim)
+    vols = _content(simp)
     cents = simp.mean(axis=1)
     total = vols.sum()
     if total <= 0:
@@ -573,47 +608,44 @@ def translate_intersection(P: HPolytope, t) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _dist_point_interval(x: float, lo: float, hi: float) -> float:
-    return max(0.0, lo - x, x - hi)
+def _distance_to_cells(X: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Distance from each point X (p, d) to the union of the simplices cells
+    (m, k+1, d): the least distance to a projection onto the affine hull of
+    a face of a simplex whose barycentric coordinates are all >= 0."""
+    best = np.full(X.shape[0], np.inf)
+    for r in range(1, cells.shape[1] + 1):
+        for face in itertools.combinations(range(cells.shape[1]), r):
+            V = cells[:, face]
+            E = V[:, 1:] - V[:, :1]  # (m, r-1, d)
+            W = X[None] - V[:, :1]  # (m, p, d)
+            mu = np.linalg.solve(E @ E.transpose(0, 2, 1), E @ W.transpose(0, 2, 1))
+            ok = np.all(mu >= 0, axis=1) & (mu.sum(axis=1) <= 1)  # (m, p)
+            dist = np.linalg.norm(W - mu.transpose(0, 2, 1) @ E, axis=2)
+            best = np.minimum(best, np.where(ok, dist, np.inf).min(axis=0))
+    return best
+
+
+def _distance_to_facets(fs: list[Facet], X: np.ndarray) -> np.ndarray:
+    """Distance from each point X (p, d) to the union of the facets, each
+    given by its pulled simplices lifted out of its chart."""
+    cells = np.concatenate([F.origin + F.simplices @ F.tangent.T for F in fs])
+    return _distance_to_cells(X, cells)
 
 
 def distance_to_polytope(P: HPolytope, x) -> float:
     """Euclidean distance from a point to a nonempty convex polytope (exact)."""
     if P.empty:
         raise EmptyPolytope("distance to empty polytope is undefined")
-    x = np.asarray(x, dtype=float).reshape(P.dim)
+    x = np.asarray(x, dtype=float).reshape(1, P.dim)
     if P.degenerate:
         v = P.vertex_array()
-        if v.shape[0] == 1:
-            return float(np.linalg.norm(x - v[0]))
-        if v.shape[0] == 2:
-            return _dist_point_segment(x, v[0], v[1])
-        # lower-dimensional body with >2 vertices: not needed at desk scale
-        raise DegeneratePolytope("distance to this degenerate polytope unsupported")
-    if P.dim == 1:
-        v = P.vertex_array()
-        return _dist_point_interval(float(x[0]), float(v.min()), float(v.max()))
-    if P.contains(x):
+        if v.shape[0] > 2:
+            # lower-dimensional body with >2 vertices: not needed at desk scale
+            raise DegeneratePolytope("distance to this degenerate polytope unsupported")
+        return float(_distance_to_cells(x, v[None])[0])
+    if P.contains(x[0]):
         return 0.0
-    best = math.inf
-    for F in facets(P):
-        h = float(F.normal @ x - F.offset)
-        y = (x - h * F.normal) - F.origin
-        yt = F.tangent.T @ y
-        if F.body.dim == 1:
-            vb = F.body.vertex_array()
-            inplane = _dist_point_interval(float(yt[0]), float(vb.min()), float(vb.max()))
-        else:
-            inplane = distance_to_polytope(F.body, yt)
-        best = min(best, math.hypot(h, inplane))
-    return best
-
-
-def _dist_point_segment(x, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0 else float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + s * ab)))
+    return float(_distance_to_facets(facets(P), x)[0])
 
 
 def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
@@ -628,26 +660,13 @@ def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
 
 def facet_hausdorff(F: Facet, G: Facet) -> float:
     """Hausdorff metric between two facets (as compact convex sets in R^d)."""
-    def dist_to(H: Facet, x):
-        h = float(H.normal @ x - H.offset)
-        y = (x - h * H.normal) - H.origin
-        if H.dim == 1:
-            return abs(h)
-        yt = H.tangent.T @ y
-        if H.body.dim == 1:
-            vb = H.body.vertex_array()
-            inplane = _dist_point_interval(float(yt[0]), float(vb.min()), float(vb.max()))
-        else:
-            inplane = distance_to_polytope(H.body, yt)
-        return math.hypot(h, inplane)
-
-    d1 = max(dist_to(G, v) for v in F.vertices)
-    d2 = max(dist_to(F, w) for w in G.vertices)
-    return max(d1, d2)
+    d1 = _distance_to_facets([G], F.vertices).max()
+    d2 = _distance_to_facets([F], G.vertices).max()
+    return float(max(d1, d2))
 
 
 # ---------------------------------------------------------------------------
-# non-symmetry margin over a translate ball
+# translate balls and facet-volume gaps
 # ---------------------------------------------------------------------------
 
 
@@ -679,14 +698,6 @@ def ball_grid(dim: int, radius: float, n_angles: int, n_radii: int,
     return out
 
 
-def _witness_normals(P: HPolytope) -> tuple[np.ndarray, np.ndarray | None]:
-    rep = is_symmetric(P)
-    if rep.symmetric or rep.witness is None:
-        raise SymmetricInput("polytope is symmetric; no witness facet pair")
-    F, G = rep.witness
-    return F.normal.copy(), None if G is None else G.normal.copy()
-
-
 def facet_volume_by_normal(P: HPolytope, normal: np.ndarray) -> float:
     """Volume of the facet of P whose unit normal matches ``normal`` (0 if absent)."""
     for F in facets(P):
@@ -701,33 +712,3 @@ def facet_gap(Q: HPolytope, nA: np.ndarray, nB: np.ndarray | None) -> float:
     degenerate Q."""
     vB = facet_volume_by_normal(Q, nB) if nB is not None else 0.0
     return abs(facet_volume_by_normal(Q, nA) - vB)
-
-
-def nonsymmetry_margin(P: HPolytope, eps: float, n_samples: int = 8) -> float:
-    """Sampled min over the ball {|t| <= eps} of the witness facet-pair
-    volume gap |V(A(t)) - V(B(t))| on the translate-intersections.
-
-    A lower-bound estimate of the persistence margin; raises SymmetricInput
-    when no witness pair exists.
-    """
-    nA, nB = _witness_normals(P)
-    grid = ball_grid(P.dim, float(eps), n_samples, n_samples)
-    return min(facet_gap(translate_intersection(P, t), nA, nB) for t in grid)
-
-
-def persistence_epsilon(P: HPolytope, n_samples: int = 8, iters: int = 24,
-                        margin_floor: float = 1e-12) -> float:
-    """Largest ball radius (found by bisection) with positive sampled margin."""
-    # upper end: margin is certainly gone once the translate misses P entirely
-    v = P.vertex_array()
-    hi = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0))) + 1.0
-    if nonsymmetry_margin(P, hi, n_samples) > margin_floor:
-        return hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if nonsymmetry_margin(P, mid, n_samples) > margin_floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo

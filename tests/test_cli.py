@@ -360,6 +360,9 @@ def _write(tmp_path, name, obj):
     ({**_PENTAGON_HALFSPACES, "dim": 2.5}, "integer 'dim'"),
     ({**_PENTAGON_HALFSPACES, "dim": True}, "integer 'dim'"),
     ({**_PENTAGON_HALFSPACES, "dim": "2"}, "integer 'dim'"),
+    ({"dim": 5, "halfspaces": [{"normal": list(row), "offset": 1}
+                               for row in np.vstack([np.eye(5), -np.eye(5)])]},
+     "dim <= 4"),
 ])
 def test_polytope_json_contract(poly, message, tmp_path, capsys):
     code = run(["symmetry", "--in", _write(tmp_path, "p.json", poly)])

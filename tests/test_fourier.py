@@ -29,8 +29,10 @@ from gonb import (
 )
 from gonb.fourier import (
     _axis_facets,
+    _ft_simplices,
     apply_frame,
     axis_sigmas,
+    boundary_volume_dm2,
     divdiff_exp,
     divdiff_exp_direct,
     divdiff_exp_series,
@@ -465,7 +467,7 @@ def _axis_sigma_reference(Qt, lams):
         if F.dim == 1:
             out[:] = phases
         else:
-            out[:] = phases * ft_indicator_many(F.body, lams @ F.tangent)
+            out[:] = phases * _ft_simplices(F.simplices, lams @ F.tangent)
     return sa, sb
 
 
@@ -502,6 +504,21 @@ def test_sigma_bound_unit_segment_orthogonal(unit_square):
     F = _left_edge(unit_square)  # length 1, normal (-1, 0)
     # lam orthogonal to the normal, |lam| = 1
     assert sigma_bound(F, (0.0, 1.0)) == pytest.approx(1.0 / math.pi, abs=1e-12)
+
+
+def test_boundary_volume_closed_forms():
+    def box(d):
+        return [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(d) for s in (1, -1)]
+
+    for d, perimeter in ((2, 2.0), (3, 4.0), (4, 6.0)):
+        assert all(boundary_volume_dm2(F) == pytest.approx(perimeter, rel=1e-14)
+                   for F in facets(normalize(box(d), d)))
+    cut = {tuple(np.round(F.normal, 12)): boundary_volume_dm2(F)
+           for F in facets(normalize(box(3) + [((1, 1, 0), 1.5)], 3))}
+    r = round(math.sqrt(0.5), 12)
+    assert cut[(r, r, 0.0)] == pytest.approx(2 + math.sqrt(2), rel=1e-14)  # 1 x sqrt(1/2)
+    assert cut[(0.0, 0.0, 1.0)] == pytest.approx(3 + math.sqrt(0.5), rel=1e-14)  # cut square
+    assert cut[(-1.0, 0.0, 0.0)] == pytest.approx(4.0, rel=1e-14)
 
 
 def test_sigma_bound_dominates_measure():

@@ -1,6 +1,7 @@
 """STFT, set diagnostics, certificates, and violation searches."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -368,6 +369,26 @@ def test_build_certificate_cut_cube_3d():
     assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
     assert cert.min_abs_scanned > 0
     assert cert.provenance.min_chain_slack >= -1e-12
+
+
+# 2.5 x the slowest of ten measured runs (3.6-4.8 s; 2-core VM, Python 3.11, numpy 2.4)
+CUT_CUBE_BUDGET_S = 12.0
+
+
+def test_build_certificate_cut_cube_3d_default_grids_within_budget():
+    """The 3-d cut cube at the default grids: 101 translates, 223,008 verify
+    points, the criterion-5 inequalities, inside its time budget."""
+    cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
+    P = normalize(cube + [((1, 1, 0), 1.5)], 3)
+    t0 = time.perf_counter()
+    cert = build_certificate(P, 0.1, 0.2)
+    elapsed = time.perf_counter() - t0
+    assert cert.provenance.n_t == 101 and cert.provenance.n_scan_points == 223_008
+    assert cert.eta > 0
+    assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
+    assert cert.min_abs_scanned > 0
+    assert cert.provenance.min_chain_slack >= -1e-12
+    assert elapsed < CUT_CUBE_BUDGET_S, f"{elapsed:.1f} s"
 
 
 def test_build_certificate_symmetric_window_refused(unit_square):

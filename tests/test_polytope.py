@@ -1,6 +1,7 @@
 """Polytope geometry: canonical forms, facets, symmetry, intersections, metric."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,23 +11,24 @@ from hypothesis import given, settings, strategies as st
 from gonb import (
     EmptyPolytope,
     FacetNotInPolytope,
-    SymmetricInput,
     UnboundedPolytope,
     facet_hausdorff,
     facets,
+    from_vertices,
     hausdorff_distance,
     is_symmetric,
-    nonsymmetry_margin,
     normalize,
     parallel_facet,
-    persistence_epsilon,
     symmetry_center_oracle,
     translate_intersection,
+    triangulate,
     vertices,
     volume,
 )
 from gonb.polytope import (
     _check_bounded,
+    _face_facets,
+    _lattice,
     _merge_duplicate_normals,
     _reduce,
     ball_grid,
@@ -261,6 +263,85 @@ def test_volume_empty_is_zero(unit_square):
     assert volume(Q) == 0.0
 
 
+# -- face lattice and pulling triangulation ----------------------------------
+
+
+def box_rows(lo, hi):
+    d = len(lo)
+    return ([(tuple(e), h) for e, h in zip(np.eye(d), hi)]
+            + [(tuple(-e), -low) for e, low in zip(np.eye(d), lo)])
+
+
+def simplex_rows(d):
+    return [(tuple(-e), 0.0) for e in np.eye(d)] + [(tuple(np.ones(d)), 1.0)]
+
+
+def cut_cube():
+    return normalize(box_rows(np.zeros(3), np.ones(3)) + [((1, 1, 0), 1.5)], 3)
+
+
+def random_polytope_4d(rng):
+    """Random simple 4-polytope: random unit normals at offset 1."""
+    while True:
+        try:
+            return normalize([(a, 1.0) for a in rng.normal(size=(int(rng.integers(7, 12)), 4))], 4)
+        except UnboundedPolytope:
+            continue
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pulling_triangulates_simplex_once_and_cube_in_d_factorial(d):
+    S = normalize(simplex_rows(d), d)
+    C = normalize(box_rows(np.zeros(d), np.ones(d)), d)
+    assert triangulate(S).shape == (1, d + 1, d)
+    assert triangulate(C).shape == (math.factorial(d), d + 1, d)
+    assert volume(S) == pytest.approx(1 / math.factorial(d), rel=1e-14)
+    assert volume(C) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("width", [5e-8, 2e-8])
+def test_thin_translates_keep_their_volume(width, unit_square, unit_cube):
+    """Slabs thinner than 1e-7 but not flat: the incidence stays consistent,
+    so the pulling triangulation covers them exactly once."""
+    Q = translate_intersection(unit_square, (1 - width, 0.0))
+    assert volume(Q) == pytest.approx(width, rel=1e-6)
+    Q = translate_intersection(unit_cube, (1 - width, 0.3, 0.0))
+    assert volume(Q) == pytest.approx(0.7 * width, rel=1e-6)
+
+
+def f_vector(P):
+    """Face counts f_0..f_{d-1} of P, each face level the union of the facets
+    of the level above, derived from the incidence alone."""
+    inc, _ = _lattice(P)
+    level, counts = [np.arange(P.vertex_array().shape[0])], []
+    for k in range(P.dim, 0, -1):
+        level = list({G.tobytes(): G for S in level for G in _face_facets(inc, S, k)}.values())
+        counts.append(len(level))
+    return counts[::-1]
+
+
+def test_face_lattice_satisfies_euler_relation():
+    rng = np.random.default_rng(5)
+    cross3 = from_vertices(np.vstack([np.eye(3), -np.eye(3)]))  # 4 facets per vertex
+    cross4 = normalize([(s, 0.5) for s in itertools.product((-0.5, 0.5), repeat=4)], 4)
+    polys = [normalize(box_rows(np.zeros(d), np.ones(d)), d) for d in (2, 3, 4)]
+    polys += [normalize(simplex_rows(d), d) for d in (2, 3, 4)]
+    polys += [cut_cube(), cross3, cross4]
+    polys += [random_polygon(rng) for _ in range(5)]
+    polys += [random_polytope_3d(rng) for _ in range(5)]
+    polys += [random_polytope_4d(rng) for _ in range(5)]
+    for P in polys:
+        f = f_vector(P)
+        d = P.dim
+        assert f[0] == P.vertex_array().shape[0] and f[-1] == len(facets(P))
+        assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1 - (-1) ** d, f
+        # divergence theorem: vol = sum over facets of offset * area / d
+        assert volume(P) == pytest.approx(
+            sum(F.offset * F.volume_dm1 for F in facets(P)) / d, rel=1e-12)
+    assert f_vector(cross4) == [8, 24, 32, 16]
+    assert f_vector(cut_cube()) == [10, 15, 7]
+
+
 # -- facets ------------------------------------------------------------------
 
 
@@ -486,6 +567,45 @@ def test_distance_to_polytope_inside_outside(unit_square):
     assert distance_to_polytope(unit_square, (2.0, 2.0)) == pytest.approx(math.sqrt(2))
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_distances_to_boxes_match_closed_forms(d):
+    rng = np.random.default_rng(d)
+    lo, hi = rng.uniform(-1.0, 0.0, d), rng.uniform(0.5, 1.5, d)
+    box = normalize(box_rows(lo, hi), d)
+    for x in rng.uniform(-3.0, 3.0, (40, d)):
+        exact = np.linalg.norm(np.maximum(0.0, np.maximum(lo - x, x - hi)))
+        assert distance_to_polytope(box, x) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    s = rng.uniform(-0.5, 0.5, d)
+    shifted = normalize(box_rows(lo + s, hi + s), d)
+    grown = normalize(box_rows(lo, hi + 0.25), d)
+    assert hausdorff_distance(box, shifted) == pytest.approx(np.linalg.norm(s), rel=1e-12)
+    assert hausdorff_distance(grown, box) == pytest.approx(0.25 * math.sqrt(d), rel=1e-12)
+
+
+def _slsqp_distance(P, x):
+    """Distance from x to P by projecting with SLSQP: min |y - x|^2, A y <= b."""
+    from scipy.optimize import minimize
+
+    res = minimize(lambda y: np.sum((y - x) ** 2), P.vertex_array().mean(axis=0),
+                   jac=lambda y: 2 * (y - x), method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda y: P.b - P.A @ y,
+                                 "jac": lambda y: -P.A}],
+                   options={"ftol": 1e-12, "maxiter": 500})
+    assert res.success
+    return float(np.linalg.norm(res.x - x))
+
+
+def test_distances_to_random_3d_polytopes_match_slsqp():
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        P, Q = random_polytope_3d(rng), random_polytope_3d(rng)
+        for x in rng.uniform(-2.5, 2.5, (6, 3)):
+            assert distance_to_polytope(P, x) == pytest.approx(_slsqp_distance(P, x), abs=1e-6)
+        ref = max(max(_slsqp_distance(Q, v) for v in P.vertex_array()),
+                  max(_slsqp_distance(P, w) for w in Q.vertex_array()))
+        assert hausdorff_distance(P, Q) == pytest.approx(ref, abs=1e-6)
+
+
 # -- symmetry oracle equivalence ----------------------------------------------
 
 
@@ -506,20 +626,7 @@ def test_minkowski_agrees_with_centroid_reflection_oracle():
         assert is_symmetric(T, 1e-7).symmetric == symmetry_center_oracle(T)
 
 
-# -- margins and persistence ---------------------------------------------------
-
-
-def test_margin_at_zero_radius(pentagon):
-    assert nonsymmetry_margin(pentagon, 0.0) == pytest.approx(1.0)
-
-
-def test_margin_small_ball_positive(pentagon):
-    m = nonsymmetry_margin(pentagon, 0.25, 8)
-    assert 0.0 < m <= 1.0
-
-
-def test_margin_vanishes_at_symmetrizing_translate(pentagon):
-    assert nonsymmetry_margin(pentagon, math.sqrt(2), 8) == pytest.approx(0.0, abs=1e-12)
+# -- facet-volume gaps ---------------------------------------------------
 
 
 def test_facet_gap_gives_the_margins(pentagon):
@@ -529,7 +636,7 @@ def test_facet_gap_gives_the_margins(pentagon):
         return min(facet_gap(translate_intersection(pentagon, t), e1, -e1)
                    for t in ball_grid(2, eps, 8, 8))
 
-    # the nonsymmetry_margin values of the witness pair x = 2 / x = 0
+    # the sampled margins of the witness pair x = 2 / x = 0 over balls of radius eps
     assert margin(0.0) == pytest.approx(1.0)
     assert 0.0 < margin(0.25) <= 1.0
     assert margin(math.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
@@ -549,17 +656,6 @@ def test_unpaired_witness_ties_go_to_the_first_facet():
         F, G = is_symmetric(from_vertices(T + s)).witness
         assert G is None
         assert np.allclose(F.normal, (-math.sqrt(3) / 2, 0.5), rtol=0, atol=1e-12)
-
-
-def test_margin_requires_witness(unit_square):
-    with pytest.raises(SymmetricInput):
-        nonsymmetry_margin(unit_square, 0.1)
-
-
-def test_persistence_epsilon_positive(pentagon):
-    eps = persistence_epsilon(pentagon, n_samples=8)
-    assert eps > 0.0
-    assert nonsymmetry_margin(pentagon, eps, 8) > 0.0
 
 
 def test_ball_grid_hits_requested_radius():
