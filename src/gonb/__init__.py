@@ -10,9 +10,7 @@ from .errors import (
     ConeTooWide,
     DegenerateFacet,
     DegeneratePolytope,
-    DegenerateSimplex,
     EmptyPolytope,
-    FacetNotInPolytope,
     FrameMismatch,
     MarginVanished,
     ParallelDirection,
@@ -21,7 +19,6 @@ from .errors import (
     RegionFrameMissing,
     ScanFailure,
     SymmetricInput,
-    TooFewPoints,
     UnboundedPolytope,
     WorkbenchError,
     ZeroVolumeWindow,
@@ -29,7 +26,6 @@ from .errors import (
 from .fourier import (
     AxisFrame,
     ConeBound,
-    ConeRegion,
     ConeScanParams,
     ScanGrid,
     apply_frame,
@@ -40,7 +36,6 @@ from .fourier import (
     ft_indicator_many,
     ft_indicator_quadrature,
     ft_indicator_quadrature_many,
-    ft_simplex,
     sigma_bound,
 )
 from .gabor import (
@@ -52,10 +47,8 @@ from .gabor import (
     ViolationReport,
     build_certificate,
     check_orthogonality,
-    covering_radius,
     find_violation_pair,
     lattice_points,
-    separation,
     stft_indicator,
     stft_indicator_quadrature,
 )
@@ -64,13 +57,12 @@ from .polytope import (
     GEOM_TOL,
     HPolytope,
     SymmetryReport,
-    facet_hausdorff,
+    facet_by_normal,
     facets,
     from_vertices,
     hausdorff_distance,
     is_symmetric,
     normalize,
-    parallel_facet,
     symmetry_center_oracle,
     translate_intersection,
     triangulate,

@@ -113,6 +113,8 @@ def _complex_dict(z: complex) -> dict:
 
 
 def cmd_symmetry(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ParseError(f"--tol must be finite and >= 0, got {args.tol!r}")
     P = gio.load_polytope(args.infile)
     rep = is_symmetric(P, tol=args.tol)
     out = {"symmetric": rep.symmetric, "margin": rep.margin}
@@ -173,10 +175,13 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_check_orth(args) -> int:
-    P = gio.load_polytope(args.infile)
-    L = _tf_set(args.lattice, P)
     if args.max_reports < 0:
         raise ParseError("--max-reports must be >= 0")
+    # |V| <= 1, so a threshold of 1 or more would pass every window
+    if not 0 < args.tol_zero < 1:
+        raise ParseError(f"--tol-zero must lie in (0, 1), got {args.tol_zero!r}")
+    P = gio.load_polytope(args.infile)
+    L = _tf_set(args.lattice, P)
     reports = check_orthogonality(P, L, args.tol_zero,
                                   max_reports=args.max_reports)
     out = {
@@ -233,8 +238,8 @@ def cmd_scan(args) -> int:
         t = _vector(args.t, d) if args.t else np.zeros(d)
         config.update({"t": list(map(float, t)), "lambda_box": args.lambda_box,
                        "grid": args.grid})
-        Q = translate_intersection(P, t)
-        vals = ft_indicator_many(Q, mesh) / (volume(P) if args.field == "stft_abs" else 1.0)
+        vals = stft_indicator(P, t, mesh) if args.field == "stft_abs" \
+            else ft_indicator_many(translate_intersection(P, t), mesh)
         pts = np.concatenate([np.broadcast_to(t, mesh.shape), mesh], axis=1)
     elif args.field == "gt_abs":
         if not args.certificate:

@@ -33,15 +33,7 @@ class DegeneratePolytope(PreconditionError):
     pass
 
 
-class FacetNotInPolytope(PreconditionError):
-    pass
-
-
 class SymmetricInput(PreconditionError):
-    pass
-
-
-class DegenerateSimplex(PreconditionError):
     pass
 
 
@@ -62,10 +54,6 @@ class FrameMismatch(PreconditionError):
 
 
 class ZeroVolumeWindow(PreconditionError):
-    pass
-
-
-class TooFewPoints(PreconditionError):
     pass
 
 

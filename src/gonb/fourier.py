@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     ConeTooWide,
     DegenerateFacet,
-    DegenerateSimplex,
     FrameMismatch,
     ParallelDirection,
 )
@@ -39,6 +38,7 @@ from .polytope import (
     HPolytope,
     _reduce,
     ball_grid,
+    facet_by_normal,
     facets,
     translate_intersection,
     triangulate,
@@ -166,19 +166,6 @@ def _ft_simplices(simp: np.ndarray, lams: np.ndarray) -> np.ndarray:
         for k in range(m):
             out[start:start + step] += vols[k] * dd[:, k]
     return out
-
-
-def ft_simplex(simplex_vertices, lam) -> complex:
-    """Exact integral of exp(-2*pi*i*<lam, x>) over a d-simplex."""
-    V = np.asarray(simplex_vertices, dtype=float)
-    d = V.shape[1]
-    if V.shape[0] != d + 1:
-        raise ValueError("simplex needs d+1 vertices")
-    lams, _ = _freqs(np.reshape(lam, d), d)
-    vol = abs(np.linalg.det(V[1:] - V[0])) / math.factorial(d)
-    if vol <= 1e-15:
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    return complex(_ft_simplices(V[None], lams)[0])
 
 
 def ft_indicator(P: HPolytope, lam) -> complex:
@@ -341,9 +328,6 @@ class AxisFrame:
     def to_frame_freq(self, lam) -> np.ndarray:
         return self.scale * (self.basis.T @ np.asarray(lam, dtype=float))
 
-    def from_frame_point(self, y) -> np.ndarray:
-        return self.origin + self.scale * (self.basis @ np.asarray(y, dtype=float))
-
 
 def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
     """Image of P under the frame chart (an isotropic similarity)."""
@@ -353,22 +337,6 @@ def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
     A2 = A @ frame.basis
     b2 = (b - A @ frame.origin) / frame.scale
     return _reduce(A2, b2, P.dim)
-
-
-@dataclass(frozen=True, eq=False)
-class ConeRegion:
-    """Axis cone in frame coordinates: |lam_j| <= omega * |lam_1| for j >= 2."""
-
-    omega: float
-    frame: AxisFrame
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("cone aperture must be positive")
-
-    def contains(self, lam) -> bool:
-        y = self.frame.to_frame_freq(lam)
-        return bool(np.all(np.abs(y[1:]) <= self.omega * abs(y[0]) + GEOM_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +395,7 @@ def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]
     fs = facets(Q)
     e1 = np.zeros(Q.dim)
     e1[0] = 1.0
-    fa = next((F for F in fs if np.linalg.norm(F.normal + e1) <= 1e-7), None)
-    fb = next((F for F in fs if np.linalg.norm(F.normal - e1) <= 1e-7), None)
+    fa, fb = facet_by_normal(Q, -e1), facet_by_normal(Q, e1)
     if fa is None and fb is None:
         raise FrameMismatch("no facet pair normalized to the frame axis")
     return fs, fa, fb

@@ -26,17 +26,16 @@ from .errors import (
     ParseError,
     ScanFailure,
     SymmetricInput,
-    TooFewPoints,
     ZeroVolumeWindow,
 )
 from .fourier import (
     AxisFrame,
     ConeBound,
     ConeScanParams,
+    _freqs,
     apply_frame,
     axis_sigmas,
     cone_constant,
-    ft_indicator,
     ft_indicator_many,
     ft_indicator_quadrature_many,
 )
@@ -170,63 +169,34 @@ def check_pair_count(m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stft_indicator(P: HPolytope, t, lam) -> complex:
-    """V(t, lam) = vol(P)^{-1} * ft_indicator(P intersect (P+t), lam)."""
+def _window_volume(P: HPolytope) -> float:
+    """vol(P) of a window; ZeroVolumeWindow when it is at most GEOM_TOL."""
     vol = volume(P)
     if vol <= GEOM_TOL:
         raise ZeroVolumeWindow("window polytope has zero volume")
-    Q = translate_intersection(P, t)
-    if Q.empty or Q.degenerate:
-        return 0.0 + 0.0j
-    return complex(ft_indicator(Q, lam) / vol)
+    return vol
 
 
-def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int) -> complex:
-    """Independent midpoint-rule evaluation of the same STFT value."""
-    vol = volume(P)
-    if vol <= GEOM_TOL:
-        raise ZeroVolumeWindow("window polytope has zero volume")
-    Q = translate_intersection(P, t)
-    if Q.empty or Q.degenerate:
-        return 0.0 + 0.0j
-    lam = np.asarray(lam, dtype=float).reshape(1, P.dim)
-    return complex(ft_indicator_quadrature_many(Q, lam, n_per_axis)[0] / vol)
+def _stft(P: HPolytope, t, lam, transform):
+    """transform(P intersect (P + t), lams) / vol(P) at each row of lam
+    (n, d), each part divided by vol as a complex / float division does; a
+    1-D lam returns a complex. An empty translate gives zeros."""
+    vol = _window_volume(P)
+    lams, one = _freqs(lam, P.dim)
+    vals = (transform(translate_intersection(P, t), lams).view(float) / vol).view(complex)
+    return complex(vals[0]) if one else vals
 
 
-# ---------------------------------------------------------------------------
-# set diagnostics
-# ---------------------------------------------------------------------------
+def stft_indicator(P: HPolytope, t, lam):
+    """V(t, lam) = vol(P)^{-1} * ft_indicator(P intersect (P+t), lam) for one
+    shift t at each row of lam (n, d); a 1-D lam returns a complex."""
+    return _stft(P, t, lam, ft_indicator_many)
 
 
-def separation(L: TimeFrequencySet) -> float:
-    """Minimum pairwise distance in R^{2d} (uniform-discreteness diagnostic)."""
-    pts = L.points
-    m = pts.shape[0]
-    if m < 2:
-        raise TooFewPoints("separation needs at least two points")
-    best = math.inf
-    for i in range(m - 1):
-        dist = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        best = min(best, float(dist.min()))
-    return best
-
-
-def covering_radius(L: TimeFrequencySet, box, grid_n: int) -> float:
-    """Max over a deterministic grid of ``box`` of the distance to the nearest
-    point of L (relative-density diagnostic; upper-bounds the largest empty
-    ball centered on the grid)."""
-    lo, hi = (np.asarray(v, dtype=float) for v in box)
-    n = lo.size
-    axes = [np.linspace(lo[k], hi[k], grid_n) for k in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    pts = L.points
-    worst = 0.0
-    chunk = 4096
-    for start in range(0, grid.shape[0], chunk):
-        g = grid[start:start + chunk]
-        d2 = ((g[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-    return worst
+def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
+    """Independent midpoint-rule evaluation of the same STFT values."""
+    return _stft(P, t, lam,
+                 lambda Q, rows: ft_indicator_quadrature_many(Q, rows, n_per_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +236,8 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     """Distinct nonzero pair differences up to sign (first nonzero > 0).
 
     Differences are compared through the integer keys rint(D * 1e9), the same
-    equivalence as rounding to 9 decimals. Returns the rounded differences in
+    equivalence as rounding to 9 decimals; two points whose difference has
+    all keys zero are a ParseError. Returns the rounded differences in
     lexicographic order and, for each, the generating ordered pair (i, j)
     with points[i] - points[j] equal to it and the smallest i.
     """
@@ -297,6 +268,12 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
         for r, z in zip(R, zeros):
             positive |= open_ & (r > z)
             open_ &= r == z
+        # a pair of distinct points with all keys zero would drop out unseen
+        i, j = np.divmod(start * m + np.flatnonzero(open_), m)
+        if np.any(i != j):
+            k = int(np.argmax(i != j))
+            raise ParseError(f"time-frequency points {i[k]} and {j[k]} coincide at the 1e-9 "
+                             f"resolution of pair differences")
         flat = np.flatnonzero(positive)
         R = [r[flat] for r in R]
         _, first = np.unique(_lex_codes(R, radices), return_index=True)
@@ -328,27 +305,20 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     re-confirmed against the quadrature oracle when it is large enough for the
     oracle to resolve.
     """
-    vol = volume(P)
-    if vol <= GEOM_TOL:
-        raise ZeroVolumeWindow("window polytope has zero volume")
+    _window_volume(P)
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
     _, first, second = _unique_signed_diffs(L.points)
     # each distinct difference is evaluated at the exact difference of its
-    # generating pair, grouped by time shift: one translate intersection per
-    # shift, and one batched transform where the intersection has volume
+    # generating pair, grouped by time shift: one STFT call per shift
     W = L.points[first] - L.points[second]
     shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     ends = np.cumsum(np.bincount(inverse))
     values = np.zeros(W.shape[0], dtype=complex)
     for t, members in zip(shifts, np.split(order, ends[:-1])):
-        Q = translate_intersection(P, t)
-        if Q.empty or Q.degenerate:
-            continue
-        # each part divided by vol, as a complex / float division does
-        values[members] = (ft_indicator_many(Q, W[members, d:]).view(float) / vol).view(complex)
+        values[members] = stft_indicator(P, t, W[members, d:])
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
@@ -483,9 +453,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     |V| over (|t| <= eps) x (S(2 delta) \\ B_R, |lam_1| <= lambda_max), with
     (eta, C, R) tightened to the scan observations.
     """
-    vol_p = volume(P)
-    if vol_p <= GEOM_TOL:
-        raise ZeroVolumeWindow("window polytope has zero volume")
+    _window_volume(P)
     rep = is_symmetric(P, tol=params.symmetry_tol)
     if rep.symmetric or rep.witness is None:
         raise SymmetricInput("window is symmetric; the certificate needs a "
@@ -618,7 +586,6 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
         raise CertificateMismatch("certificate was built for a different window")
     frame = cert.frame
     Q = apply_frame(P, frame)
-    vol_q = volume(Q)
     d = P.dim
     pts = L.points
     m = pts.shape[0]
@@ -640,9 +607,7 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
         far = cyl & (np.linalg.norm(dl, axis=1) > cert.R)
         n_rad += int(far.sum())
         for j in np.flatnonzero(far):
-            Qt = translate_intersection(Q, dt[j])
-            val = complex(ft_indicator(Qt, dl[j]) / vol_q) \
-                if not (Qt.empty or Qt.degenerate) else 0.0
+            val = stft_indicator(Q, dt[j], dl[j])
             if abs(val) > TOL_ZERO:
                 return ViolationReport((L.point(i), L.point(int(j))), val,
                                        abs(val), None)

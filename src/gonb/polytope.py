@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePolytope,
-    EmptyPolytope,
-    FacetNotInPolytope,
-    UnboundedPolytope,
-)
+from .errors import DegeneratePolytope, EmptyPolytope, UnboundedPolytope
 
 GEOM_TOL = 1e-9
 # A vertex lies on a facet hyperplane within this distance: above the GEOM_TOL
@@ -174,14 +169,17 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     pts = sols[feas]
     if pts.shape[0] == 0:
         return np.zeros((0, dim))
-    # lexicographic sort, then merge clusters within GEOM_TOL
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > GEOM_TOL:
-            keep.append(p)
-    out = np.array(keep)
+    # keep a point unless an earlier point in lexicographic order lies within
+    # GEOM_TOL: its predecessor, or, where another vertex's first coordinate
+    # splits a cluster, one before it (only points far from their
+    # predecessor need that second test)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > GEOM_TOL
+    k = np.flatnonzero(keep)
+    near = np.linalg.norm(pts[k, None] - pts[None], axis=2) <= GEOM_TOL
+    keep[k] = ~np.any(near & (np.arange(pts.shape[0]) < k[:, None]), axis=1)
+    out = pts[keep]
     out.setflags(write=False)
     return out
 
@@ -215,13 +213,14 @@ def _affine_rank(pts: np.ndarray) -> int:
 
 
 def _reduce(A: np.ndarray, b: np.ndarray, dim: int) -> HPolytope:
-    """Build a canonical HPolytope from unit-normal rows; never raises on
-    empty/degenerate results (they come back flagged). A full-dimensional
-    result keeps a row iff its facet has (d-1)-volume > GEOM_TOL, and comes
-    with its vertices and incidence cached."""
-    A = np.asarray(A, dtype=float).reshape(-1, dim).copy()
-    b = np.asarray(b, dtype=float).reshape(-1).copy()
-    A, b = _merge_duplicate_normals(A, b)
+    """Build a canonical HPolytope from distinct unit-normal rows; never
+    raises on empty/degenerate results (they come back flagged). A
+    full-dimensional result keeps a row iff its facet has (d-1)-volume >
+    GEOM_TOL, and comes with its vertices and incidence cached. Only
+    ``normalize`` sees raw rows, and it merges duplicate normals first;
+    translate and frame rows are a polytope's own rows, moved or rotated."""
+    A = np.asarray(A, dtype=float).reshape(-1, dim)
+    b = np.asarray(b, dtype=float).reshape(-1)
     verts = _enumerate_vertices(A, b, dim)
     empty = verts.shape[0] == 0
     degenerate = empty or verts.shape[0] < dim + 1 or _affine_rank(verts) < dim
@@ -505,24 +504,10 @@ def volume(P: HPolytope) -> float:
 # ---------------------------------------------------------------------------
 
 
-def parallel_facet(P: HPolytope, F: Facet) -> Facet | None:
-    """Facet whose unit normal is -F.normal, or None when absent."""
-    def same_facet(G: Facet) -> bool:
-        if np.linalg.norm(G.normal - F.normal) > 1e-7:
-            return False
-        if abs(G.offset - F.offset) > 1e-7:
-            return False
-        if G.vertices.shape != F.vertices.shape:
-            return False
-        return all(np.min(np.linalg.norm(G.vertices - v, axis=1)) <= 1e-7
-                   for v in F.vertices)
-
-    if not any(same_facet(G) for G in facets(P)):
-        raise FacetNotInPolytope("facet does not belong to this polytope")
-    for G in facets(P):
-        if np.linalg.norm(G.normal + F.normal) <= 1e-7:
-            return G
-    return None
+def facet_by_normal(P: HPolytope, normal) -> Facet | None:
+    """First facet of P in canonical order whose unit normal lies within 1e-7
+    of ``normal``, or None when there is none."""
+    return next((F for F in facets(P) if np.linalg.norm(F.normal - normal) <= 1e-7), None)
 
 
 def is_symmetric(P: HPolytope, tol: float = GEOM_TOL) -> SymmetryReport:
@@ -540,11 +525,7 @@ def is_symmetric(P: HPolytope, tol: float = GEOM_TOL) -> SymmetryReport:
     worst_unpaired: Facet | None = None
     symmetric = True
     for F in fs:
-        partner = None
-        for G in fs:
-            if np.linalg.norm(G.normal + F.normal) <= 1e-7:
-                partner = G
-                break
+        partner = facet_by_normal(P, -F.normal)
         if partner is None:
             symmetric = False
             if worst_unpaired is None or F.volume_dm1 > worst_unpaired.volume_dm1 + tol:
@@ -658,13 +639,6 @@ def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
     return max(d1, d2)
 
 
-def facet_hausdorff(F: Facet, G: Facet) -> float:
-    """Hausdorff metric between two facets (as compact convex sets in R^d)."""
-    d1 = _distance_to_facets([G], F.vertices).max()
-    d2 = _distance_to_facets([F], G.vertices).max()
-    return float(max(d1, d2))
-
-
 # ---------------------------------------------------------------------------
 # translate balls and facet-volume gaps
 # ---------------------------------------------------------------------------
@@ -698,17 +672,9 @@ def ball_grid(dim: int, radius: float, n_angles: int, n_radii: int,
     return out
 
 
-def facet_volume_by_normal(P: HPolytope, normal: np.ndarray) -> float:
-    """Volume of the facet of P whose unit normal matches ``normal`` (0 if absent)."""
-    for F in facets(P):
-        if np.linalg.norm(F.normal - normal) <= 1e-7:
-            return F.volume_dm1
-    return 0.0
-
-
 def facet_gap(Q: HPolytope, nA: np.ndarray, nB: np.ndarray | None) -> float:
     """|V(A) - V(B)| for the facets A, B of Q with unit normals nA, nB; an
     absent facet (or nB None) has volume 0, so the gap is 0 on an empty or
     degenerate Q."""
-    vB = facet_volume_by_normal(Q, nB) if nB is not None else 0.0
-    return abs(facet_volume_by_normal(Q, nA) - vB)
+    A, B = facet_by_normal(Q, nA), None if nB is None else facet_by_normal(Q, nB)
+    return abs((0.0 if A is None else A.volume_dm1) - (0.0 if B is None else B.volume_dm1))

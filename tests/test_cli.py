@@ -229,6 +229,41 @@ def test_check_orth_float_points_cli(pentagon_file, tmp_path):
         assert abs(stft_indicator(P, w[:2], w[2:]) - value) <= 1e-10
 
 
+@pytest.mark.parametrize("gap", [1e-10, 4e-10, 6e-10])
+def test_check_orth_point_resolution(gap, square_file, tmp_path, capsys):
+    """Points 1e-9 apart or more give a pair; closer ones are refused, since
+    their difference would have the all-zero key and never be evaluated."""
+    lat = _write(tmp_path, "l.json", {"points": [[0, 0, 0, 0], [gap, 0, 0, 0]]})
+    out = tmp_path / "o.json"
+    code = run(["check-orth", "--in", square_file, "--lattice", lat, "--out", str(out)])
+    if gap < 5e-10:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError") and "1e-9 resolution" in err
+    else:
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["n_violations_reported"] == 1
+        assert data["violations"][0]["value"]["abs"] == pytest.approx(1 - gap, abs=1e-12)
+
+
+def test_scan_stft_abs_rows_equal_the_stft_command(pentagon_file, tmp_path):
+    """The scan and ``gonb stft`` share one evaluator, so each row has the
+    bits of the single-point value."""
+    scan = tmp_path / "scan.csv"
+    assert run(["scan", "--in", pentagon_file, "--field", "stft_abs", "--t=0.3,-0.2",
+                "--lambda-box=-2:2,-2:2", "--grid", "21", "--out", str(scan)]) == 0
+    rows = [ln.split(",") for ln in scan.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 21 * 21
+    out = tmp_path / "stft.json"
+    for row in rows:
+        assert run(["stft", "--in", pentagon_file, "--t=" + ",".join(row[:2]),
+                    "--lambda=" + ",".join(row[2:4]), "--out", str(out)]) == 0
+        value = json.loads(out.read_text())["value"]
+        assert [value["re"], value["im"], value["abs"]] == [float(x) for x in row[4:7]]
+
+
 _LATTICE_4D = {"basis": np.eye(4).tolist(),
                "box": {"lo": [-1, -1, -1, -1], "hi": [1, 1, 1, 1]}}
 
@@ -383,6 +418,14 @@ def test_polytope_json_contract(poly, message, tmp_path, capsys):
     (["scan", "--field", "ft", "--lambda-box=-1e308:1,0:1", "--grid", "3"], "|x| <="),
     (["intersect", "--t=--"], "may not be '--'"),
     (["scan", "--field", "ft", "--lambda-box=-1:1,0:1", "--grid=--"], "may not be '--'"),
+    (["symmetry", "--tol", "nan"], "--tol must be finite"),
+    (["symmetry", "--tol", "inf"], "--tol must be finite"),
+    (["symmetry", "--tol=-1e-9"], "--tol must be finite"),
+    # checked before the (here absent) lattice file is read
+    (["check-orth", "--lattice", "absent.json", "--tol-zero", "nan"], "--tol-zero"),
+    (["check-orth", "--lattice", "absent.json", "--tol-zero", "inf"], "--tol-zero"),
+    (["check-orth", "--lattice", "absent.json", "--tol-zero", "0"], "--tol-zero"),
+    (["check-orth", "--lattice", "absent.json", "--tol-zero", "1"], "--tol-zero"),
 ])
 def test_flag_contract(argv, message, square_file, tmp_path, capsys):
     code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o")])

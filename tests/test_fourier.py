@@ -10,7 +10,6 @@ from gonb import (
     AxisFrame,
     ConeScanParams,
     ConeTooWide,
-    DegenerateSimplex,
     ParallelDirection,
     ScanGrid,
     cone_constant,
@@ -21,7 +20,6 @@ from gonb import (
     ft_indicator_many,
     ft_indicator_quadrature,
     ft_indicator_quadrature_many,
-    ft_simplex,
     normalize,
     sigma_bound,
     translate_intersection,
@@ -147,36 +145,33 @@ def test_divdiff_rejects_bad_nodes():
             divdiff_exp(np.array(z, dtype=complex))
 
 
-# -- ft_simplex ----------------------------------------------------------------
+# -- the transform of a simplex (one pulled simplex) ---------------------------
+
+TRIANGLE = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]  # (0,0), (1,0), (0,1)
 
 
 def test_ft_simplex_at_zero_is_volume():
-    T = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    assert ft_simplex(T, (0.0, 0.0)) == pytest.approx(0.5, abs=1e-14)
+    assert ft_indicator(normalize(TRIANGLE, 2), (0.0, 0.0)) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_ft_simplex_interval_full_period():
-    assert ft_simplex([(0.0,), (1.0,)], (1.0,)) == pytest.approx(0.0, abs=1e-14)
+    interval = normalize([((1,), 1), ((-1,), 0)], 1)
+    assert ft_indicator(interval, (1.0,)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ft_simplex_triangle_frozen_value_and_oracle():
-    T = normalize([((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)], 2)
-    val = ft_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (1.0, 0.0))
+    T = normalize(TRIANGLE, 2)
+    val = ft_indicator(T, (1.0, 0.0))
     assert val == pytest.approx(-I2PI, abs=1e-13)  # hand-computed -i/(2 pi)
     q = ft_indicator_quadrature(T, (1.0, 0.0), 4000)
     assert abs(val - q) <= 1e-6 * abs(val) * 10  # quadrature-limited agreement
 
 
-def test_ft_simplex_degenerate_raises():
-    with pytest.raises(DegenerateSimplex):
-        ft_simplex([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], (1.0, 0.0))
-
-
 def test_ft_simplex_clustered_nodes_vs_quadrature():
     # lam nearly orthogonal to the bottom edge (0,0)-(1,0): its two nodes merge
-    T = normalize([((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)], 2)
+    T = normalize(TRIANGLE, 2)
     lam = np.array([1e-8, 1.0])
-    val = ft_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], lam)
+    val = ft_indicator(T, lam)
     q = ft_indicator_quadrature(T, lam, 4000)
     assert abs(val - q) <= 1e-6 * abs(val)
 
@@ -287,8 +282,6 @@ def test_transforms_reject_non_finite_frequencies(bad, pentagon):
         ft_indicator_many(pentagon, [[0.0, 1.0], [1.0, bad]])
     with pytest.raises(ValueError):
         ft_facet_measure(F, (0.0, bad))
-    with pytest.raises(ValueError):
-        ft_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (bad, 1.0))
 
 
 # -- quadrature oracle -----------------------------------------------------------
@@ -579,22 +572,14 @@ def test_cone_constant_monotone_in_omega(pentagon):
     assert c_small.value <= c_big.value * (1 + 1e-9)
 
 
-def test_cone_region_membership(pentagon):
-    from gonb import ConeRegion
+def test_cone_region_membership():
+    """Every cone grid frequency lies in |lam_j| <= omega |lam_1|, j >= 2."""
     from gonb.fourier import cone_lambda_grid
 
-    frame = _pentagon_frame(pentagon)
-    cone = ConeRegion(0.2, AxisFrame.identity(2))
-    assert cone.contains((10.0, 1.5))
-    assert not cone.contains((10.0, 3.0))
-    assert cone.contains((-10.0, -1.5))
-    # frame-mapped: axis points along the witness normal direction
-    framed = ConeRegion(0.2, frame)
-    axis = frame.basis[:, 0] / frame.scale
-    assert framed.contains(5.0 * axis)
-    # every generated cone grid point is a member
-    grid = cone_lambda_grid(2, 0.2, ConeScanParams(r0=5, r1=20, n_radial=6, n_cross=7))
-    assert all(cone.contains(lam) for lam in grid)
+    for dim in (2, 3):
+        grid = cone_lambda_grid(dim, 0.2, ConeScanParams(r0=5, r1=20, n_radial=6, n_cross=7))
+        assert np.all(np.abs(grid[:, 1:]) <= 0.2 * grid[:, :1] * (1 + 1e-12))
+        assert np.all(grid[:, 0] >= 5.0 * (1 - 1e-12))
 
 
 def test_cone_constant_matches_pointwise_scan(pentagon):

@@ -14,17 +14,14 @@ from gonb import (
     ParseError,
     SymmetricInput,
     TimeFrequencySet,
-    TooFewPoints,
     ZeroVolumeWindow,
     build_certificate,
     check_orthogonality,
-    covering_radius,
     find_violation_pair,
     from_vertices,
     ft_indicator,
     lattice_points,
     normalize,
-    separation,
     stft_indicator,
     stft_indicator_quadrature,
     translate_intersection,
@@ -96,49 +93,12 @@ def test_stft_quadrature_route_agrees(pentagon):
     assert abs(val - q) <= 2e-3
 
 
-# -- separation / covering -------------------------------------------------------
-
-
-def test_separation_integer_lattice():
-    pts = lattice_points(np.eye(4), np.zeros(4), [-2] * 4, [2] * 4)
-    assert separation(TimeFrequencySet(pts)) == pytest.approx(1.0)
-
-
-def test_separation_scaled_lattice():
-    pts = lattice_points(0.5 * np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
-    assert separation(TimeFrequencySet(pts)) == pytest.approx(0.5)
+# -- time-frequency sets -------------------------------------------------------
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         TimeFrequencySet(np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]))
-
-
-def test_separation_needs_two_points():
-    with pytest.raises(TooFewPoints):
-        separation(TimeFrequencySet(np.array([[0.0, 0, 0, 0]])))
-
-
-def test_covering_radius_integer_lattice():
-    pts = lattice_points(np.eye(4), np.zeros(4), [-3] * 4, [3] * 4)
-    L = TimeFrequencySet(pts)
-    r = covering_radius(L, (np.full(4, -1.0), np.full(4, 1.0)), 9)
-    assert r == pytest.approx(1.0, abs=1e-12)  # deep holes at half-integer corners
-
-
-def test_covering_radius_single_point():
-    L = TimeFrequencySet(np.array([[0.0, 0.0, 0.0, 0.0]]))
-    r = covering_radius(L, (np.full(4, -1.0), np.full(4, 1.0)), 5)
-    assert r == pytest.approx(2.0)  # corner at distance sqrt(4)
-
-
-def test_covering_radius_grid_refinement_stable():
-    pts = lattice_points(np.eye(4), np.zeros(4), [-2] * 4, [2] * 4)
-    L = TimeFrequencySet(pts)
-    box = (np.full(4, -1.0), np.full(4, 1.0))
-    r1 = covering_radius(L, box, 5)
-    r2 = covering_radius(L, box, 9)
-    assert abs(r1 - r2) <= 1.0  # within a cell diagonal
 
 
 def test_lattice_points_sheared_unit_density():
@@ -227,11 +187,17 @@ def _smallest_first_index(pts: np.ndarray) -> dict:
     return out
 
 
-def _straddling_points(rng, m: int, k: int) -> np.ndarray:
+def _straddling_points(rng, m: int, k: int, distinct: bool = True) -> np.ndarray:
     # offsets whose differences land on, just below and just above the
-    # half-way points of the 1e-9 rounding grid
+    # half-way points of the 1e-9 rounding grid; with ``distinct`` a point
+    # whose difference from an earlier one rounds to zero in every column is
+    # dropped, as the dedup refuses such a pair
     offsets = np.array([0.0, 0.5e-9, 1.5e-9, 2.5e-9, 0.5e-9 - 1e-15, 0.5e-9 + 1e-15])
-    return rng.integers(-2, 3, (m, k)) + rng.choice(offsets, (m, k))
+    pts = rng.integers(-2, 3, (m, k)) + rng.choice(offsets, (m, k))
+    if not distinct:
+        return pts
+    same = np.all(np.rint((pts[:, None] - pts[None]) * 1e9) == 0, axis=2)
+    return pts[~np.any(np.tril(same, k=-1), axis=1)]
 
 
 def _dedup_cases():
@@ -263,6 +229,14 @@ def test_unique_signed_diffs_matches_reference(name):
     assert np.array_equal(np.round(pts[i] - pts[j], 9), diffs)
     smallest = _smallest_first_index(pts)
     assert [smallest[tuple(w)] for w in diffs] == list(i)
+
+
+def test_unique_signed_diffs_refuses_points_closer_than_the_resolution():
+    """A pair whose difference rounds to the all-zero key would drop out of
+    the dedup and never be evaluated, so the set is refused instead."""
+    pts = _straddling_points(np.random.default_rng(2), 150, 4, distinct=False)  # one such pair
+    with pytest.raises(ParseError, match="1e-9 resolution"):
+        _unique_signed_diffs(pts)
 
 
 def test_unique_signed_diffs_chunking_is_invisible():

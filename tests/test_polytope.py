@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from gonb import (
     EmptyPolytope,
-    FacetNotInPolytope,
     UnboundedPolytope,
-    facet_hausdorff,
+    facet_by_normal,
     facets,
     from_vertices,
     hausdorff_distance,
     is_symmetric,
     normalize,
-    parallel_facet,
     symmetry_center_oracle,
     translate_intersection,
     triangulate,
@@ -33,8 +31,8 @@ from gonb.polytope import (
     _reduce,
     ball_grid,
     distance_to_polytope,
+    _distance_to_facets,
     facet_gap,
-    facet_volume_by_normal,
 )
 
 from conftest import PENTAGON_VERTICES, random_polygon, random_polytope_3d, symmetrized_polygon
@@ -228,6 +226,16 @@ def test_vertices_simplex(simplex2):
     assert vertex_set_equal(vertices(simplex2), [(0, 0), (1, 0), (0, 1)])
 
 
+def test_vertex_cluster_split_by_another_vertex_merges():
+    """The redundant row 3x + y <= 3 passes through the vertex (0.9, 0.3), so
+    three candidates land there, with first coordinates a bit either side of
+    0.9; the vertex (0.9, -0.9) sorts between them, yet they merge into one."""
+    P = normalize([((0.0, -1.8), 1.62), ((1.2, 0.0), 1.08), ((0.3, 0.3), 0.36),
+                   ((-1.5, 1.5), 0.0), ((0.9, 0.3), 0.9)], 2)
+    assert vertex_set_equal(vertices(P), [(-0.9, -0.9), (0.9, -0.9), (0.9, 0.3), (0.6, 0.6)])
+    assert [F.vertices.shape[0] for F in facets(P)] == [2, 2, 2, 2]
+
+
 def test_vertices_degenerate_raises(unit_square):
     from gonb import DegeneratePolytope
 
@@ -389,28 +397,21 @@ def test_facets_interval_are_unit_points():
 
 def test_parallel_facet_square(unit_square):
     bottom = next(F for F in facets(unit_square) if F.normal[1] < -0.5)
-    top = parallel_facet(unit_square, bottom)
+    top = facet_by_normal(unit_square, -bottom.normal)
     assert top is not None
     assert np.allclose(top.normal, [0, 1])
 
 
 def test_parallel_facet_simplex_empty(simplex2):
     diag = next(F for F in facets(simplex2) if F.normal[0] > 0.5)
-    assert parallel_facet(simplex2, diag) is None
+    assert facet_by_normal(simplex2, -diag.normal) is None
 
 
 def test_parallel_facet_pentagon_bottom_to_top(pentagon):
     bottom = next(F for F in facets(pentagon) if F.normal[1] < -0.5)
     assert bottom.volume_dm1 == pytest.approx(2.0)
-    top = parallel_facet(pentagon, bottom)
+    top = facet_by_normal(pentagon, -bottom.normal)
     assert top.volume_dm1 == pytest.approx(1.0)
-
-
-def test_parallel_facet_foreign_raises(pentagon, unit_square):
-    # the square's right edge {x=1} is not a facet of the pentagon
-    foreign = next(F for F in facets(unit_square) if F.normal[0] > 0.5)
-    with pytest.raises(FacetNotInPolytope):
-        parallel_facet(pentagon, foreign)
 
 
 # -- symmetry ----------------------------------------------------------------
@@ -511,7 +512,9 @@ def test_facet_convergence_along_shrinking_translates(pentagon):
         t = (1.0 / k) * np.array([1.0, 1.0]) / math.sqrt(2)
         Q = translate_intersection(pentagon, t)
         Fk = next(F for F in facets(Q) if F.normal[1] < -0.5)
-        dists.append(facet_hausdorff(Fk, bottom))
+        # d_H of two facets: the larger distance from one's vertices to the other
+        dists.append(max(_distance_to_facets([bottom], Fk.vertices).max(),
+                         _distance_to_facets([Fk], bottom.vertices).max()))
         vols.append(abs(Fk.volume_dm1 - bottom.volume_dm1))
     assert all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
     for k, d in zip((1, 2, 4, 8, 16), dists):
@@ -665,6 +668,8 @@ def test_ball_grid_hits_requested_radius():
 
 
 def test_facet_volume_by_normal(pentagon):
-    assert facet_volume_by_normal(pentagon, np.array([0.0, -1.0])) == pytest.approx(2.0)
-    assert facet_volume_by_normal(pentagon, np.array([0.0, 1.0])) == pytest.approx(1.0)
-    assert facet_volume_by_normal(pentagon, np.array([5.0, 1.0]) / np.linalg.norm([5.0, 1.0])) == 0.0
+    assert facet_by_normal(pentagon, np.array([0.0, -1.0])).volume_dm1 == pytest.approx(2.0)
+    assert facet_by_normal(pentagon, np.array([0.0, 1.0])).volume_dm1 == pytest.approx(1.0)
+    assert facet_by_normal(pentagon, np.array([5.0, 1.0]) / np.linalg.norm([5.0, 1.0])) is None
+    # within 1e-7 of a unit normal, the first facet in canonical order
+    assert facet_by_normal(pentagon, np.array([0.0, -1.0 + 5e-8])) is facets(pentagon)[2]
