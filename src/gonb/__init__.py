@@ -33,9 +33,7 @@ from .fourier import (
     divergence_residual,
     ft_facet_measure,
     ft_indicator,
-    ft_indicator_many,
     ft_indicator_quadrature,
-    ft_indicator_quadrature_many,
     sigma_bound,
 )
 from .gabor import (

@@ -26,7 +26,6 @@ from .fourier import (
     cone_lambda_grid,
     divergence_residual,
     ft_indicator,
-    ft_indicator_many,
     ft_indicator_quadrature,
 )
 from .gabor import (
@@ -239,7 +238,7 @@ def cmd_scan(args) -> int:
         config.update({"t": list(map(float, t)), "lambda_box": args.lambda_box,
                        "grid": args.grid})
         vals = stft_indicator(P, t, mesh) if args.field == "stft_abs" \
-            else ft_indicator_many(translate_intersection(P, t), mesh)
+            else ft_indicator(translate_intersection(P, t), mesh)
         pts = np.concatenate([np.broadcast_to(t, mesh.shape), mesh], axis=1)
     elif args.field == "gt_abs":
         if not args.certificate:

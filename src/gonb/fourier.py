@@ -40,12 +40,12 @@ from .polytope import (
     ball_grid,
     facet_by_normal,
     facets,
-    translate_intersection,
     triangulate,
 )
 
 _SERIES_TERMS = 20
 _CHUNK_ROWS = 1 << 14  # (frequency x simplex) rows a transform holds at once
+_QUAD_CHUNK = 500_000  # (grid row x frequency) terms the quadrature holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +168,33 @@ def _ft_simplices(simp: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def ft_indicator(P: HPolytope, lam) -> complex:
-    """ft_indicator_many at the single frequency lam."""
-    return complex(ft_indicator_many(P, np.reshape(lam, P.dim))[0])
-
-
-def ft_indicator_many(P: HPolytope, lams: np.ndarray) -> np.ndarray:
-    """Fourier transform of the indicator of P at each row of lams."""
-    lams, _ = _freqs(np.reshape(lams, (-1, P.dim)), P.dim)
+def ft_indicator(P: HPolytope, lam):
+    """Fourier transform of the indicator of P at each row of lam (n, d); a
+    1-D lam returns a complex."""
+    lams, one = _freqs(lam, P.dim)
     if P.empty or P.degenerate:
-        return np.zeros(lams.shape[0], dtype=complex)
-    return _ft_simplices(triangulate(P), lams)
+        vals = np.zeros(lams.shape[0], dtype=complex)
+    else:
+        vals = _ft_simplices(triangulate(P), lams)
+    return complex(vals[0]) if one else vals
 
 
-def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int) -> complex:
-    """Midpoint-rule oracle for ft_indicator over the bounding box of P."""
-    return ft_indicator_quadrature_many(P, np.asarray(lam, float).reshape(1, -1),
-                                        n_per_axis)[0]
-
-
-def ft_indicator_quadrature_many(P: HPolytope, lams: np.ndarray,
-                                 n_per_axis: int, chunk: int = 500_000) -> np.ndarray:
-    """Midpoint-rule quadrature, vectorized over frequencies.
+def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
+    """Midpoint-rule oracle for ft_indicator over the bounding box of P, at
+    each row of lam (n, d); a 1-D lam returns a complex.
 
     The deterministic n^d midpoint grid over the bounding box is summed row by
     row along the last axis. On a convex body the midpoints of a row that pass
     the inside test A x <= b + 1e-12 form an index interval, and the exp sum
     over an interval is a closed geometric series, so each frequency costs
-    n^(d-1) row terms. ``chunk`` bounds the rows times frequencies held at once.
+    n^(d-1) row terms, at most _QUAD_CHUNK rows times frequencies at once.
     """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
-    lams = np.asarray(lams, dtype=float).reshape(-1, P.dim)
+    lams, one = _freqs(lam, P.dim)
     out = np.zeros(lams.shape[0], dtype=complex)
     if P.empty or P.degenerate:
-        return out
+        return complex(out[0]) if one else out
     lo, hi = P.bounding_box()
     d = P.dim
     n = n_per_axis
@@ -213,7 +205,7 @@ def ft_indicator_quadrature_many(P: HPolytope, lams: np.ndarray,
     theta = lams[:, -1] * h[-1]
     phi = theta - np.rint(theta)
     n_rows = n ** (d - 1)
-    step = max(1, chunk // max(1, lams.shape[0]))
+    step = max(1, _QUAD_CHUNK // max(1, lams.shape[0]))
     for start in range(0, n_rows, step):
         rows = np.arange(start, min(start + step, n_rows))
         idx = np.unravel_index(rows, (n,) * (d - 1)) if d > 1 else ()
@@ -228,7 +220,8 @@ def ft_indicator_quadrature_many(P: HPolytope, lams: np.ndarray,
         series = count[:, None] * np.sinc(phi * count[:, None]) / np.sinc(phi)
         out += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi * (count[:, None] - 1))
                 * series).sum(axis=0)
-    return out * cellvol
+    out *= cellvol
+    return complex(out[0]) if one else out
 
 
 def _midpoint_intervals(A, b, lo, h, n, X):
@@ -433,22 +426,19 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
                    np.zeros(lams.shape[0], dtype=complex))
     else:
         sa, sb = axis_sigmas(Q, lams)
-        vals = -2j * np.pi * lams[:, 0] * ft_indicator_many(Q, lams) + sa - sb
+        vals = -2j * np.pi * lams[:, 0] * ft_indicator(Q, lams) + sa - sb
     return complex(vals[0]) if one else vals
 
 
 @dataclass(frozen=True)
 class ConeScanParams:
-    """Grid for the cone constant: log-spaced axial frequencies, uniform
-    cross-section fractions, and a polar translate grid."""
+    """Grid for the cone constant: log-spaced axial frequencies and uniform
+    cross-section fractions."""
 
     r0: float = 10.0
     r1: float = 200.0
     n_radial: int = 64
     n_cross: int = 16
-    t_radius: float = 0.0
-    n_t_angles: int = 8
-    n_t_radii: int = 2
 
     def cross_fractions(self) -> np.ndarray:
         return np.linspace(-1.0, 1.0, self.n_cross)
@@ -485,13 +475,13 @@ def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarr
 
 def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
                   params: ConeScanParams = ConeScanParams()) -> ConeBound:
-    """Numeric constant C with |G_t(lam)| <= C / |lam_1| on the scanned cone.
+    """Numeric constant C with |G(lam)| <= C / |lam_1| on the scanned cone
+    for the one body apply_frame(P, frame).
 
-    Takes the sup of |lam_1| * |G_t(lam)| over the cone grid and the translate
-    grid |t| <= t_radius, one boundary-route residual call per non-empty
-    translate, and reports its first maximum in (t, lam) order. Raises
-    ConeTooWide when a scanned direction is within GEOM_TOL of a non-axis
-    facet normal.
+    Takes the first maximum of |lam_1| * |G(lam)| over the cone grid from one
+    boundary-route residual call; arg_t is zero, and a caller that bounds a
+    ball of translates takes the maximum over them. Raises ConeTooWide when a
+    scanned direction is within GEOM_TOL of a non-axis facet normal.
     """
     Q = apply_frame(P, frame)
     d = Q.dim
@@ -505,23 +495,10 @@ def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
     if min_sin < GEOM_TOL:
         raise ConeTooWide(f"scanned direction parallel to a facet normal "
                           f"(min sin theta = {min_sin:.3e})")
-    tgrid = ball_grid(d, params.t_radius, params.n_t_angles, params.n_t_radii)
-    ident = AxisFrame.identity(d)
-    best = -1.0
-    arg_t = tgrid[0]
-    arg_lam = lam_grid[0]
-    for t in tgrid:
-        Qt = translate_intersection(Q, t)
-        if Qt.empty or Qt.degenerate:
-            continue
-        g = divergence_residual(Qt, ident, lam_grid, via_boundary=True)
-        vals = np.abs(lam_grid[:, 0]) * np.abs(g)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            arg_t = t.copy()
-            arg_lam = lam_grid[k].copy()
-    return ConeBound(float(best), arg_t, arg_lam, min_sin)
+    g = divergence_residual(Q, AxisFrame.identity(d), lam_grid, via_boundary=True)
+    vals = np.abs(lam_grid[:, 0]) * np.abs(g)
+    k = int(np.argmax(vals))
+    return ConeBound(float(vals[k]), np.zeros(d), lam_grid[k].copy(), min_sin)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .fourier import (
     apply_frame,
     axis_sigmas,
     cone_constant,
-    ft_indicator_many,
-    ft_indicator_quadrature_many,
+    ft_indicator,
+    ft_indicator_quadrature,
 )
 from .polytope import (
     Facet,
@@ -52,6 +52,8 @@ from .polytope import (
 )
 
 TOL_ZERO = 1e-9
+# Midpoint-rule points per axis of the oracle that confirms a violation.
+QUAD_N = 2000
 # Time-frequency coordinates are bounded so that the difference keys
 # rint(D * KEY_SCALE) stay exact in int64 and in float64 (|key| <= 2e15 < 2^53).
 COORD_BOUND = 1e6
@@ -190,13 +192,12 @@ def _stft(P: HPolytope, t, lam, transform):
 def stft_indicator(P: HPolytope, t, lam):
     """V(t, lam) = vol(P)^{-1} * ft_indicator(P intersect (P+t), lam) for one
     shift t at each row of lam (n, d); a 1-D lam returns a complex."""
-    return _stft(P, t, lam, ft_indicator_many)
+    return _stft(P, t, lam, ft_indicator)
 
 
 def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
     """Independent midpoint-rule evaluation of the same STFT values."""
-    return _stft(P, t, lam,
-                 lambda Q, rows: ft_indicator_quadrature_many(Q, rows, n_per_axis))
+    return _stft(P, t, lam, lambda Q, rows: ft_indicator_quadrature(Q, rows, n_per_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
 
 def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
                         tol_zero: float = TOL_ZERO, *, max_reports: int = 64,
-                        confirm: bool = True, quad_n: int = 2000) -> list[ViolationReport]:
+                        confirm: bool = True) -> list[ViolationReport]:
     """Test mutual orthogonality of the Gabor system of (P, L) on the truncation.
 
     Evaluates V(v - v') over all ordered pairs v != v' (deduplicated by
@@ -326,7 +327,7 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     for k, val in hits:
         ok: bool | None = None
         if confirm:
-            ok = _confirm_violation(P, W[k, :d], W[k, d:], val, quad_n)
+            ok = _confirm_violation(P, W[k, :d], W[k, d:], val)
         reports.append(ViolationReport((L.point(first[k]), L.point(second[k])),
                                        complex(val), abs(val), ok))
     reports.sort(key=lambda r: tuple(np.concatenate([r.pair[0].as_row(),
@@ -334,11 +335,11 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     return reports
 
 
-def _confirm_violation(P, t, lam, val, quad_n) -> bool | None:
+def _confirm_violation(P, t, lam, val) -> bool | None:
     """Two-evaluator agreement; None when below the oracle's resolution."""
     if abs(val) < 1e-3:
         return None
-    q = stft_indicator_quadrature(P, t, lam, quad_n)
+    q = stft_indicator_quadrature(P, t, lam, QUAD_N)
     return abs(q - val) <= 0.3 * abs(val) + 1e-3
 
 
@@ -356,10 +357,6 @@ class CertificateScanParams:
     n_t_radii: int = 2
     cone_n_radial: int = 64
     cone_n_cross: int = 16
-    delta_init: float = 0.5
-    max_halvings: int = 14
-    tol_zero: float = TOL_ZERO
-    symmetry_tol: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,7 +451,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     (eta, C, R) tightened to the scan observations.
     """
     _window_volume(P)
-    rep = is_symmetric(P, tol=params.symmetry_tol)
+    rep = is_symmetric(P)
     if rep.symmetric or rep.witness is None:
         raise SymmetricInput("window is symmetric; the certificate needs a "
                              "non-symmetric facet pair")
@@ -473,11 +470,12 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
 
-    # shrink the cylinder until the facet-transform gap stays at the margin,
-    # then adopt the sampled cylinder minimum as the certified eta (so the
-    # "gap >= eta on S(2 delta)" statement holds exactly on the sample)
-    delta = params.delta_init
-    for _ in range(params.max_halvings):
+    # shrink the cylinder from delta = 0.5, in at most 14 halvings, until the
+    # facet-transform gap stays at the margin, then adopt the sampled cylinder
+    # minimum as the certified eta (so the "gap >= eta on S(2 delta)"
+    # statement holds exactly on the sample)
+    delta = 0.5
+    for _ in range(14):
         tr = _transverse_grid(d, 2 * delta * (1 - 1e-9), params.n_cross)
         worst = min(float(_axis_gap_profile(Qt, tr).min()) for Qt in Qts)
         if worst >= 0.9 * eta:
@@ -490,13 +488,16 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         raise MarginVanished("facet-transform gap collapsed on the cylinder")
 
     entry = 2 * delta * math.sqrt(1.0 + 1.0 / omega ** 2)
-    cone = cone_constant(
-        Q, AxisFrame.identity(d), omega,
-        ConeScanParams(r0=max(0.95 * 2 * delta / omega, 1e-3), r1=params.lambda_max,
-                       n_radial=params.cone_n_radial, n_cross=params.cone_n_cross,
-                       t_radius=eps_f, n_t_angles=params.n_t_angles,
-                       n_t_radii=params.n_t_radii),
-    )
+    # C over the translate ball, every translate non-empty since eta > 0:
+    # the first maximum in tgrid order, with the smallest facet angle seen
+    cone_params = ConeScanParams(r0=max(0.95 * 2 * delta / omega, 1e-3),
+                                 r1=params.lambda_max, n_radial=params.cone_n_radial,
+                                 n_cross=params.cone_n_cross)
+    ident = AxisFrame.identity(d)
+    bounds = [cone_constant(Qt, ident, omega, cone_params) for Qt in Qts]
+    t_max, cone = max(zip(tgrid, bounds), key=lambda tb: tb[1].value)
+    cone = replace(cone, arg_t=t_max.copy(),
+                   min_sin_theta=min(b.min_sin_theta for b in bounds))
     C = cone.value
     R = max(2.0 * C / eta, entry)
 
@@ -514,9 +515,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         min_abs_at = (tgrid[0], lams[0])
         abs_vals_by_t = []
         for t, Qt in zip(tgrid, Qts):
-            if Qt.empty or Qt.degenerate:
-                raise ScanFailure("translate intersection vanished inside the ball")
-            vals = ft_indicator_many(Qt, lams) / vol_q
+            vals = ft_indicator(Qt, lams) / vol_q
             sa, sb = axis_sigmas(Qt, lams)
             g = -2j * np.pi * lams[:, 0] * (vals * vol_q) + sa - sb
             gap = np.abs(np.abs(sa) - np.abs(sb))
@@ -540,7 +539,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     else:
         raise ScanFailure("certificate parameters did not stabilize")
 
-    if min_abs <= params.tol_zero:
+    if min_abs <= TOL_ZERO:
         raise ScanFailure(
             f"|V| = {min_abs:.3e} at a scanned point; parameters falsified")
 

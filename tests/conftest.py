@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from gonb import from_vertices, normalize, volume
+from gonb import (
+    AxisFrame,
+    apply_frame,
+    cone_constant,
+    from_vertices,
+    normalize,
+    translate_intersection,
+    volume,
+)
+from gonb.polytope import ball_grid
 
 PENTAGON_VERTICES = np.array([(0, 0), (2, 0), (2, 2), (1, 2), (0, 1)], dtype=float)
 
@@ -77,3 +86,13 @@ def symmetrized_polygon(rng, scale=1.0):
     """Random centrally symmetric polygon (hull of points and their negations)."""
     pts = rng.uniform(-scale, scale, (int(rng.integers(3, 6)), 2))
     return from_vertices(np.concatenate([pts, -pts]))
+
+
+def ball_cone_bounds(P, frame, omega, params, radius, n_angles=8, n_radii=2):
+    """(t, cone_constant) of each translate Q intersect (Q + t), Q =
+    apply_frame(P, frame), at the ball_grid shifts |t| <= radius, in grid
+    order."""
+    Q = apply_frame(P, frame)
+    ident = AxisFrame.identity(P.dim)
+    return [(t, cone_constant(translate_intersection(Q, t), ident, omega, params))
+            for t in ball_grid(P.dim, radius, n_angles, n_radii)]

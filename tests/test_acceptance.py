@@ -14,12 +14,10 @@ from gonb import (
     TimeFrequencySet,
     build_certificate,
     check_orthogonality,
-    cone_constant,
     facets,
     ft_facet_measure,
     ft_indicator,
-    ft_indicator_many,
-    ft_indicator_quadrature_many,
+    ft_indicator_quadrature,
     hausdorff_distance,
     is_symmetric,
     lattice_points,
@@ -36,6 +34,7 @@ from gonb.gabor import build_axis_frame
 from gonb.polytope import from_vertices
 
 from conftest import (
+    ball_cone_bounds,
     make_pentagon,
     make_unit_square,
     random_polygon,
@@ -84,8 +83,8 @@ def test_criterion_2_ft_oracle_equivalence():
         nrm = np.linalg.norm(lams, axis=1)
         lams[nrm > 10] *= (10.0 / nrm[nrm > 10])[:, None]
         n_lam += len(lams)
-        exact = ft_indicator_many(P, lams)
-        quad = ft_indicator_quadrature_many(P, lams, 2000)
+        exact = ft_indicator(P, lams)
+        quad = ft_indicator_quadrature(P, lams, 2000)
         err = float(np.abs(exact - quad).max()) / volume(P)
         assert err <= 1e-3, f"oracle disagreement {err:.2e}"
         worst = max(worst, err)
@@ -137,16 +136,18 @@ def test_criterion_4_cone_bound_finite_and_stable():
     t0 = time.perf_counter()
     pent = make_pentagon()
     frame = build_axis_frame(pent, *is_symmetric(pent, 1e-9).witness)
-    base = dict(n_cross=11, t_radius=0.1, n_t_angles=8, n_t_radii=2)
-    c1 = cone_constant(pent, frame, 0.2,
-                       ConeScanParams(r0=10, r1=200, n_radial=64, **base))
-    c2 = cone_constant(pent, frame, 0.2,
-                       ConeScanParams(r0=10, r1=400, n_radial=74, **base))
-    assert np.isfinite(c1.value) and 0 < c1.value < 100
-    assert abs(c2.value - c1.value) < 0.10 * c1.value
+
+    def ball_bound(r1, n_radial):
+        """The bound over the translate ball |t| <= 0.1, 8 angles x 2 radii."""
+        params = ConeScanParams(r0=10, r1=r1, n_radial=n_radial, n_cross=11)
+        return max(b.value for _, b in ball_cone_bounds(pent, frame, 0.2, params, 0.1, 8, 2))
+
+    c1, c2 = ball_bound(200, 64), ball_bound(400, 74)
+    assert np.isfinite(c1) and 0 < c1 < 100
+    assert abs(c2 - c1) < 0.10 * c1
     _report(4, t0, 120.0,
-            f"C[10,200] = {c1.value:.4f}, C[10,400] = {c2.value:.4f} "
-            f"({100 * abs(c2.value - c1.value) / c1.value:.1f}% change)")
+            f"C[10,200] = {c1:.4f}, C[10,400] = {c2:.4f} "
+            f"({100 * abs(c2 - c1) / c1:.1f}% change)")
 
 
 def test_criterion_5_nonvanishing_certificate():

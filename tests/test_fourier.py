@@ -17,9 +17,7 @@ from gonb import (
     facets,
     ft_facet_measure,
     ft_indicator,
-    ft_indicator_many,
     ft_indicator_quadrature,
-    ft_indicator_quadrature_many,
     normalize,
     sigma_bound,
     translate_intersection,
@@ -38,7 +36,7 @@ from gonb.fourier import (
 from gonb.gabor import build_axis_frame
 from gonb.polytope import ball_grid, is_symmetric
 
-from conftest import make_pentagon, random_polygon, random_polytope_3d
+from conftest import ball_cone_bounds, make_pentagon, random_polygon, random_polytope_3d
 
 I2PI = 1j / (2 * math.pi)
 
@@ -228,7 +226,7 @@ def test_ft_translation_phase_law():
 
 def test_ft_indicator_many_matches_single(pentagon):
     lams = np.array([[0.0, 0.0], [1.0, 0.0], [2.5, -1.5], [0.1, 7.7]])
-    many = ft_indicator_many(pentagon, lams)
+    many = ft_indicator(pentagon, lams)
     for row, lam in zip(many, lams):
         assert row == pytest.approx(ft_indicator(pentagon, lam), abs=1e-13)
 
@@ -240,7 +238,7 @@ def test_ft_indicator_many_rows_are_single_calls_bit_for_bit(name):
     assert not Q.empty
     rng = np.random.default_rng(600)
     lams = rng.uniform(-12, 12, (600, 2)) * 10.0 ** rng.uniform(-6, 1, (600, 1))
-    many = ft_indicator_many(Q, lams)
+    many = ft_indicator(Q, lams)
     assert np.array_equal(many, [ft_indicator(Q, lam) for lam in lams])
 
 
@@ -256,7 +254,7 @@ def test_box_transform_matches_sinc_product(d, scale):
     lams = scale * np.concatenate([[[3.0, 1.0, -2.0, 0.5][:d]],
                                    rng.uniform(-3, 3, (7, d))])
     exact = np.prod(np.exp(-1j * np.pi * lams) * np.sinc(lams), axis=1)
-    assert np.abs(ft_indicator_many(_box(d), lams) - exact).max() <= 1e-13
+    assert np.abs(ft_indicator(_box(d), lams) - exact).max() <= 1e-13
 
 
 def test_thin_simplex_4d_at_small_frequency():
@@ -279,7 +277,7 @@ def test_transforms_reject_non_finite_frequencies(bad, pentagon):
     with pytest.raises(ValueError):
         ft_indicator(pentagon, (bad, 0.0))
     with pytest.raises(ValueError):
-        ft_indicator_many(pentagon, [[0.0, 1.0], [1.0, bad]])
+        ft_indicator(pentagon, [[0.0, 1.0], [1.0, bad]])
     with pytest.raises(ValueError):
         ft_facet_measure(F, (0.0, bad))
 
@@ -306,7 +304,7 @@ def test_quadrature_rejects_tiny_grid(unit_square):
 
 def test_quadrature_many_matches_single(pentagon):
     lams = np.array([[1.0, 0.0], [0.0, 1.0]])
-    many = ft_indicator_quadrature_many(pentagon, lams, 400)
+    many = ft_indicator_quadrature(pentagon, lams, 400)
     for row, lam in zip(many, lams):
         assert row == pytest.approx(ft_indicator_quadrature(pentagon, lam, 400), abs=1e-12)
 
@@ -347,7 +345,7 @@ def test_quadrature_rows_match_masked_sum(name):
     rng = np.random.default_rng(7)
     lams = np.concatenate([np.zeros((1, P.dim)), rng.uniform(-6, 6, (5, P.dim))])
     ref, count = _masked_quadrature(P, lams, n)
-    got = ft_indicator_quadrature_many(P, lams, n)
+    got = ft_indicator_quadrature(P, lams, n)
     lo, hi = P.bounding_box()
     # at lam = 0 the sum counts the included midpoints
     assert round(got[0].real / np.prod((hi - lo) / n)) == count
@@ -555,12 +553,12 @@ def _pentagon_frame(pentagon):
 
 def test_cone_constant_pentagon_finite_and_stable(pentagon):
     frame = _pentagon_frame(pentagon)
-    p1 = ConeScanParams(r0=10, r1=200, n_radial=48, n_cross=9, t_radius=0.05)
-    p2 = ConeScanParams(r0=10, r1=400, n_radial=56, n_cross=9, t_radius=0.05)
-    c1 = cone_constant(pentagon, frame, 0.2, p1)
-    c2 = cone_constant(pentagon, frame, 0.2, p2)
-    assert 0 < c1.value < 10
-    assert abs(c2.value - c1.value) < 0.1 * c1.value
+    p1 = ConeScanParams(r0=10, r1=200, n_radial=48, n_cross=9)
+    p2 = ConeScanParams(r0=10, r1=400, n_radial=56, n_cross=9)
+    c1 = max(b.value for _, b in ball_cone_bounds(pentagon, frame, 0.2, p1, 0.05))
+    c2 = max(b.value for _, b in ball_cone_bounds(pentagon, frame, 0.2, p2, 0.05))
+    assert 0 < c1 < 10
+    assert abs(c2 - c1) < 0.1 * c1
 
 
 def test_cone_constant_monotone_in_omega(pentagon):
@@ -583,26 +581,24 @@ def test_cone_region_membership():
 
 
 def test_cone_constant_matches_pointwise_scan(pentagon):
-    """The batched scan against the loop over (t, lam) it replaced."""
-    from gonb import apply_frame
+    """The batched scan of each ball translate against the loop over lam it
+    replaced."""
     from gonb.fourier import cone_lambda_grid
-    from gonb.polytope import ball_grid
 
     frame = _pentagon_frame(pentagon)
-    params = ConeScanParams(r0=10, r1=100, n_radial=12, n_cross=5, t_radius=0.05,
-                            n_t_angles=4, n_t_radii=1)
-    bound = cone_constant(pentagon, frame, 0.2, params)
+    params = ConeScanParams(r0=10, r1=100, n_radial=12, n_cross=5)
     Q = apply_frame(pentagon, frame)
     ident = AxisFrame.identity(2)
 
-    def scaled_residual(t, lam):
-        Qt = translate_intersection(Q, t)
+    def scaled_residual(Qt, lam):
         return abs(lam[0]) * abs(divergence_residual(Qt, ident, lam, via_boundary=True))
 
-    best = max(scaled_residual(t, lam) for t in ball_grid(2, 0.05, 4, 1)
-               for lam in cone_lambda_grid(2, 0.2, params))
-    assert bound.value == pytest.approx(best, rel=1e-13)
-    assert scaled_residual(bound.arg_t, bound.arg_lam) == pytest.approx(best, rel=1e-13)
+    for t, bound in ball_cone_bounds(pentagon, frame, 0.2, params, 0.05, 4, 1):
+        Qt = translate_intersection(Q, t)
+        best = max(scaled_residual(Qt, lam) for lam in cone_lambda_grid(2, 0.2, params))
+        assert bound.value == pytest.approx(best, rel=1e-13)
+        assert scaled_residual(Qt, bound.arg_lam) == pytest.approx(best, rel=1e-13)
+        assert not np.any(bound.arg_t)
 
 
 def test_cone_too_wide_detects_parallel_normal(pentagon):

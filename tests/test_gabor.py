@@ -9,6 +9,7 @@ import pytest
 from gonb import (
     CertificateMismatch,
     CertificateScanParams,
+    ConeScanParams,
     MarginVanished,
     NotFound,
     ParseError,
@@ -27,12 +28,12 @@ from gonb import (
     translate_intersection,
     volume,
 )
-from gonb import gabor
+from gonb import fourier, gabor
 from gonb.gabor import _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import is_symmetric
 
-from conftest import PENTAGON_VERTICES, random_polygon
+from conftest import PENTAGON_VERTICES, ball_cone_bounds, random_polygon
 
 SMALL_PARAMS = CertificateScanParams(n_lambda1=24, n_cross=9, cone_n_radial=32,
                                      cone_n_cross=8)
@@ -314,6 +315,39 @@ def test_build_certificate_pentagon(pentagon):
         assert abs(cert.frame.to_frame_point(v)[0]) <= 1e-9
     for v in G.vertices:
         assert abs(cert.frame.to_frame_point(v)[0] - 1.0) <= 1e-9
+
+
+def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch):
+    """eta, delta, C and the verify scan share one translate per ball shift."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return translate_intersection(*args)
+
+    monkeypatch.setattr(gabor, "translate_intersection", counted)
+    monkeypatch.setattr(fourier, "translate_intersection", counted, raising=False)
+    cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
+    assert len(calls) == cert.provenance.n_t == 17
+
+
+def test_certificate_cone_is_the_ball_maximum(pentagon):
+    """provenance.cone is the first maximum over the ball of the per-translate
+    bounds, at the certificate's cone grid, with the smallest facet angle."""
+    p = SMALL_PARAMS
+    cert = build_certificate(pentagon, 0.2, 0.2, p)
+    params = ConeScanParams(r0=max(0.95 * 2 * cert.delta / cert.omega, 1e-3),
+                            r1=p.lambda_max, n_radial=p.cone_n_radial,
+                            n_cross=p.cone_n_cross)
+    bounds = ball_cone_bounds(pentagon, cert.frame, cert.omega, params, cert.eps,
+                              p.n_t_angles, p.n_t_radii)
+    values = [b.value for _, b in bounds]
+    first = values.index(max(values))
+    cone = cert.provenance.cone
+    assert cone.value == values[first]
+    assert np.array_equal(cone.arg_t, bounds[first][0])
+    assert np.array_equal(cone.arg_lam, bounds[first][1].arg_lam)
+    assert cone.min_sin_theta == min(b.min_sin_theta for _, b in bounds)
 
 
 def test_translated_pentagons_give_one_witness_and_frame(pentagon):
