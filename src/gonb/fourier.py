@@ -6,13 +6,15 @@ The indicator transform uses the exact simplex formula
         = d! * vol(T) * divdiff(exp; z_0, ..., z_d),   z_j = -2*pi*i*<lam, v_j>,
 
 where divdiff is the divided difference of exp over the nodes. Every exact
-transform passes its node rows, one per (frequency, simplex) pair, to one
-call of the kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and
-Parlett (Math. Comp. 43, 1984) do: windows of nodes spread at most 1 take a
+transform passes its node rows, one per (frequency, simplex) pair, to the
+kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
+(Math. Comp. 43, 1984) do: windows of nodes spread at most 1 take a
 mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
-row has the same bits in any batch, and a certificate costs one batched call
-per translate-intersection.
+row has the same bits in any batch: the transforms of many bodies or facets
+(``ft_indicators``, ``axis_sigmas``, ``ball_cone_constant``) share one batch
+of node rows, one kernel call per chunk of _CHUNK_ROWS rows, and a
+certificate stage costs one batched call over all its translates.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -44,7 +46,11 @@ from .polytope import (
 )
 
 _SERIES_TERMS = 20
-_CHUNK_ROWS = 1 << 14  # (frequency x simplex) rows a transform holds at once
+# (frequency x simplex) rows a transform batch holds at once: divdiff_exp needs
+# 200-360 bytes per 3-node row, so a chunk stays below 0.75 MB (chunks of
+# 16,384 and 4,096 rows raised the pentagon certificate's peak RSS by about
+# 5.5 and 1.7 MB, against 1.0 MB at 2,048)
+_CHUNK_ROWS = 1 << 11
 _QUAD_CHUNK = 500_000  # (grid row x frequency) terms the quadrature holds at once
 
 
@@ -150,32 +156,70 @@ def _dot(lams: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ft_simplices(simp: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Sum over the simplices (m, d+1, d) of d! * vol * divdiff at each row of
-    lams, the (frequency x simplex) node rows in chunks of _CHUNK_ROWS."""
-    vols = np.abs(np.linalg.det(simp[:, 1:, :] - simp[:, :1, :]))  # = d! * volume
-    simp, vols = simp[vols > 1e-15], vols[vols > 1e-15]
-    out = np.zeros(lams.shape[0], dtype=complex)
-    m = simp.shape[0]
-    if m == 0:
-        return out
-    step = max(1, _CHUNK_ROWS // m)
-    for start in range(0, lams.shape[0], step):
-        y = _dot(lams[start:start + step], simp.transpose(2, 0, 1))
-        dd = divdiff_exp(-2j * np.pi * y.reshape(-1, simp.shape[1])).reshape(-1, m)
-        for k in range(m):
-            out[start:start + step] += vols[k] * dd[:, k]
-    return out
+def _ft_simplices(parts) -> list[np.ndarray]:
+    """For each part (simp (m, k+1, k), lams (n, k)), the sum over its
+    simplices of k! * vol * divdiff at each row of lams.
+
+    The (frequency x simplex) node rows of every part go to divdiff_exp
+    together, in chunks of at most _CHUNK_ROWS rows (one frequency's rows when
+    they are more); each frequency sums its simplices in order, so a value
+    has the same bits whatever the parts around it.
+    """
+    if not parts:
+        return []
+    simps, lamss = zip(*parts)
+    owner = np.repeat(np.arange(len(simps)), [sp.shape[0] for sp in simps])
+    simp = np.concatenate(simps)
+    vols = np.abs(np.linalg.det(simp[:, 1:, :] - simp[:, :1, :]))  # = k! * volume
+    live = vols > 1e-15
+    simp, vols = simp[live], vols[live]
+    m = np.bincount(owner[live], minlength=len(simps))  # simplices per part
+    first = np.cumsum(m) - m  # each part's first simplex
+    sizes = [lams.shape[0] for lams in lamss]
+    lams = np.concatenate(lamss)
+    part = np.repeat(np.arange(len(simps)), sizes)  # frequency -> part
+    ends = np.cumsum(m[part])  # node rows up to each frequency
+    vals = np.zeros(lams.shape[0], dtype=complex)
+    start = 0
+    while start < lams.shape[0]:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_ROWS, side="right")))
+        if ends[stop - 1] > base:
+            rows = m[part[start:stop]]
+            lam = np.repeat(np.arange(start, stop), rows)  # node row -> frequency
+            k = np.arange(lam.size) - np.repeat(ends[start:stop] - rows - base, rows)
+            cell = first[part[lam]] + k  # node row -> simplex
+            L, S = lams[lam], simp[cell]
+            y = 0.0  # node by node, the fixed-order sum of _dot
+            for c in range(L.shape[1]):
+                y = y + L[:, c, None] * S[:, :, c]
+            # terms by (frequency, simplex), zero-padded: a sum that starts at
+            # +0 is never -0, so adding a padding zero leaves its bits alone
+            terms = np.zeros((stop - start, int(rows.max())), dtype=complex)
+            terms[lam - start, k] = vols[cell] * divdiff_exp(-2j * np.pi * y)
+            acc = vals[start:stop]
+            for j in range(terms.shape[1]):
+                acc += terms[:, j]
+        start = stop
+    return np.split(vals, np.cumsum(sizes)[:-1])
+
+
+def ft_indicators(bodies, lams) -> list[np.ndarray]:
+    """ft_indicator of each body at its frequency rows lams[i] (n_i, d), all
+    node rows through one divided-difference batch."""
+    lams = [_freqs(lam, P.dim)[0] for P, lam in zip(bodies, lams)]
+    live = [not (P.empty or P.degenerate) for P in bodies]
+    vals = iter(_ft_simplices([(triangulate(P), lam)
+                               for P, lam, on in zip(bodies, lams, live) if on]))
+    return [next(vals) if on else np.zeros(lam.shape[0], dtype=complex)
+            for lam, on in zip(lams, live)]
 
 
 def ft_indicator(P: HPolytope, lam):
     """Fourier transform of the indicator of P at each row of lam (n, d); a
     1-D lam returns a complex."""
     lams, one = _freqs(lam, P.dim)
-    if P.empty or P.degenerate:
-        vals = np.zeros(lams.shape[0], dtype=complex)
-    else:
-        vals = _ft_simplices(triangulate(P), lams)
+    vals = ft_indicators([P], [lams])[0]
     return complex(vals[0]) if one else vals
 
 
@@ -337,6 +381,17 @@ def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
+def _ft_facets(fs: list[Facet], lams: np.ndarray) -> list[np.ndarray]:
+    """ft_facet_measure of each facet at the frequency rows lams (n, d), all
+    node rows through one divided-difference batch."""
+    if any(F.volume_dm1 <= 0 for F in fs):
+        raise DegenerateFacet("facet has zero surface volume")
+    if lams.shape[1] == 1:
+        return [np.exp(-2j * np.pi * _dot(lams, F.origin)) for F in fs]
+    vals = _ft_simplices([(F.simplices, _dot(lams, F.tangent)) for F in fs])
+    return [np.exp(-2j * np.pi * _dot(lams, F.origin)) * v for F, v in zip(fs, vals)]
+
+
 def ft_facet_measure(F: Facet, lams):
     """Fourier transform of the facet surface measure at each row of lams
     (n, d); a 1-D lam returns a complex.
@@ -345,12 +400,8 @@ def ft_facet_measure(F: Facet, lams):
     the (d-1)-dimensional transform of its simplices times the hyperplane
     phase.
     """
-    if F.volume_dm1 <= 0:
-        raise DegenerateFacet("facet has zero surface volume")
     lams, one = _freqs(lams, F.dim)
-    vals = np.exp(-2j * np.pi * _dot(lams, F.origin))
-    if F.dim > 1:
-        vals = vals * _ft_simplices(F.simplices, _dot(lams, F.tangent))
+    vals = _ft_facets([F], lams)[0]
     return complex(vals[0]) if one else vals
 
 
@@ -394,13 +445,31 @@ def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]
     return fs, fa, fb
 
 
-def axis_sigmas(Q: HPolytope, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_A, sigma_B): ft_facet_measure of the facets of Q with unit
-    normals -e1 and +e1 at each row of lams (n, d), zeros where a facet is
-    absent; FrameMismatch when both are."""
-    _, fa, fb = _axis_facets(Q)
-    return tuple(np.zeros(lams.shape[0], dtype=complex) if F is None
-                 else ft_facet_measure(F, lams) for F in (fa, fb))
+def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_A, sigma_B), each (len(bodies), n): ft_facet_measure of the
+    facets of each body with unit normals -e1 and +e1 at the rows of lams
+    (n, d), zeros where a facet is absent; FrameMismatch when both are."""
+    pairs = [_axis_facets(Q)[1:] for Q in bodies]
+    present = [(i, side, F) for i, pair in enumerate(pairs) for side, F in enumerate(pair)
+               if F is not None]
+    vals = _ft_facets([F for *_, F in present], lams)
+    out = np.zeros((2, len(pairs), lams.shape[0]), dtype=complex)
+    for (i, side, _), v in zip(present, vals):
+        out[side, i] = v
+    return out[0], out[1]
+
+
+def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
+    """G of each body at the rows of lams (n, d) by the boundary route: the
+    sum over its facets F off the axis pair of <e1, n_F> ft_facet_measure(F),
+    in facet order."""
+    rests = []
+    for Q in bodies:
+        fs, fa, fb = _axis_facets(Q)
+        rests.append([F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14])
+    vals = iter(_ft_facets([F for rest in rests for F in rest], lams))
+    return [sum((F.normal[0] * next(vals) for F in rest), np.zeros(lams.shape[0], dtype=complex))
+            for rest in rests]
 
 
 def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
@@ -420,12 +489,9 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
     Q = apply_frame(P_t, frame)
     lams, one = _freqs(lams, Q.dim)
     if via_boundary:
-        fs, fa, fb = _axis_facets(Q)
-        rest = [F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14]
-        vals = sum((F.normal[0] * ft_facet_measure(F, lams) for F in rest),
-                   np.zeros(lams.shape[0], dtype=complex))
+        vals = _boundary_residuals([Q], lams)[0]
     else:
-        sa, sb = axis_sigmas(Q, lams)
+        (sa,), (sb,) = axis_sigmas([Q], lams)
         vals = -2j * np.pi * lams[:, 0] * ft_indicator(Q, lams) + sa - sb
     return complex(vals[0]) if one else vals
 
@@ -473,32 +539,42 @@ def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarr
     return np.concatenate([r, r * np.tile(cross, (lam1.size, 1))], axis=1)
 
 
+def ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
+                       params: ConeScanParams = ConeScanParams()) -> ConeBound:
+    """Numeric constant C with |G(lam)| <= C / |lam_1| on the scanned cone
+    for every body, the translates (in frame coordinates) at the rows of
+    shifts.
+
+    Takes the first maximum of |lam_1| * |G(lam)| in (shift, lam) order from
+    one boundary-route residual batch, with the smallest facet angle seen.
+    Raises ConeTooWide when a scanned direction is within GEOM_TOL of a
+    non-axis facet normal.
+    """
+    d = shifts.shape[1]
+    lam_grid = cone_lambda_grid(d, omega, params)
+    min_sin = 1.0
+    for Q in bodies:
+        fs, fa, fb = _axis_facets(Q)
+        normals = np.array([F.normal for F in fs if F is not fa and F is not fb]).reshape(-1, d)
+        along = (lam_grid @ normals.T)[:, :, None] * normals
+        sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
+                / np.linalg.norm(lam_grid, axis=1)[:, None])
+        low = float(sins.min(initial=1.0))
+        if low < GEOM_TOL:
+            raise ConeTooWide(f"scanned direction parallel to a facet normal "
+                              f"(min sin theta = {low:.3e})")
+        min_sin = min(min_sin, low)
+    g = np.array(_boundary_residuals(bodies, lam_grid)).reshape(-1, lam_grid.shape[0])
+    vals = np.abs(lam_grid[:, 0]) * np.abs(g)
+    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return ConeBound(float(vals[i, k]), shifts[i].copy(), lam_grid[k].copy(), min_sin)
+
+
 def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
                   params: ConeScanParams = ConeScanParams()) -> ConeBound:
-    """Numeric constant C with |G(lam)| <= C / |lam_1| on the scanned cone
-    for the one body apply_frame(P, frame).
-
-    Takes the first maximum of |lam_1| * |G(lam)| over the cone grid from one
-    boundary-route residual call; arg_t is zero, and a caller that bounds a
-    ball of translates takes the maximum over them. Raises ConeTooWide when a
-    scanned direction is within GEOM_TOL of a non-axis facet normal.
-    """
-    Q = apply_frame(P, frame)
-    d = Q.dim
-    lam_grid = cone_lambda_grid(d, omega, params)
-    fs, fa, fb = _axis_facets(Q)
-    normals = np.array([F.normal for F in fs if F is not fa and F is not fb]).reshape(-1, d)
-    along = (lam_grid @ normals.T)[:, :, None] * normals
-    sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
-            / np.linalg.norm(lam_grid, axis=1)[:, None])
-    min_sin = float(sins.min(initial=1.0))
-    if min_sin < GEOM_TOL:
-        raise ConeTooWide(f"scanned direction parallel to a facet normal "
-                          f"(min sin theta = {min_sin:.3e})")
-    g = divergence_residual(Q, AxisFrame.identity(d), lam_grid, via_boundary=True)
-    vals = np.abs(lam_grid[:, 0]) * np.abs(g)
-    k = int(np.argmax(vals))
-    return ConeBound(float(vals[k]), np.zeros(d), lam_grid[k].copy(), min_sin)
+    """ball_cone_constant of the one body apply_frame(P, frame); arg_t is
+    zero."""
+    return ball_cone_constant([apply_frame(P, frame)], np.zeros((1, P.dim)), omega, params)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from .fourier import (
     _freqs,
     apply_frame,
     axis_sigmas,
-    cone_constant,
+    ball_cone_constant,
     ft_indicator,
     ft_indicator_quadrature,
+    ft_indicators,
 )
 from .polytope import (
     Facet,
@@ -48,6 +49,7 @@ from .polytope import (
     is_symmetric,
     tangent_basis,
     translate_intersection,
+    translate_intersections,
     volume,
 )
 
@@ -68,6 +70,9 @@ MAX_LATTICE_CANDIDATES = 1 << 20
 MAX_PAIRS = 1 << 23
 MAX_KEY_TABLE = 1 << 22
 MAX_DIFFS = 1 << 20
+# Time shifts an orthogonality check intersects at once: the translates of a
+# block are built, transformed and dropped before the next block.
+SHIFT_BLOCK = 1 << 12
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -179,13 +184,18 @@ def _window_volume(P: HPolytope) -> float:
     return vol
 
 
+def _per_volume(vals: np.ndarray, vol: float) -> np.ndarray:
+    """Transform values divided by a volume part by part, as Python divides a
+    complex by a float: every STFT value of this module passes through here."""
+    return (np.asarray(vals, dtype=complex).view(float) / vol).view(complex)
+
+
 def _stft(P: HPolytope, t, lam, transform):
     """transform(P intersect (P + t), lams) / vol(P) at each row of lam
-    (n, d), each part divided by vol as a complex / float division does; a
-    1-D lam returns a complex. An empty translate gives zeros."""
+    (n, d); a 1-D lam returns a complex. An empty translate gives zeros."""
     vol = _window_volume(P)
     lams, one = _freqs(lam, P.dim)
-    vals = (transform(translate_intersection(P, t), lams).view(float) / vol).view(complex)
+    vals = _per_volume(transform(translate_intersection(P, t), lams), vol)
     return complex(vals[0]) if one else vals
 
 
@@ -306,20 +316,28 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     re-confirmed against the quadrature oracle when it is large enough for the
     oracle to resolve.
     """
-    _window_volume(P)
+    vol = _window_volume(P)
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
     _, first, second = _unique_signed_diffs(L.points)
     # each distinct difference is evaluated at the exact difference of its
-    # generating pair, grouped by time shift: one STFT call per shift
+    # generating pair, grouped by time shift: one translate batch over the
+    # shifts and one transform batch over the live ones
     W = L.points[first] - L.points[second]
     shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     ends = np.cumsum(np.bincount(inverse))
     values = np.zeros(W.shape[0], dtype=complex)
-    for t, members in zip(shifts, np.split(order, ends[:-1])):
-        values[members] = stft_indicator(P, t, W[members, d:])
+    for lo in range(0, shifts.shape[0], SHIFT_BLOCK):
+        hi = min(lo + SHIFT_BLOCK, shifts.shape[0])
+        base = ends[lo - 1] if lo else 0
+        groups = np.split(order[base:ends[hi - 1]], ends[lo:hi - 1] - base)
+        Qs = translate_intersections(P, shifts[lo:hi])
+        live = [g for g, Q in enumerate(Qs) if not (Q.empty or Q.degenerate)]
+        vals = ft_indicators([Qs[g] for g in live], [W[groups[g], d:] for g in live])
+        for g, v in zip(live, vals):
+            values[groups[g]] = _per_volume(v, vol)
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
@@ -419,13 +437,12 @@ def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
     return AxisFrame(F.origin, U, float(s))
 
 
-def _axis_gap_profile(Qt: HPolytope, transverse: np.ndarray) -> np.ndarray:
-    """Phase-robust lower bound | |sigma_A| - |sigma_B| | on the cylinder
-    cross-section (independent of the axial frequency)."""
-    d = Qt.dim
-    lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1) \
-        if d > 1 else np.zeros((transverse.shape[0], 1))
-    sa, sb = axis_sigmas(Qt, lams)
+def _axis_gap_profile(Qts: list[HPolytope], transverse: np.ndarray) -> np.ndarray:
+    """Phase-robust lower bound | |sigma_A| - |sigma_B| | of each translate
+    (rows) on the cylinder cross-section (independent of the axial
+    frequency)."""
+    lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1)
+    sa, sb = axis_sigmas(Qts, lams)
     return np.abs(np.abs(sa) - np.abs(sb))
 
 
@@ -465,7 +482,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     e1[0] = 1.0
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
-    Qts = [translate_intersection(Q, t) for t in tgrid]
+    Qts = translate_intersections(Q, tgrid)
     eta = min(facet_gap(Qt, -e1, e1) for Qt in Qts)
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
@@ -477,7 +494,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     delta = 0.5
     for _ in range(14):
         tr = _transverse_grid(d, 2 * delta * (1 - 1e-9), params.n_cross)
-        worst = min(float(_axis_gap_profile(Qt, tr).min()) for Qt in Qts)
+        worst = float(_axis_gap_profile(Qts, tr).min())
         if worst >= 0.9 * eta:
             break
         delta *= 0.5
@@ -488,16 +505,11 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         raise MarginVanished("facet-transform gap collapsed on the cylinder")
 
     entry = 2 * delta * math.sqrt(1.0 + 1.0 / omega ** 2)
-    # C over the translate ball, every translate non-empty since eta > 0:
-    # the first maximum in tgrid order, with the smallest facet angle seen
+    # C over the translate ball, every translate non-empty since eta > 0
     cone_params = ConeScanParams(r0=max(0.95 * 2 * delta / omega, 1e-3),
                                  r1=params.lambda_max, n_radial=params.cone_n_radial,
                                  n_cross=params.cone_n_cross)
-    ident = AxisFrame.identity(d)
-    bounds = [cone_constant(Qt, ident, omega, cone_params) for Qt in Qts]
-    t_max, cone = max(zip(tgrid, bounds), key=lambda tb: tb[1].value)
-    cone = replace(cone, arg_t=t_max.copy(),
-                   min_sin_theta=min(b.min_sin_theta for b in bounds))
+    cone = ball_cone_constant(Qts, tgrid, omega, cone_params)
     C = cone.value
     R = max(2.0 * C / eta, entry)
 
@@ -509,24 +521,24 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         lams = np.concatenate(
             [np.repeat(lam1, tr.shape[0])[:, None],
              np.tile(tr, (lam1.shape[0], 1))], axis=1)
-        min_abs = math.inf
-        min_gap = math.inf
-        max_l1g = 0.0
-        min_abs_at = (tgrid[0], lams[0])
-        abs_vals_by_t = []
-        for t, Qt in zip(tgrid, Qts):
-            vals = ft_indicator(Qt, lams) / vol_q
-            sa, sb = axis_sigmas(Qt, lams)
-            g = -2j * np.pi * lams[:, 0] * (vals * vol_q) + sa - sb
-            gap = np.abs(np.abs(sa) - np.abs(sb))
-            l1g = np.abs(lams[:, 0]) * np.abs(g)
-            k = int(np.argmin(np.abs(vals)))
-            if abs(vals[k]) < min_abs:
-                min_abs = float(abs(vals[k]))
-                min_abs_at = (t.copy(), lams[k].copy())
-            min_gap = min(min_gap, float(gap.min()))
-            max_l1g = max(max_l1g, float(l1g.max()))
-            abs_vals_by_t.append(np.abs(vals))
+        # rows are translates, columns frequencies
+        sa, sb = axis_sigmas(Qts, lams)
+        ft = np.array(ft_indicators(Qts, [lams] * len(Qts)))
+        V = _per_volume(ft, vol_q)
+        abs_v = np.abs(V)
+        # G through the round trip (ft / vol) * vol: max_axial_residual is
+        # recorded to the bit
+        g = -2j * np.pi * lams[:, 0] * ((ft / vol_q) * vol_q) + sa - sb
+        min_gap = float(np.abs(np.abs(sa) - np.abs(sb)).min())
+        max_l1g = float((np.abs(lams[:, 0]) * np.abs(g)).max())
+        # each translate's first minimum, then the first translate whose
+        # minimum is least as a complex abs (which can differ from np.abs in
+        # the last bit), the value gonb stft reports there
+        k = np.argmin(abs_v, axis=1)
+        mins = [abs(complex(v)) for v in V[np.arange(len(Qts)), k]]
+        i = int(np.argmin(mins))
+        min_abs = mins[i]
+        min_abs_at = (tgrid[i].copy(), lams[k[i]].copy())
         eta_new = min(eta, min_gap)
         C_new = max(C, max_l1g)
         if eta_new <= 1e-12:
@@ -546,7 +558,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     # pointwise chain slack: |V| >= (eta - C/l1) / (2 pi vol l1), guaranteed
     # once eta <= every sigma gap and C >= every |l1 G| on the scan
     bound = (eta - C / lams[:, 0]) / (2 * np.pi * vol_q * lams[:, 0])
-    slack = min(float((av - bound).min()) for av in abs_vals_by_t)
+    slack = float((abs_v - bound).min())
 
     prov = CertificateProvenance(
         window_fingerprint(P), int(len(tgrid) * lams.shape[0]), len(tgrid),

@@ -1,8 +1,9 @@
 """Convex polytope geometry on half-space representations.
 
 Canonical H-representations, brute-force vertex enumeration, translate-
-intersections via the per-halfspace offset minimum, Minkowski parallel-facet
-symmetry tests, and the exact Hausdorff metric for convex polytopes.
+intersections via the per-halfspace offset minimum (a batch of shifts shares
+one stacked vertex solve), Minkowski parallel-facet symmetry tests, and the
+exact Hausdorff metric for convex polytopes.
 
 Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
 computed once per polytope: the facets of a face with vertex set S are the
@@ -154,34 +155,62 @@ class HPolytope:
 
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Feasible intersection points of all d-subsets of constraints, deduped."""
+    for _, V in _vertex_groups(A, b[None], dim):
+        return V[0]
+    return np.zeros((0, dim))
+
+
+def _vertex_groups(A: np.ndarray, B: np.ndarray, dim: int):
+    """Vertices of {x : A x <= B[k]} for the offset rows of B (s, n), yielded
+    as batches (rows, V): the nonempty rows with q distinct vertices each and
+    their read-only vertex arrays V (len(rows), q, d) in lexicographic order.
+
+    Every row shares the matrices of the d-subset systems of A, so one
+    stacked solve serves all rows, at most MAX_VERTEX_CANDIDATES candidates
+    at once; a row with no feasible candidate is in no batch.
+    """
     n = A.shape[0]
     if n < dim:
-        return np.zeros((0, dim))
+        return
     combos = np.array(list(itertools.combinations(range(n), dim)))
     M = A[combos]  # (m, d, d)
-    rhs = b[combos]  # (m, d)
-    dets = np.abs(np.linalg.det(M))
-    good = dets > 1e-12
+    good = np.abs(np.linalg.det(M)) > 1e-12
     if not np.any(good):
-        return np.zeros((0, dim))
-    sols = np.linalg.solve(M[good], rhs[good][..., None])[..., 0]
-    feas = np.all(A @ sols.T <= b[:, None] + GEOM_TOL, axis=0)
-    pts = sols[feas]
-    if pts.shape[0] == 0:
-        return np.zeros((0, dim))
-    # keep a point unless an earlier point in lexicographic order lies within
-    # GEOM_TOL: its predecessor, or, where another vertex's first coordinate
-    # splits a cluster, one before it (only points far from their
-    # predecessor need that second test)
-    pts = pts[np.lexsort(pts.T[::-1])]
-    keep = np.ones(pts.shape[0], dtype=bool)
-    keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > GEOM_TOL
-    k = np.flatnonzero(keep)
-    near = np.linalg.norm(pts[k, None] - pts[None], axis=2) <= GEOM_TOL
-    keep[k] = ~np.any(near & (np.arange(pts.shape[0]) < k[:, None]), axis=1)
-    out = pts[keep]
-    out.setflags(write=False)
-    return out
+        return
+    combos, M = combos[good], M[good]
+    step = max(1, MAX_VERTEX_CANDIDATES // combos.shape[0])
+    for start in range(0, B.shape[0], step):
+        Bs = B[start:start + step]
+        sols = np.linalg.solve(M, Bs[:, combos, None])[..., 0]  # (s, m, d)
+        feas = np.all(np.matmul(A, sols.transpose(0, 2, 1)) <= Bs[:, :, None] + GEOM_TOL,
+                      axis=1)
+        count = feas.sum(axis=1)
+        for p in np.unique(count[count > 0]):
+            rows = np.flatnonzero(count == p)
+            pts = sols[rows][feas[rows]].reshape(rows.size, p, dim)
+            pts, keep = _distinct_points(pts)
+            q = keep.sum(axis=1)
+            for size in np.unique(q):
+                at = q == size
+                V = pts[at][keep[at]].reshape(-1, size, dim)
+                V.setflags(write=False)
+                yield start + rows[at], V
+
+
+def _distinct_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of points (s, p, d) in lexicographic order, and which points
+    to keep: a point goes unless an earlier point lies within GEOM_TOL, its
+    predecessor or, where another point's first coordinate splits a cluster,
+    one before it (only points far from their predecessor need that second
+    test)."""
+    order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
+    pts = np.take_along_axis(pts, order[..., None], axis=1)
+    keep = np.ones(pts.shape[:2], dtype=bool)
+    keep[:, 1:] = np.linalg.norm(np.diff(pts, axis=1), axis=2) > GEOM_TOL
+    row, k = np.nonzero(keep)
+    near = np.linalg.norm(pts[row, k, None] - pts[row], axis=2) <= GEOM_TOL
+    keep[row, k] = ~np.any(near & (np.arange(pts.shape[1]) < k[:, None]), axis=1)
+    return pts, keep
 
 
 def _merge_duplicate_normals(A: np.ndarray, b: np.ndarray):
@@ -200,49 +229,89 @@ def _merge_duplicate_normals(A: np.ndarray, b: np.ndarray):
     return A[keep], b[keep]
 
 
-def _canonical_order(A: np.ndarray, b: np.ndarray):
-    keys = np.column_stack([np.round(A, 12), np.round(b, 12)])
-    order = np.lexsort(keys.T[::-1])
-    return A[order], b[order]
-
-
 def _affine_rank(pts: np.ndarray) -> int:
     if pts.shape[0] <= 1:
         return 0
     return int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-8))
 
 
-def _reduce(A: np.ndarray, b: np.ndarray, dim: int) -> HPolytope:
-    """Build a canonical HPolytope from distinct unit-normal rows; never
-    raises on empty/degenerate results (they come back flagged). A
+def _reduce(A: np.ndarray, b: np.ndarray, dim: int):
+    """Canonical HPolytope of {x : A x <= b} from distinct unit-normal rows A
+    (n, dim), one for each offset row of b (s, n); a 1-D b returns one.
+    Never raises on empty/degenerate results (they come back flagged). A
     full-dimensional result keeps a row iff its facet has (d-1)-volume >
     GEOM_TOL, and comes with its vertices and incidence cached. Only
     ``normalize`` sees raw rows, and it merges duplicate normals first;
     translate and frame rows are a polytope's own rows, moved or rotated."""
     A = np.asarray(A, dtype=float).reshape(-1, dim)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    verts = _enumerate_vertices(A, b, dim)
-    empty = verts.shape[0] == 0
-    degenerate = empty or verts.shape[0] < dim + 1 or _affine_rank(verts) < dim
-    A, b = _canonical_order(A, b)
+    b = np.asarray(b, dtype=float)
+    one = b.ndim == 1
+    B = b.reshape(-1, A.shape[0])
+    # canonical row order: distinct unit normals differ by more than GEOM_TOL,
+    # so their rows never tie at 12 decimals and the offsets never enter it
+    order = np.lexsort(np.round(A, 12).T[::-1])
     # unit-normalize each stored row once more by its scalar norm, after the
     # vertices: this moves last bits (and a vectorized norm would move others)
     # on which witness ties and certificate frames have always depended
-    A = np.array([a / float(np.linalg.norm(a)) for a in A]).reshape(-1, dim)
-    P = HPolytope(dim, A, b, empty=empty, degenerate=degenerate)
-    if not empty:
-        object.__setattr__(P, "_vertices", verts)
-    if degenerate:
-        return P
-    # facets are built on demand; dropping rows needs only their volumes
-    keep = [i for i in range(A.shape[0]) if _facet_volume(P, i) > GEOM_TOL]
-    if len(keep) < A.shape[0]:
-        inc, pulls = _lattice(P)
-        P = HPolytope(dim, A[keep], b[keep])
-        for name, value in (("_vertices", verts), ("_incidence", inc[:, keep]),
-                            ("_pulls", pulls)):
-            object.__setattr__(P, name, value)
+    An = np.array([a / float(np.linalg.norm(a)) for a in A[order]]).reshape(-1, dim)
+    Bn = B[:, order]
+    out = [None] * B.shape[0]
+    for rows, V in _vertex_groups(A, B, dim):
+        for k, P in zip(rows, _bodies(An, Bn[rows], V)):
+            out[k] = P
+    out = [HPolytope(dim, An, Bn[k], empty=True, degenerate=True) if P is None else P
+           for k, P in enumerate(out)]
+    return out[0] if one else out
+
+
+def _cached(P: HPolytope, **caches) -> HPolytope:
+    for name, value in caches.items():
+        object.__setattr__(P, name, value)
     return P
+
+
+def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
+    """The bodies {x : A x <= B[k]} with canonical rows and vertex sets V[k]
+    (s, q, d), flagged degenerate unless full-dimensional.
+
+    Full-dimensional bodies with one incidence share their face
+    triangulations, which the incidence alone determines: their facet
+    volumes are one stacked determinant per row, and those that keep the
+    same rows share one memo of pulled faces.
+    """
+    s, q, dim = V.shape
+    out = [None] * s
+    full = np.zeros(s, dtype=bool)
+    if q >= dim + 1:
+        full = np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim
+    for k in np.flatnonzero(~full):
+        out[k] = _cached(HPolytope(dim, A, B[k], degenerate=True), _vertices=V[k])
+    rows = np.flatnonzero(full)
+    if rows.size == 0:
+        return out
+    inc = np.abs(np.matmul(V[rows], A.T) - B[rows, None, :]) <= INCIDENCE_TOL
+    patterns, which = np.unique(inc.reshape(rows.size, -1), axis=0, return_inverse=True)
+    for p, pattern in enumerate(patterns):
+        pinc = pattern.reshape(q, -1)
+        members = rows[which.ravel() == p]
+        Vm = V[members]
+        memo: dict = {}
+        vols = np.zeros((members.size, A.shape[0]))
+        for i in range(A.shape[0]):
+            S = np.flatnonzero(pinc[:, i])
+            if S.size < dim:
+                continue
+            cells = Vm[:, _pull(pinc, S, dim - 1, memo)]  # (members, m, d, d)
+            normal = np.broadcast_to(A[i], cells.shape[:2] + (1, dim))
+            edges = np.concatenate([normal, cells[:, :, 1:] - cells[:, :, :1]], axis=2)
+            vols[:, i] = np.abs(np.linalg.det(edges)).sum(axis=1) / math.factorial(dim - 1)
+        keeps, kind = np.unique(vols > GEOM_TOL, axis=0, return_inverse=True)
+        for j, keep in enumerate(keeps):
+            Ak, kinc, pulls = A[keep], pinc[:, keep], dict(memo)
+            for k in members[kind.ravel() == j]:
+                out[k] = _cached(HPolytope(dim, Ak, B[k][keep]), _vertices=V[k],
+                                 _incidence=kinc, _pulls=pulls)
+    return out
 
 
 def normalize(raw_halfspaces, dim: int) -> HPolytope:
@@ -398,19 +467,6 @@ def _content(cells: np.ndarray) -> np.ndarray:
     if n > k:
         return np.sqrt(np.abs(np.linalg.det(E @ E.transpose(0, 2, 1)))) / math.factorial(k)
     return np.abs(np.linalg.det(E)) / math.factorial(k)
-
-
-def _facet_volume(P: HPolytope, i: int) -> float:
-    """(d-1)-volume of the face of a full-dimensional P on row i: |det| of
-    each pulled simplex's edges with the row's unit normal added."""
-    inc, memo = _lattice(P)
-    S = np.flatnonzero(inc[:, i])
-    if S.size < P.dim:
-        return 0.0
-    cells = P.vertex_array()[_pull(inc, S, P.dim - 1, memo)]
-    normal = np.broadcast_to(P.A[i], (cells.shape[0], 1, P.dim))
-    edges = np.concatenate([normal, cells[:, 1:] - cells[:, :1]], axis=1)
-    return float(np.abs(np.linalg.det(edges)).sum()) / math.factorial(P.dim - 1)
 
 
 def _facet_chart(P: HPolytope, i: int) -> Facet | None:
@@ -571,17 +627,26 @@ def symmetry_center_oracle(P: HPolytope, tol: float = 1e-7) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def translate_intersection(P: HPolytope, t) -> HPolytope:
-    """P intersected with its translate P + t.
+def translate_intersections(P: HPolytope, T) -> list[HPolytope]:
+    """P intersected with its translate P + t, for every row t of the shift
+    array T (s, d).
 
-    Uses the representation with the same normals and offsets
-    min(b_i, b_i + <a_i, t>), then re-canonicalizes. Empty or degenerate
-    results come back flagged, never raised.
+    Each keeps the normals of P with offsets min(b_i, b_i + <a_i, t>), so all
+    share the vertex systems of P: one stacked solve finds every shift's
+    vertex candidates and sorts out the empty shifts, and only the live
+    translates are built, from their feasible candidates and their incidence.
+    Empty or degenerate results come back flagged, never raised.
     """
-    t = np.asarray(t, dtype=float).reshape(P.dim)
-    A, b = P.A, P.b
-    m = np.minimum(b, b + A @ t)
-    return _reduce(A, m, P.dim)
+    T = np.asarray(T, dtype=float).reshape(-1, P.dim)
+    # a stacked matrix-vector product: every row has the bits of A @ t
+    offsets = np.minimum(P.b, P.b + np.matmul(P.A, T[..., None])[..., 0])
+    return _reduce(P.A, offsets, P.dim)
+
+
+def translate_intersection(P: HPolytope, t) -> HPolytope:
+    """P intersected with P + t for one shift t: the one-row case of
+    translate_intersections."""
+    return translate_intersections(P, np.reshape(t, (1, P.dim)))[0]
 
 
 # ---------------------------------------------------------------------------

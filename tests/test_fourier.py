@@ -458,7 +458,7 @@ def _axis_sigma_reference(Qt, lams):
         if F.dim == 1:
             out[:] = phases
         else:
-            out[:] = phases * _ft_simplices(F.simplices, lams @ F.tangent)
+            out[:] = phases * _ft_simplices([(F.simplices, lams @ F.tangent)])[0]
     return sa, sb
 
 
@@ -483,8 +483,9 @@ def test_axis_sigmas_match_the_scan_formula(pentagon):
         # round <lam, origin> and the tangent coordinates an ulp apart; with
         # frame coordinates below 2 a phase moves by a few ulps of 4*pi*|lam|_1
         rel = 4 * np.finfo(float).eps * 4 * np.pi * np.abs(lams).sum(axis=1)
-        for Qt in Qts:
-            for got, ref in zip(axis_sigmas(Qt, lams), _axis_sigma_reference(Qt, lams)):
+        sa, sb = axis_sigmas(Qts, lams)
+        for Qt, got_a, got_b in zip(Qts, sa, sb):
+            for got, ref in zip((got_a, got_b), _axis_sigma_reference(Qt, lams)):
                 assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
 
 

@@ -26,10 +26,11 @@ from gonb import (
     stft_indicator,
     stft_indicator_quadrature,
     translate_intersection,
+    translate_intersections,
     volume,
 )
 from gonb import fourier, gabor
-from gonb.gabor import _unique_signed_diffs, build_axis_frame, window_fingerprint
+from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import is_symmetric
 
@@ -289,6 +290,49 @@ def test_check_orthogonality_float_points_report_their_pairs(pentagon):
         assert abs(stft_indicator(pentagon, w[:2], w[2:]) - rep.value) <= 1e-10
 
 
+def _counted_kernel(monkeypatch):
+    """Record the node-row shape of every fourier.divdiff_exp call."""
+    calls = []
+    kernel = fourier.divdiff_exp
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return kernel(z)
+
+    monkeypatch.setattr(fourier, "divdiff_exp", counted)
+    return calls
+
+
+def test_check_orthogonality_float_points_batch_their_transforms(pentagon, monkeypatch):
+    """The 40 float points above: one divided-difference call covers every
+    live shift group (each node row holds d + 1 nodes), and every reported
+    value is the one-shift stft_indicator value bit for bit."""
+    L = TimeFrequencySet(np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)))
+    calls = _counted_kernel(monkeypatch)
+    out = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+    assert [width for _, width in calls] == [3]
+    monkeypatch.undo()
+    assert len(out) > 8
+    for rep in out:
+        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        assert stft_indicator(pentagon, w[:2], w[2:]) == rep.value
+
+
+# check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):
+# 19,900 time shifts, 15,297 live translates. 2.5 x the slowest of ten
+# measured runs (0.98-1.28 s; 2-core VM, Python 3.11, numpy 2.4)
+FLOAT_200_BUDGET_S = 3.2
+
+
+def test_check_orthogonality_200_float_points_within_budget(pentagon):
+    L = TimeFrequencySet(np.random.default_rng(0).uniform(-1.5, 1.5, (200, 4)))
+    t0 = time.perf_counter()
+    out = check_orthogonality(pentagon, L, confirm=False)
+    elapsed = time.perf_counter() - t0
+    assert len(out) == 64 and all(rep.abs_value > TOL_ZERO for rep in out)
+    assert elapsed < FLOAT_200_BUDGET_S, f"{elapsed:.2f} s"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -2e6])
 def test_tf_set_rejects_bad_coordinates(bad):
     pts = np.zeros((3, 4))
@@ -318,17 +362,47 @@ def test_build_certificate_pentagon(pentagon):
 
 
 def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch):
-    """eta, delta, C and the verify scan share one translate per ball shift."""
+    """eta, delta, C and the verify scan share one translate batch over the
+    ball shifts, and no shift is intersected on its own."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return translate_intersection(*args)
+    def counted(P, T):
+        calls.append(np.asarray(T).shape[0])
+        return translate_intersections(P, T)
 
-    monkeypatch.setattr(gabor, "translate_intersection", counted)
-    monkeypatch.setattr(fourier, "translate_intersection", counted, raising=False)
+    def single(*args):
+        raise AssertionError("one-shift translate in the certificate")
+
+    monkeypatch.setattr(gabor, "translate_intersections", counted)
+    monkeypatch.setattr(gabor, "translate_intersection", single)
+    monkeypatch.setattr(fourier, "translate_intersection", single, raising=False)
     cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
-    assert len(calls) == cert.provenance.n_t == 17
+    assert calls == [cert.provenance.n_t] == [17]
+
+
+def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
+    """Divided-difference calls of the pentagon certificate (204 when every
+    translate and facet had its own): with chunks that hold a whole stage,
+    one per delta halving, one for the cone constant and one per node width
+    of the verify scan; at the shipped chunk size (43 calls) no call exceeds
+    a chunk."""
+    calls = _counted_kernel(monkeypatch)
+    build_certificate(pentagon, 0.2, 0.2)
+    assert len(calls) <= 48
+    assert max(rows for rows, _ in calls) <= fourier._CHUNK_ROWS
+    calls.clear()
+    monkeypatch.setattr(fourier, "_CHUNK_ROWS", 1 << 20)
+    build_certificate(pentagon, 0.2, 0.2)
+    assert len(calls) <= 12
+
+
+def test_certificate_min_abs_is_the_stft_value(pentagon):
+    """The verify scan divides by vol(Q) as stft_indicator does, so |V| at
+    min_abs_point is the one-shift STFT of the frame window there."""
+    cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
+    t, lam = cert.provenance.min_abs_point
+    Q = fourier.apply_frame(pentagon, cert.frame)
+    assert abs(stft_indicator(Q, t, lam)) == cert.min_abs_scanned
 
 
 def test_certificate_cone_is_the_ball_maximum(pentagon):

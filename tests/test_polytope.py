@@ -19,10 +19,12 @@ from gonb import (
     normalize,
     symmetry_center_oracle,
     translate_intersection,
+    translate_intersections,
     triangulate,
     vertices,
     volume,
 )
+from gonb import polytope
 from gonb.polytope import (
     _check_bounded,
     _face_facets,
@@ -502,6 +504,46 @@ def test_translate_containment_and_reflection(seed):
     R = translate_intersection(P, -t)
     if not R.empty:
         assert vertex_set_equal(R.vertex_array(), Q.vertex_array() - t, tol=1e-8)
+
+
+def _translate_bits(Q):
+    """A translate's rows, flags, vertices and triangulation, as bytes."""
+    return (Q.A.tobytes(), Q.b.tobytes(), Q.empty, Q.degenerate,
+            Q.vertex_array().tobytes(), triangulate(Q).tobytes())
+
+
+@pytest.mark.parametrize("name", ["pentagon", "cut cube", "unit 4-cube"])
+def test_batched_translates_match_one_shift_translates(name, pentagon, monkeypatch):
+    """One batch over random shifts and shifts that empty the body gives each
+    translate the bits of its own one-shift call, also when the candidate
+    solve runs a few shifts at a time."""
+    P = {"pentagon": pentagon, "cut cube": cut_cube(),
+         "unit 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)), 4)}[name]
+    rng = np.random.default_rng(3)
+    far = rng.uniform(3.0, 4.0, (3, P.dim)) * rng.choice([-1.0, 1.0], (3, P.dim))
+    T = np.concatenate([rng.uniform(-1.2, 1.2, (30, P.dim)), far, np.zeros((1, P.dim))])
+    single = [_translate_bits(translate_intersection(P, t)) for t in T]
+    assert [_translate_bits(Q) for Q in translate_intersections(P, T)] == single
+    assert all(empty for _, _, empty, *_ in single[30:33])
+    monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 2 * math.comb(P.A.shape[0], P.dim))
+    assert [_translate_bits(Q) for Q in translate_intersections(P, T)] == single
+
+
+def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube):
+    """A touching shift comes back degenerate and a 5e-8 slab keeps its
+    volume inside a batch, as in their one-shift calls."""
+    width = 5e-8
+    shifts = [(1.0, 0.0), (1 - width, 0.0), (0.5, 0.25), (3.0, 0.0)]
+    touching, slab, overlap, far = Qs = translate_intersections(unit_square, shifts)
+    assert touching.degenerate and not touching.empty and volume(touching) == 0.0
+    assert volume(slab) == pytest.approx(width, rel=1e-6)
+    assert volume(overlap) == pytest.approx(0.375, abs=1e-15) and far.empty
+    cube_shifts = [(1 - width, 0.3, 0.0), (0.2, -0.3, 0.1)]
+    cubes = translate_intersections(unit_cube, cube_shifts)
+    assert volume(cubes[0]) == pytest.approx(0.7 * width, rel=1e-6)
+    for P, T, batch in ((unit_square, shifts, Qs), (unit_cube, cube_shifts, cubes)):
+        assert [_translate_bits(Q) for Q in batch] == \
+            [_translate_bits(translate_intersection(P, t)) for t in T]
 
 
 def test_facet_convergence_along_shrinking_translates(pentagon):
