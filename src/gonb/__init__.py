@@ -29,13 +29,11 @@ from .fourier import (
     ConeScanParams,
     ScanGrid,
     apply_frame,
-    ball_cone_constant,
     cone_constant,
     divergence_residual,
     ft_facet_measure,
     ft_indicator,
     ft_indicator_quadrature,
-    ft_indicators,
     sigma_bound,
 )
 from .gabor import (
@@ -65,7 +63,6 @@ from .polytope import (
     normalize,
     symmetry_center_oracle,
     translate_intersection,
-    translate_intersections,
     triangulate,
     vertices,
     volume,

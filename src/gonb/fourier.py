@@ -12,9 +12,10 @@ kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
 mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
 row has the same bits in any batch: the transforms of many bodies or facets
-(``ft_indicators``, ``axis_sigmas``, ``ball_cone_constant``) share one batch
-of node rows, one kernel call per chunk of _CHUNK_ROWS rows, and a
-certificate stage costs one batched call over all its translates.
+(``_ft_indicators``, ``_axis_sigmas``, ``_ball_cone_constant``) share one
+batch of node rows, one kernel call per chunk of _CHUNK_ROWS rows, and a
+certificate stage costs one batched call per block of _BODY_ROWS
+(translate x frequency) pairs.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -51,6 +52,12 @@ _SERIES_TERMS = 20
 # 16,384 and 4,096 rows raised the pentagon certificate's peak RSS by about
 # 5.5 and 1.7 MB, against 1.0 MB at 2,048)
 _CHUNK_ROWS = 1 << 11
+# (body x frequency) pairs a batch over bodies holds at once: the batch keeps
+# about 100 bytes a pair in values, frequency copies and index arrays (the
+# 223,008 pairs of the 3-d cut-cube certificate scan raised peak RSS by 19 MB
+# in one batch), so a block stays near 3 MB; the pentagon certificate's
+# stages (at most 17,408 pairs) each fit one block
+_BODY_ROWS = 1 << 15
 _QUAD_CHUNK = 500_000  # (grid row x frequency) terms the quadrature holds at once
 
 
@@ -204,7 +211,20 @@ def _ft_simplices(parts) -> list[np.ndarray]:
     return np.split(vals, np.cumsum(sizes)[:-1])
 
 
-def ft_indicators(bodies, lams) -> list[np.ndarray]:
+def _body_blocks(rows) -> list[slice]:
+    """Runs of consecutive bodies, one count of rows per body, that hold at
+    most _BODY_ROWS rows each; a body with more rows is a run of its own."""
+    ends = np.cumsum(rows)
+    blocks, start = [], 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BODY_ROWS, side="right")))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
+def _ft_indicators(bodies, lams) -> list[np.ndarray]:
     """ft_indicator of each body at its frequency rows lams[i] (n_i, d), all
     node rows through one divided-difference batch."""
     lams = [_freqs(lam, P.dim)[0] for P, lam in zip(bodies, lams)]
@@ -219,7 +239,7 @@ def ft_indicator(P: HPolytope, lam):
     """Fourier transform of the indicator of P at each row of lam (n, d); a
     1-D lam returns a complex."""
     lams, one = _freqs(lam, P.dim)
-    vals = ft_indicators([P], [lams])[0]
+    vals = _ft_indicators([P], [lams])[0]
     return complex(vals[0]) if one else vals
 
 
@@ -445,10 +465,9 @@ def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]
     return fs, fa, fb
 
 
-def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_A, sigma_B), each (len(bodies), n): ft_facet_measure of the
-    facets of each body with unit normals -e1 and +e1 at the rows of lams
-    (n, d), zeros where a facet is absent; FrameMismatch when both are."""
+def _axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """axis_sigmas of each body at the rows of lams (n, d), as two
+    (len(bodies), n) arrays."""
     pairs = [_axis_facets(Q)[1:] for Q in bodies]
     present = [(i, side, F) for i, pair in enumerate(pairs) for side, F in enumerate(pair)
                if F is not None]
@@ -457,6 +476,14 @@ def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for (i, side, _), v in zip(present, vals):
         out[side, i] = v
     return out[0], out[1]
+
+
+def axis_sigmas(Q: HPolytope, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_A, sigma_B): ft_facet_measure of the facets of Q with unit
+    normals -e1 and +e1 at each row of lams (n, d), zeros where a facet is
+    absent; FrameMismatch when both are."""
+    (sa,), (sb,) = _axis_sigmas([Q], lams)
+    return sa, sb
 
 
 def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
@@ -491,7 +518,7 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
     if via_boundary:
         vals = _boundary_residuals([Q], lams)[0]
     else:
-        (sa,), (sb,) = axis_sigmas([Q], lams)
+        sa, sb = axis_sigmas(Q, lams)
         vals = -2j * np.pi * lams[:, 0] * ft_indicator(Q, lams) + sa - sb
     return complex(vals[0]) if one else vals
 
@@ -539,20 +566,21 @@ def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarr
     return np.concatenate([r, r * np.tile(cross, (lam1.size, 1))], axis=1)
 
 
-def ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
-                       params: ConeScanParams = ConeScanParams()) -> ConeBound:
+def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
+                        params: ConeScanParams = ConeScanParams()) -> ConeBound:
     """Numeric constant C with |G(lam)| <= C / |lam_1| on the scanned cone
     for every body, the translates (in frame coordinates) at the rows of
     shifts.
 
     Takes the first maximum of |lam_1| * |G(lam)| in (shift, lam) order from
-    one boundary-route residual batch, with the smallest facet angle seen.
-    Raises ConeTooWide when a scanned direction is within GEOM_TOL of a
-    non-axis facet normal.
+    boundary-route residual batches over blocks of bodies, with the smallest
+    facet angle seen. Raises ConeTooWide when a scanned direction is within
+    GEOM_TOL of a non-axis facet normal.
     """
     d = shifts.shape[1]
     lam_grid = cone_lambda_grid(d, omega, params)
     min_sin = 1.0
+    rows = []  # (facet x frequency) rows of each body's residual
     for Q in bodies:
         fs, fa, fb = _axis_facets(Q)
         normals = np.array([F.normal for F in fs if F is not fa and F is not fb]).reshape(-1, d)
@@ -564,17 +592,23 @@ def ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
             raise ConeTooWide(f"scanned direction parallel to a facet normal "
                               f"(min sin theta = {low:.3e})")
         min_sin = min(min_sin, low)
-    g = np.array(_boundary_residuals(bodies, lam_grid)).reshape(-1, lam_grid.shape[0])
-    vals = np.abs(lam_grid[:, 0]) * np.abs(g)
-    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return ConeBound(float(vals[i, k]), shifts[i].copy(), lam_grid[k].copy(), min_sin)
+        rows.append(normals.shape[0] * lam_grid.shape[0])
+    best = (-1.0, 0, 0)
+    for blk in _body_blocks(rows):
+        g = np.array(_boundary_residuals(bodies[blk], lam_grid)).reshape(-1, lam_grid.shape[0])
+        vals = np.abs(lam_grid[:, 0]) * np.abs(g)
+        i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, k] > best[0]:
+            best = (float(vals[i, k]), blk.start + int(i), int(k))
+    value, i, k = best
+    return ConeBound(value, shifts[i].copy(), lam_grid[k].copy(), min_sin)
 
 
 def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
                   params: ConeScanParams = ConeScanParams()) -> ConeBound:
-    """ball_cone_constant of the one body apply_frame(P, frame); arg_t is
+    """_ball_cone_constant of the one body apply_frame(P, frame); arg_t is
     zero."""
-    return ball_cone_constant([apply_frame(P, frame)], np.zeros((1, P.dim)), omega, params)
+    return _ball_cone_constant([apply_frame(P, frame)], np.zeros((1, P.dim)), omega, params)
 
 
 # ---------------------------------------------------------------------------

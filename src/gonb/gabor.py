@@ -32,24 +32,25 @@ from .fourier import (
     AxisFrame,
     ConeBound,
     ConeScanParams,
+    _axis_sigmas,
+    _ball_cone_constant,
+    _body_blocks,
     _freqs,
+    _ft_indicators,
     apply_frame,
-    axis_sigmas,
-    ball_cone_constant,
     ft_indicator,
     ft_indicator_quadrature,
-    ft_indicators,
 )
 from .polytope import (
     Facet,
     GEOM_TOL,
     HPolytope,
+    _translate_intersections,
     ball_grid,
     facet_gap,
     is_symmetric,
     tangent_basis,
     translate_intersection,
-    translate_intersections,
     volume,
 )
 
@@ -322,8 +323,8 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
         raise ValueError("time-frequency set dimension mismatch")
     _, first, second = _unique_signed_diffs(L.points)
     # each distinct difference is evaluated at the exact difference of its
-    # generating pair, grouped by time shift: one translate batch over the
-    # shifts and one transform batch over the live ones
+    # generating pair, grouped by time shift: one translate batch per block
+    # of shifts and one transform batch per block of live shift groups
     W = L.points[first] - L.points[second]
     shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
@@ -333,11 +334,13 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
         hi = min(lo + SHIFT_BLOCK, shifts.shape[0])
         base = ends[lo - 1] if lo else 0
         groups = np.split(order[base:ends[hi - 1]], ends[lo:hi - 1] - base)
-        Qs = translate_intersections(P, shifts[lo:hi])
+        Qs = _translate_intersections(P, shifts[lo:hi])
         live = [g for g, Q in enumerate(Qs) if not (Q.empty or Q.degenerate)]
-        vals = ft_indicators([Qs[g] for g in live], [W[groups[g], d:] for g in live])
-        for g, v in zip(live, vals):
-            values[groups[g]] = _per_volume(v, vol)
+        for blk in _body_blocks([groups[g].size for g in live]):
+            vals = _ft_indicators([Qs[g] for g in live[blk]],
+                                  [W[groups[g], d:] for g in live[blk]])
+            for g, v in zip(live[blk], vals):
+                values[groups[g]] = _per_volume(v, vol)
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
@@ -437,13 +440,43 @@ def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
     return AxisFrame(F.origin, U, float(s))
 
 
-def _axis_gap_profile(Qts: list[HPolytope], transverse: np.ndarray) -> np.ndarray:
-    """Phase-robust lower bound | |sigma_A| - |sigma_B| | of each translate
-    (rows) on the cylinder cross-section (independent of the axial
+def _axis_gap(Qts: list[HPolytope], transverse: np.ndarray) -> float:
+    """Least phase-robust lower bound | |sigma_A| - |sigma_B| | over the
+    translates on the cylinder cross-section (independent of the axial
     frequency)."""
     lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1)
-    sa, sb = axis_sigmas(Qts, lams)
-    return np.abs(np.abs(sa) - np.abs(sb))
+    worst = np.inf
+    for blk in _body_blocks([lams.shape[0]] * len(Qts)):
+        sa, sb = _axis_sigmas(Qts[blk], lams)
+        worst = min(worst, float(np.abs(np.abs(sa) - np.abs(sb)).min()))
+    return worst
+
+
+def _verify_scan(Qts: list[HPolytope], lams: np.ndarray, vol_q: float):
+    """The verify scan of the translates Qts at the rows of lams, block by
+    block of translates: the least sigma gap, the largest |lam_1| * |G|, the
+    least |V| of each translate with its first frequency index, and the
+    least |V| at each frequency over the translates."""
+    gaps, l1gs, mins, ks = [], [], [], []
+    low = np.full(lams.shape[0], np.inf)
+    for blk in _body_blocks([lams.shape[0]] * len(Qts)):
+        # rows are translates, columns frequencies
+        sa, sb = _axis_sigmas(Qts[blk], lams)
+        ft = np.array(_ft_indicators(Qts[blk], [lams] * sa.shape[0]))
+        V = _per_volume(ft, vol_q)
+        abs_v = np.abs(V)
+        # G through the round trip (ft / vol) * vol: max_axial_residual is
+        # recorded to the bit
+        g = -2j * np.pi * lams[:, 0] * ((ft / vol_q) * vol_q) + sa - sb
+        gaps.append(float(np.abs(np.abs(sa) - np.abs(sb)).min()))
+        l1gs.append(float((np.abs(lams[:, 0]) * np.abs(g)).max()))
+        # each translate's first minimum as a complex abs (which can differ
+        # from np.abs in the last bit), the value gonb stft reports there
+        k = np.argmin(abs_v, axis=1)
+        mins += [abs(complex(v)) for v in V[np.arange(k.size), k]]
+        ks += k.tolist()
+        low = np.minimum(low, abs_v.min(axis=0))
+    return min(gaps), max(l1gs), mins, ks, low
 
 
 def _transverse_grid(d: int, radius: float, n_cross: int) -> np.ndarray:
@@ -482,7 +515,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     e1[0] = 1.0
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
-    Qts = translate_intersections(Q, tgrid)
+    Qts = _translate_intersections(Q, tgrid)
     eta = min(facet_gap(Qt, -e1, e1) for Qt in Qts)
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
@@ -494,7 +527,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     delta = 0.5
     for _ in range(14):
         tr = _transverse_grid(d, 2 * delta * (1 - 1e-9), params.n_cross)
-        worst = float(_axis_gap_profile(Qts, tr).min())
+        worst = _axis_gap(Qts, tr)
         if worst >= 0.9 * eta:
             break
         delta *= 0.5
@@ -509,7 +542,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     cone_params = ConeScanParams(r0=max(0.95 * 2 * delta / omega, 1e-3),
                                  r1=params.lambda_max, n_radial=params.cone_n_radial,
                                  n_cross=params.cone_n_cross)
-    cone = ball_cone_constant(Qts, tgrid, omega, cone_params)
+    cone = _ball_cone_constant(Qts, tgrid, omega, cone_params)
     C = cone.value
     R = max(2.0 * C / eta, entry)
 
@@ -521,24 +554,11 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         lams = np.concatenate(
             [np.repeat(lam1, tr.shape[0])[:, None],
              np.tile(tr, (lam1.shape[0], 1))], axis=1)
-        # rows are translates, columns frequencies
-        sa, sb = axis_sigmas(Qts, lams)
-        ft = np.array(ft_indicators(Qts, [lams] * len(Qts)))
-        V = _per_volume(ft, vol_q)
-        abs_v = np.abs(V)
-        # G through the round trip (ft / vol) * vol: max_axial_residual is
-        # recorded to the bit
-        g = -2j * np.pi * lams[:, 0] * ((ft / vol_q) * vol_q) + sa - sb
-        min_gap = float(np.abs(np.abs(sa) - np.abs(sb)).min())
-        max_l1g = float((np.abs(lams[:, 0]) * np.abs(g)).max())
-        # each translate's first minimum, then the first translate whose
-        # minimum is least as a complex abs (which can differ from np.abs in
-        # the last bit), the value gonb stft reports there
-        k = np.argmin(abs_v, axis=1)
-        mins = [abs(complex(v)) for v in V[np.arange(len(Qts)), k]]
+        min_gap, max_l1g, mins, ks, low = _verify_scan(Qts, lams, vol_q)
+        # the first translate whose minimum is least
         i = int(np.argmin(mins))
         min_abs = mins[i]
-        min_abs_at = (tgrid[i].copy(), lams[k[i]].copy())
+        min_abs_at = (tgrid[i].copy(), lams[ks[i]].copy())
         eta_new = min(eta, min_gap)
         C_new = max(C, max_l1g)
         if eta_new <= 1e-12:
@@ -556,9 +576,11 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
             f"|V| = {min_abs:.3e} at a scanned point; parameters falsified")
 
     # pointwise chain slack: |V| >= (eta - C/l1) / (2 pi vol l1), guaranteed
-    # once eta <= every sigma gap and C >= every |l1 G| on the scan
+    # once eta <= every sigma gap and C >= every |l1 G| on the scan; the
+    # bound only depends on the frequency, and subtracting it is monotone,
+    # so the least |V| at each frequency gives the least slack to the bit
     bound = (eta - C / lams[:, 0]) / (2 * np.pi * vol_q * lams[:, 0])
-    slack = float((abs_v - bound).min())
+    slack = float((low - bound).min())
 
     prov = CertificateProvenance(
         window_fingerprint(P), int(len(tgrid) * lams.shape[0]), len(tgrid),

@@ -627,7 +627,7 @@ def symmetry_center_oracle(P: HPolytope, tol: float = 1e-7) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def translate_intersections(P: HPolytope, T) -> list[HPolytope]:
+def _translate_intersections(P: HPolytope, T) -> list[HPolytope]:
     """P intersected with its translate P + t, for every row t of the shift
     array T (s, d).
 
@@ -645,8 +645,8 @@ def translate_intersections(P: HPolytope, T) -> list[HPolytope]:
 
 def translate_intersection(P: HPolytope, t) -> HPolytope:
     """P intersected with P + t for one shift t: the one-row case of
-    translate_intersections."""
-    return translate_intersections(P, np.reshape(t, (1, P.dim)))[0]
+    _translate_intersections."""
+    return _translate_intersections(P, np.reshape(t, (1, P.dim)))[0]
 
 
 # ---------------------------------------------------------------------------

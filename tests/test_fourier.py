@@ -25,6 +25,7 @@ from gonb import (
 )
 from gonb.fourier import (
     _axis_facets,
+    _axis_sigmas,
     _ft_simplices,
     apply_frame,
     axis_sigmas,
@@ -475,6 +476,8 @@ def _certificate_translates(P, eps, n_angles, n_radii):
 
 
 def test_axis_sigmas_match_the_scan_formula(pentagon):
+    """One-body axis_sigmas against the scan formula; the batch over the
+    translates gives each translate the bits of its one-body call."""
     cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
     # the default translate grid in 2-d, the reduced one of the 3-d certificate test
     for P, grid in ((pentagon, (8, 2)), (normalize(cube + [((1, 1, 0), 1.5)], 3), (4, 1))):
@@ -483,9 +486,11 @@ def test_axis_sigmas_match_the_scan_formula(pentagon):
         # round <lam, origin> and the tangent coordinates an ulp apart; with
         # frame coordinates below 2 a phase moves by a few ulps of 4*pi*|lam|_1
         rel = 4 * np.finfo(float).eps * 4 * np.pi * np.abs(lams).sum(axis=1)
-        sa, sb = axis_sigmas(Qts, lams)
+        sa, sb = _axis_sigmas(Qts, lams)
         for Qt, got_a, got_b in zip(Qts, sa, sb):
-            for got, ref in zip((got_a, got_b), _axis_sigma_reference(Qt, lams)):
+            one = axis_sigmas(Qt, lams)
+            assert np.array_equal(got_a, one[0]) and np.array_equal(got_b, one[1])
+            for got, ref in zip(one, _axis_sigma_reference(Qt, lams)):
                 assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
 
 

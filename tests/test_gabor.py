@@ -26,13 +26,12 @@ from gonb import (
     stft_indicator,
     stft_indicator_quadrature,
     translate_intersection,
-    translate_intersections,
     volume,
 )
 from gonb import fourier, gabor
 from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
-from gonb.polytope import is_symmetric
+from gonb.polytope import _translate_intersections, is_symmetric
 
 from conftest import PENTAGON_VERTICES, ball_cone_bounds, random_polygon
 
@@ -318,6 +317,20 @@ def test_check_orthogonality_float_points_batch_their_transforms(pentagon, monke
         assert stft_indicator(pentagon, w[:2], w[2:]) == rep.value
 
 
+def test_check_orthogonality_blocks_of_shift_groups_keep_the_reports(pentagon, monkeypatch):
+    """Transform batches of at most fourier._BODY_ROWS frequency rows give
+    the reports of one batch over every live shift group, value for value."""
+    L = TimeFrequencySet(np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)))
+    whole = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+    calls = _counted_kernel(monkeypatch)
+    monkeypatch.setattr(fourier, "_BODY_ROWS", 7)
+    blocked = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+    assert len(calls) > 1
+    assert [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value)
+            for r in blocked] == [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(),
+                                   r.value) for r in whole]
+
+
 # check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):
 # 19,900 time shifts, 15,297 live translates. 2.5 x the slowest of ten
 # measured runs (0.98-1.28 s; 2-core VM, Python 3.11, numpy 2.4)
@@ -368,12 +381,12 @@ def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch
 
     def counted(P, T):
         calls.append(np.asarray(T).shape[0])
-        return translate_intersections(P, T)
+        return _translate_intersections(P, T)
 
     def single(*args):
         raise AssertionError("one-shift translate in the certificate")
 
-    monkeypatch.setattr(gabor, "translate_intersections", counted)
+    monkeypatch.setattr(gabor, "_translate_intersections", counted)
     monkeypatch.setattr(gabor, "translate_intersection", single)
     monkeypatch.setattr(fourier, "translate_intersection", single, raising=False)
     cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
@@ -394,6 +407,35 @@ def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
     monkeypatch.setattr(fourier, "_CHUNK_ROWS", 1 << 20)
     build_certificate(pentagon, 0.2, 0.2)
     assert len(calls) <= 12
+
+
+def _certificate_bits(cert):
+    pv = cert.provenance
+    return (cert.eps, cert.delta, cert.R, cert.omega, cert.eta, cert.C, cert.min_abs_scanned,
+            pv.n_scan_points, pv.min_sigma_gap, pv.max_axial_residual, pv.min_chain_slack,
+            pv.cone.value, pv.cone.min_sin_theta,
+            *(tuple(x) for x in (pv.cone.arg_t, pv.cone.arg_lam, *pv.min_abs_point)))
+
+
+def test_certificate_stages_run_in_blocks_of_translates(pentagon, monkeypatch):
+    """The pentagon certificate's stages each fit one block of
+    fourier._BODY_ROWS (translate x frequency) pairs; with blocks of one
+    translate no transform batch holds more than one translate's facets at
+    the cone grid (1,024 frequencies), and every field keeps its bits."""
+    whole = build_certificate(pentagon, 0.2, 0.2)
+    rows = []
+    batch = fourier._ft_simplices
+
+    def counted(parts):
+        rows.append(sum(lams.shape[0] for _, lams in parts))
+        return batch(parts)
+
+    monkeypatch.setattr(fourier, "_ft_simplices", counted)
+    monkeypatch.setattr(fourier, "_BODY_ROWS", 1)
+    blocked = build_certificate(pentagon, 0.2, 0.2)
+    assert _certificate_bits(blocked) == _certificate_bits(whole)
+    assert blocked.provenance.n_t == 17 and blocked.provenance.n_lambda == 720
+    assert max(rows) <= 5 * 1024
 
 
 def test_certificate_min_abs_is_the_stft_value(pentagon):

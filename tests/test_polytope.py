@@ -19,7 +19,6 @@ from gonb import (
     normalize,
     symmetry_center_oracle,
     translate_intersection,
-    translate_intersections,
     triangulate,
     vertices,
     volume,
@@ -31,6 +30,7 @@ from gonb.polytope import (
     _lattice,
     _merge_duplicate_normals,
     _reduce,
+    _translate_intersections,
     ball_grid,
     distance_to_polytope,
     _distance_to_facets,
@@ -523,10 +523,10 @@ def test_batched_translates_match_one_shift_translates(name, pentagon, monkeypat
     far = rng.uniform(3.0, 4.0, (3, P.dim)) * rng.choice([-1.0, 1.0], (3, P.dim))
     T = np.concatenate([rng.uniform(-1.2, 1.2, (30, P.dim)), far, np.zeros((1, P.dim))])
     single = [_translate_bits(translate_intersection(P, t)) for t in T]
-    assert [_translate_bits(Q) for Q in translate_intersections(P, T)] == single
+    assert [_translate_bits(Q) for Q in _translate_intersections(P, T)] == single
     assert all(empty for _, _, empty, *_ in single[30:33])
     monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 2 * math.comb(P.A.shape[0], P.dim))
-    assert [_translate_bits(Q) for Q in translate_intersections(P, T)] == single
+    assert [_translate_bits(Q) for Q in _translate_intersections(P, T)] == single
 
 
 def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube):
@@ -534,12 +534,12 @@ def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube
     volume inside a batch, as in their one-shift calls."""
     width = 5e-8
     shifts = [(1.0, 0.0), (1 - width, 0.0), (0.5, 0.25), (3.0, 0.0)]
-    touching, slab, overlap, far = Qs = translate_intersections(unit_square, shifts)
+    touching, slab, overlap, far = Qs = _translate_intersections(unit_square, shifts)
     assert touching.degenerate and not touching.empty and volume(touching) == 0.0
     assert volume(slab) == pytest.approx(width, rel=1e-6)
     assert volume(overlap) == pytest.approx(0.375, abs=1e-15) and far.empty
     cube_shifts = [(1 - width, 0.3, 0.0), (0.2, -0.3, 0.1)]
-    cubes = translate_intersections(unit_cube, cube_shifts)
+    cubes = _translate_intersections(unit_cube, cube_shifts)
     assert volume(cubes[0]) == pytest.approx(0.7 * width, rel=1e-6)
     for P, T, batch in ((unit_square, shifts, Qs), (unit_cube, cube_shifts, cubes)):
         assert [_translate_bits(Q) for Q in batch] == \
