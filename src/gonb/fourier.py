@@ -12,10 +12,12 @@ kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
 mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
 row has the same bits in any batch: the transforms of many bodies or facets
-(``_ft_indicators``, ``_axis_sigmas``, ``_ball_cone_constant``) share one
-batch of node rows, one kernel call per chunk of _CHUNK_ROWS rows, and a
-certificate stage costs one batched call per block of _BODY_ROWS
-(translate x frequency) pairs.
+(``_ft_indicators``, ``_axis_sigmas``, ``_axis_residuals``,
+``_ball_cone_constant``) share one batch of node rows. One cutter, ``_runs``,
+splits consecutive items by a row budget: node rows reach the kernel in runs
+of at most _CHUNK_ROWS rows, and bodies reach a batch in runs of at most
+_BODY_ROWS (body x frequency) rows, so a certificate stage, or a block of
+shift groups of an orthogonality check, costs one batch per run.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -163,14 +165,28 @@ def _dot(lams: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(sizes, limit: int) -> list[slice]:
+    """Runs of consecutive items, one size per item, that hold at most limit
+    in total each; an item larger than limit is a run of its own."""
+    ends = np.cumsum(sizes)
+    runs, start = [], 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        runs.append(slice(start, stop))
+        start = stop
+    return runs
+
+
 def _ft_simplices(parts) -> list[np.ndarray]:
     """For each part (simp (m, k+1, k), lams (n, k)), the sum over its
     simplices of k! * vol * divdiff at each row of lams.
 
     The (frequency x simplex) node rows of every part go to divdiff_exp
-    together, in chunks of at most _CHUNK_ROWS rows (one frequency's rows when
+    together, in runs of at most _CHUNK_ROWS rows (one frequency's rows when
     they are more); each frequency sums its simplices in order, so a value
-    has the same bits whatever the parts around it.
+    has the same bits whatever the parts around it. A part without
+    simplices gives zeros.
     """
     if not parts:
         return []
@@ -185,54 +201,34 @@ def _ft_simplices(parts) -> list[np.ndarray]:
     sizes = [lams.shape[0] for lams in lamss]
     lams = np.concatenate(lamss)
     part = np.repeat(np.arange(len(simps)), sizes)  # frequency -> part
-    ends = np.cumsum(m[part])  # node rows up to each frequency
+    per_lam = m[part]  # node rows of each frequency
     vals = np.zeros(lams.shape[0], dtype=complex)
-    start = 0
-    while start < lams.shape[0]:
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _CHUNK_ROWS, side="right")))
-        if ends[stop - 1] > base:
-            rows = m[part[start:stop]]
-            lam = np.repeat(np.arange(start, stop), rows)  # node row -> frequency
-            k = np.arange(lam.size) - np.repeat(ends[start:stop] - rows - base, rows)
-            cell = first[part[lam]] + k  # node row -> simplex
-            L, S = lams[lam], simp[cell]
-            y = 0.0  # node by node, the fixed-order sum of _dot
-            for c in range(L.shape[1]):
-                y = y + L[:, c, None] * S[:, :, c]
-            # terms by (frequency, simplex), zero-padded: a sum that starts at
-            # +0 is never -0, so adding a padding zero leaves its bits alone
-            terms = np.zeros((stop - start, int(rows.max())), dtype=complex)
-            terms[lam - start, k] = vols[cell] * divdiff_exp(-2j * np.pi * y)
-            acc = vals[start:stop]
-            for j in range(terms.shape[1]):
-                acc += terms[:, j]
-        start = stop
+    for run in _runs(per_lam, _CHUNK_ROWS):
+        rows = per_lam[run]
+        if not rows.any():
+            continue
+        lam = np.repeat(np.arange(run.start, run.stop), rows)  # node row -> frequency
+        k = np.arange(lam.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        cell = first[part[lam]] + k  # node row -> simplex
+        L, S = lams[lam], simp[cell]
+        y = 0.0  # node by node, the fixed-order sum of _dot
+        for c in range(L.shape[1]):
+            y = y + L[:, c, None] * S[:, :, c]
+        # terms by (frequency, simplex), zero-padded: a sum that starts at
+        # +0 is never -0, so adding a padding zero leaves its bits alone
+        terms = np.zeros((rows.size, int(rows.max())), dtype=complex)
+        terms[lam - run.start, k] = vols[cell] * divdiff_exp(-2j * np.pi * y)
+        acc = vals[run]
+        for j in range(terms.shape[1]):
+            acc += terms[:, j]
     return np.split(vals, np.cumsum(sizes)[:-1])
-
-
-def _body_blocks(rows) -> list[slice]:
-    """Runs of consecutive bodies, one count of rows per body, that hold at
-    most _BODY_ROWS rows each; a body with more rows is a run of its own."""
-    ends = np.cumsum(rows)
-    blocks, start = [], 0
-    while start < ends.size:
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _BODY_ROWS, side="right")))
-        blocks.append(slice(start, stop))
-        start = stop
-    return blocks
 
 
 def _ft_indicators(bodies, lams) -> list[np.ndarray]:
     """ft_indicator of each body at its frequency rows lams[i] (n_i, d), all
-    node rows through one divided-difference batch."""
-    lams = [_freqs(lam, P.dim)[0] for P, lam in zip(bodies, lams)]
-    live = [not (P.empty or P.degenerate) for P in bodies]
-    vals = iter(_ft_simplices([(triangulate(P), lam)
-                               for P, lam, on in zip(bodies, lams, live) if on]))
-    return [next(vals) if on else np.zeros(lam.shape[0], dtype=complex)
-            for lam, on in zip(lams, live)]
+    node rows through one divided-difference batch; an empty or degenerate
+    body has no simplices and gives zeros."""
+    return _ft_simplices([(triangulate(P), _freqs(lam, P.dim)[0]) for P, lam in zip(bodies, lams)])
 
 
 def ft_indicator(P: HPolytope, lam):
@@ -499,6 +495,16 @@ def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
             for rest in rests]
 
 
+def _axis_residuals(bodies, lams: np.ndarray):
+    """(ft, sigma_A, sigma_B, G) of each body at the rows of lams (n, d), as
+    (len(bodies), n) arrays: the indicator transform, the axis facet
+    transforms and the axis-route residual G = -2*pi*i*lam_1*ft + sigma_A -
+    sigma_B."""
+    sa, sb = _axis_sigmas(bodies, lams)
+    ft = np.array(_ft_indicators(bodies, [lams] * len(bodies))).reshape(sa.shape)
+    return ft, sa, sb, -2j * np.pi * lams[:, 0] * ft + sa - sb
+
+
 def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
                         via_boundary: bool = False):
     """Residual G_t(lam) of the axis divergence identity in frame coordinates,
@@ -518,8 +524,7 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
     if via_boundary:
         vals = _boundary_residuals([Q], lams)[0]
     else:
-        sa, sb = axis_sigmas(Q, lams)
-        vals = -2j * np.pi * lams[:, 0] * ft_indicator(Q, lams) + sa - sb
+        vals = _axis_residuals([Q], lams)[3][0]
     return complex(vals[0]) if one else vals
 
 
@@ -545,9 +550,6 @@ class ConeBound:
     arg_t: np.ndarray
     arg_lam: np.ndarray
     min_sin_theta: float
-
-    def __float__(self):
-        return self.value
 
 
 def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarray:
@@ -594,7 +596,7 @@ def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
         min_sin = min(min_sin, low)
         rows.append(normals.shape[0] * lam_grid.shape[0])
     best = (-1.0, 0, 0)
-    for blk in _body_blocks(rows):
+    for blk in _runs(rows, _BODY_ROWS):
         g = np.array(_boundary_residuals(bodies[blk], lam_grid)).reshape(-1, lam_grid.shape[0])
         vals = np.abs(lam_grid[:, 0]) * np.abs(g)
         i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)

@@ -28,15 +28,17 @@ from .errors import (
     SymmetricInput,
     ZeroVolumeWindow,
 )
+from . import fourier
 from .fourier import (
     AxisFrame,
     ConeBound,
     ConeScanParams,
+    _axis_residuals,
     _axis_sigmas,
     _ball_cone_constant,
-    _body_blocks,
     _freqs,
     _ft_indicators,
+    _runs,
     apply_frame,
     ft_indicator,
     ft_indicator_quadrature,
@@ -323,24 +325,26 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
         raise ValueError("time-frequency set dimension mismatch")
     _, first, second = _unique_signed_diffs(L.points)
     # each distinct difference is evaluated at the exact difference of its
-    # generating pair, grouped by time shift: one translate batch per block
-    # of shifts and one transform batch per block of live shift groups
+    # generating pair. Sorted by time shift (order), every shift group is a
+    # slice of rows: one translate batch per block of shifts and one
+    # transform batch per run of live shift groups
     W = L.points[first] - L.points[second]
-    shifts, inverse = np.unique(W[:, :d], axis=0, return_inverse=True)
+    shifts, inverse, counts = np.unique(W[:, :d], axis=0, return_inverse=True,
+                                        return_counts=True)
     order = np.argsort(inverse, kind="stable")
-    ends = np.cumsum(np.bincount(inverse))
-    values = np.zeros(W.shape[0], dtype=complex)
+    freqs = W[order, d:]
+    ends = np.cumsum(counts)
+    vals = np.zeros(W.shape[0], dtype=complex)
     for lo in range(0, shifts.shape[0], SHIFT_BLOCK):
-        hi = min(lo + SHIFT_BLOCK, shifts.shape[0])
-        base = ends[lo - 1] if lo else 0
-        groups = np.split(order[base:ends[hi - 1]], ends[lo:hi - 1] - base)
-        Qs = _translate_intersections(P, shifts[lo:hi])
-        live = [g for g, Q in enumerate(Qs) if not (Q.empty or Q.degenerate)]
-        for blk in _body_blocks([groups[g].size for g in live]):
-            vals = _ft_indicators([Qs[g] for g in live[blk]],
-                                  [W[groups[g], d:] for g in live[blk]])
-            for g, v in zip(live[blk], vals):
-                values[groups[g]] = _per_volume(v, vol)
+        Qs = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK])
+        live = [g for g, Q in enumerate(Qs, lo) if not (Q.empty or Q.degenerate)]
+        for run in _runs(counts[live], fourier._BODY_ROWS):
+            rows = [slice(ends[g] - counts[g], ends[g]) for g in live[run]]
+            bodies = [Qs[g - lo] for g in live[run]]
+            for r, v in zip(rows, _ft_indicators(bodies, [freqs[r] for r in rows])):
+                vals[r] = _per_volume(v, vol)
+    values = np.empty_like(vals)
+    values[order] = vals
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
@@ -446,7 +450,7 @@ def _axis_gap(Qts: list[HPolytope], transverse: np.ndarray) -> float:
     frequency)."""
     lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1)
     worst = np.inf
-    for blk in _body_blocks([lams.shape[0]] * len(Qts)):
+    for blk in _runs([lams.shape[0]] * len(Qts), fourier._BODY_ROWS):
         sa, sb = _axis_sigmas(Qts[blk], lams)
         worst = min(worst, float(np.abs(np.abs(sa) - np.abs(sb)).min()))
     return worst
@@ -459,15 +463,11 @@ def _verify_scan(Qts: list[HPolytope], lams: np.ndarray, vol_q: float):
     least |V| at each frequency over the translates."""
     gaps, l1gs, mins, ks = [], [], [], []
     low = np.full(lams.shape[0], np.inf)
-    for blk in _body_blocks([lams.shape[0]] * len(Qts)):
+    for blk in _runs([lams.shape[0]] * len(Qts), fourier._BODY_ROWS):
         # rows are translates, columns frequencies
-        sa, sb = _axis_sigmas(Qts[blk], lams)
-        ft = np.array(_ft_indicators(Qts[blk], [lams] * sa.shape[0]))
+        ft, sa, sb, g = _axis_residuals(Qts[blk], lams)
         V = _per_volume(ft, vol_q)
         abs_v = np.abs(V)
-        # G through the round trip (ft / vol) * vol: max_axial_residual is
-        # recorded to the bit
-        g = -2j * np.pi * lams[:, 0] * ((ft / vol_q) * vol_q) + sa - sb
         gaps.append(float(np.abs(np.abs(sa) - np.abs(sb)).min()))
         l1gs.append(float((np.abs(lams[:, 0]) * np.abs(g)).max()))
         # each translate's first minimum as a complex abs (which can differ

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +103,9 @@ class HPolytope:
     both read-only copies.
 
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
-    with no interior (volume 0). Instances are immutable; the vertex,
-    incidence, volume, facet and triangulation caches are write-once.
+    with no interior (volume 0). Instances are immutable; the vertices,
+    incidence, pulled faces, facets, triangulation and volume are cached
+    properties, computed on first use (``_bodies`` seeds the first three).
     """
 
     dim: int
@@ -119,12 +121,6 @@ class HPolytope:
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_vertices", None)
-        object.__setattr__(self, "_incidence", None)
-        object.__setattr__(self, "_pulls", None)
-        object.__setattr__(self, "_volume", None)
-        object.__setattr__(self, "_facets", None)
-        object.__setattr__(self, "_simplices", None)
 
     # -- membership -------------------------------------------------------
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
@@ -135,11 +131,7 @@ class HPolytope:
 
     def vertex_array(self) -> np.ndarray:
         """All vertices, shape (m, d); empty array for an empty polytope."""
-        cached = getattr(self, "_vertices")
-        if cached is None:
-            cached = _enumerate_vertices(self.A, self.b, self.dim)
-            object.__setattr__(self, "_vertices", cached)
-        return cached
+        return self._vertices
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertex_array()
@@ -147,17 +139,49 @@ class HPolytope:
             raise EmptyPolytope("empty polytope has no bounding box")
         return v.min(axis=0), v.max(axis=0)
 
+    # -- cached faces -------------------------------------------------------
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        """Feasible intersection points of all d-subsets of constraints, deduped."""
+        for _, V in _vertex_groups(self.A, self.b[None], self.dim):
+            return V[0]
+        return np.zeros((0, self.dim))
+
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        """Vertex-facet incidence |V A^T - b| <= INCIDENCE_TOL (m, n)."""
+        return np.abs(self._vertices @ self.A.T - self.b) <= INCIDENCE_TOL
+
+    @cached_property
+    def _pulls(self) -> dict:
+        """Memo of the pulled face triangulations, keyed by _pull."""
+        return {}
+
+    @cached_property
+    def _facets(self) -> tuple[Facet, ...]:
+        if self.empty or self.degenerate:
+            return ()
+        charts = [_facet_chart(self, i) for i in range(self.A.shape[0])]
+        return tuple(F for F in charts if F is not None)
+
+    @cached_property
+    def _simplices(self) -> np.ndarray:
+        if self.empty or self.degenerate:
+            simp = np.zeros((0, self.dim + 1, self.dim))
+        else:
+            V = self._vertices
+            simp = V[_pull(self._incidence, np.arange(V.shape[0]), self.dim, self._pulls)]
+        simp.setflags(write=False)
+        return simp
+
+    @cached_property
+    def _volume(self) -> float:
+        return float(_content(self._simplices).sum())
+
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-
-
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Feasible intersection points of all d-subsets of constraints, deduped."""
-    for _, V in _vertex_groups(A, b[None], dim):
-        return V[0]
-    return np.zeros((0, dim))
 
 
 def _vertex_groups(A: np.ndarray, B: np.ndarray, dim: int):
@@ -264,12 +288,6 @@ def _reduce(A: np.ndarray, b: np.ndarray, dim: int):
     return out[0] if one else out
 
 
-def _cached(P: HPolytope, **caches) -> HPolytope:
-    for name, value in caches.items():
-        object.__setattr__(P, name, value)
-    return P
-
-
 def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
     """The bodies {x : A x <= B[k]} with canonical rows and vertex sets V[k]
     (s, q, d), flagged degenerate unless full-dimensional.
@@ -277,7 +295,9 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
     Full-dimensional bodies with one incidence share their face
     triangulations, which the incidence alone determines: their facet
     volumes are one stacked determinant per row, and those that keep the
-    same rows share one memo of pulled faces.
+    same rows share one memo of pulled faces. Each body's vertices (and
+    incidence and memo) go into its instance dict, where its cached
+    properties find them.
     """
     s, q, dim = V.shape
     out = [None] * s
@@ -285,7 +305,8 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
     if q >= dim + 1:
         full = np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim
     for k in np.flatnonzero(~full):
-        out[k] = _cached(HPolytope(dim, A, B[k], degenerate=True), _vertices=V[k])
+        out[k] = HPolytope(dim, A, B[k], degenerate=True)
+        vars(out[k])["_vertices"] = V[k]
     rows = np.flatnonzero(full)
     if rows.size == 0:
         return out
@@ -309,8 +330,8 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
         for j, keep in enumerate(keeps):
             Ak, kinc, pulls = A[keep], pinc[:, keep], dict(memo)
             for k in members[kind.ravel() == j]:
-                out[k] = _cached(HPolytope(dim, Ak, B[k][keep]), _vertices=V[k],
-                                 _incidence=kinc, _pulls=pulls)
+                out[k] = HPolytope(dim, Ak, B[k][keep])
+                vars(out[k]).update(_vertices=V[k], _incidence=kinc, _pulls=pulls)
     return out
 
 
@@ -407,16 +428,6 @@ def from_vertices(points, dim: int | None = None) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _lattice(P: HPolytope) -> tuple[np.ndarray, dict]:
-    """Vertex-facet incidence |V A^T - b| <= INCIDENCE_TOL (m, n) of a nonempty
-    P and the memo of its pulled face triangulations, both computed once."""
-    if P._incidence is None:
-        inc = np.abs(P.vertex_array() @ P.A.T - P.b) <= INCIDENCE_TOL
-        object.__setattr__(P, "_incidence", inc)
-        object.__setattr__(P, "_pulls", {})
-    return P._incidence, P._pulls
-
-
 def _face_facets(inc: np.ndarray, S: np.ndarray, k: int) -> list[np.ndarray]:
     """Facets of the k-face with ascending vertex indices S: the inclusion-
     maximal proper nonempty sets S & F_j, each once, in column order; those
@@ -472,7 +483,7 @@ def _content(cells: np.ndarray) -> np.ndarray:
 def _facet_chart(P: HPolytope, i: int) -> Facet | None:
     """Facet supported by row i of a full-dimensional P, or None when its
     (d-1)-volume is at most GEOM_TOL."""
-    inc, memo = _lattice(P)
+    inc, memo = P._incidence, P._pulls
     S = np.flatnonzero(inc[:, i])
     dim = P.dim
     if S.size < dim:
@@ -496,16 +507,7 @@ def _facet_chart(P: HPolytope, i: int) -> Facet | None:
 
 def facets(P: HPolytope) -> list[Facet]:
     """One Facet per retained halfspace; empty list for empty/degenerate P."""
-    cached = getattr(P, "_facets")
-    if cached is not None:
-        return list(cached)
-    if P.empty or P.degenerate:
-        object.__setattr__(P, "_facets", ())
-        return []
-    charts = [_facet_chart(P, i) for i in range(P.A.shape[0])]
-    out = [F for F in charts if F is not None]
-    object.__setattr__(P, "_facets", tuple(out))
-    return out
+    return list(P._facets)
 
 
 def vertices(P: HPolytope) -> np.ndarray:
@@ -531,28 +533,12 @@ def triangulate(P: HPolytope) -> np.ndarray:
     Pulling: the first vertex in canonical order coned over the pulled
     triangulations of the facets that miss it; a d-simplex is one simplex.
     """
-    cached = getattr(P, "_simplices")
-    if cached is not None:
-        return cached
-    if P.empty or P.degenerate:
-        simp = np.zeros((0, P.dim + 1, P.dim))
-    else:
-        inc, memo = _lattice(P)
-        V = P.vertex_array()
-        simp = V[_pull(inc, np.arange(V.shape[0]), P.dim, memo)]
-    simp.setflags(write=False)
-    object.__setattr__(P, "_simplices", simp)
-    return simp
+    return P._simplices
 
 
 def volume(P: HPolytope) -> float:
     """Lebesgue d-volume; 0 for empty or degenerate polytopes."""
-    cached = getattr(P, "_volume")
-    if cached is not None:
-        return cached
-    vol = float(_content(triangulate(P)).sum())
-    object.__setattr__(P, "_volume", vol)
-    return vol
+    return P._volume
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,7 +123,6 @@ def _mp_divdiff_exp(y, mpmath):
 def test_divdiff_matches_mpmath_across_the_regime_split(k):
     """Gaps straddle 1e-4 (where a subset recursion switching to the series
     lost accuracy) and 1 (the split between series and recurrence)."""
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(k)
     rows = []
     for gap in (1e-7, 5e-5, 9.9e-5, 1.01e-4, 2e-4, 1e-3, 0.3, 0.99, 1.0, 1.01, 2.0, 30.0):
@@ -260,7 +260,6 @@ def test_box_transform_matches_sinc_product(d, scale):
 
 def test_thin_simplex_4d_at_small_frequency():
     """x >= 0, sum x_i / a_i <= 1: nodes 0 and -2 pi i a_i lam_i, spread 5e-4."""
-    mpmath = pytest.importorskip("mpmath")
     a = np.array([1.0, 2.0, 3.0, 4.0])
     S = normalize([(tuple(-e), 0.0) for e in np.eye(4)] + [(tuple(1 / a), 1.0)], 4)
     assert volume(S) == pytest.approx(1.0, abs=1e-12)  # prod(a) / 4!

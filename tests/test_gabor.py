@@ -318,17 +318,39 @@ def test_check_orthogonality_float_points_batch_their_transforms(pentagon, monke
 
 
 def test_check_orthogonality_blocks_of_shift_groups_keep_the_reports(pentagon, monkeypatch):
-    """Transform batches of at most fourier._BODY_ROWS frequency rows give
-    the reports of one batch over every live shift group, value for value."""
-    L = TimeFrequencySet(np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)))
-    whole = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+    """Translate batches of at most gabor.SHIFT_BLOCK shifts and transform
+    batches of at most fourier._BODY_ROWS frequency rows give the reports of
+    one batch over every live shift group, value for value: on 40 float
+    points (one row per shift group) and on Z^4 in [-1, 1]^4 (81 rows per
+    group, several live translates)."""
+    sets = [np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)),
+            lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)]
     calls = _counted_kernel(monkeypatch)
-    monkeypatch.setattr(fourier, "_BODY_ROWS", 7)
-    blocked = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
-    assert len(calls) > 1
-    assert [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value)
-            for r in blocked] == [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(),
-                                   r.value) for r in whole]
+    batches = []
+
+    def counted(P, T):
+        batches.append(len(T))
+        return _translate_intersections(P, T)
+
+    monkeypatch.setattr(gabor, "_translate_intersections", counted)
+    default = (gabor.SHIFT_BLOCK, fourier._BODY_ROWS)
+    for pts in sets:
+        L = TimeFrequencySet(pts)
+        reports = []
+        for shift_block, body_rows in (default, (default[0], 7), (3, 7), (1, 1)):
+            monkeypatch.setattr(gabor, "SHIFT_BLOCK", shift_block)
+            monkeypatch.setattr(fourier, "_BODY_ROWS", body_rows)
+            calls.clear()
+            batches.clear()
+            out = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
+            reports.append([(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value)
+                            for r in out])
+            assert max(batches) <= shift_block
+            if body_rows < default[1]:
+                assert len(calls) > 1
+            if shift_block < default[0]:
+                assert len(batches) > 1
+        assert reports[0] and all(r == reports[0] for r in reports[1:])
 
 
 # check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):

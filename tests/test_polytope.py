@@ -25,9 +25,9 @@ from gonb import (
 )
 from gonb import polytope
 from gonb.polytope import (
+    HPolytope,
     _check_bounded,
     _face_facets,
-    _lattice,
     _merge_duplicate_normals,
     _reduce,
     _translate_intersections,
@@ -322,7 +322,7 @@ def test_thin_translates_keep_their_volume(width, unit_square, unit_cube):
 def f_vector(P):
     """Face counts f_0..f_{d-1} of P, each face level the union of the facets
     of the level above, derived from the incidence alone."""
-    inc, _ = _lattice(P)
+    inc = P._incidence
     level, counts = [np.arange(P.vertex_array().shape[0])], []
     for k in range(P.dim, 0, -1):
         level = list({G.tobytes(): G for S in level for G in _face_facets(inc, S, k)}.values())
@@ -544,6 +544,31 @@ def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube
     for P, T, batch in ((unit_square, shifts, Qs), (unit_cube, cube_shifts, cubes)):
         assert [_translate_bits(Q) for Q in batch] == \
             [_translate_bits(translate_intersection(P, t)) for t in T]
+
+
+def _face_bits(P):
+    """Vertices, triangulation, facets (normal, volume, simplices) and volume
+    of P, as bytes and floats."""
+    return (P.vertex_array().tobytes(), triangulate(P).tobytes(),
+            [(F.normal.tobytes(), F.volume_dm1, F.simplices.tobytes()) for F in facets(P)],
+            volume(P))
+
+
+@pytest.mark.parametrize("name", ["pentagon", "cut cube", "unit 4-cube", "pentagon translate"])
+def test_lazy_faces_equal_seeded_faces(name, pentagon):
+    """A body built directly from canonical rows computes its vertices,
+    incidence and pulled faces on first use; its faces equal those of the
+    _reduce-built body of the same rows, which comes with vertices, incidence
+    and memo seeded. (A body that normalize built from raw rows solved its
+    vertices from those rows, so their last bits may differ.)"""
+    P = {"pentagon": pentagon, "cut cube": cut_cube(),
+         "unit 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)), 4),
+         "pentagon translate": translate_intersection(pentagon, (0.3, -0.2))}[name]
+    seeded, lazy = _reduce(P.A, P.b, P.dim), HPolytope(P.dim, P.A, P.b)
+    assert np.array_equal(seeded.A, P.A) and np.array_equal(seeded.b, P.b)
+    assert "_incidence" in vars(seeded) and "_incidence" not in vars(lazy)
+    assert _face_bits(lazy) == _face_bits(seeded)
+    assert "_incidence" in vars(lazy)
 
 
 def test_facet_convergence_along_shrinking_translates(pentagon):
