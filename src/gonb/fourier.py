@@ -13,11 +13,16 @@ mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
 row has the same bits in any batch: the transforms of many bodies or facets
 (``_ft_indicators``, ``_axis_sigmas``, ``_axis_residuals``,
-``_ball_cone_constant``) share one batch of node rows. One cutter, ``_runs``,
-splits consecutive items by a row budget: node rows reach the kernel in runs
-of at most _CHUNK_ROWS rows, and bodies reach a batch in runs of at most
-_BODY_ROWS (body x frequency) rows, so a certificate stage, or a block of
-shift groups of an orthogonality check, costs one batch per run.
+``_ball_cone_constant``) share one batch of node rows. An axis facet whose
+tangent's first row is exactly zero (the framed normals +-e1) has chart rows
+that do not depend on lam_1, so ``_axis_sigmas`` charts it at the distinct
+transverse rows lam[1:] only and gives every frequency its own phase: a
+certificate scan over a lam_1 x lam' grid charts each such facet at |lam'|
+rows, with the bits of every row. One cutter, ``_runs``, splits consecutive
+items by a row budget: node rows reach the kernel in runs of at most
+_CHUNK_ROWS rows, and bodies reach a batch in runs of at most _BODY_ROWS
+(body x frequency) rows, so a certificate stage, or a block of shift groups
+of an orthogonality check, costs one batch per run.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -43,7 +48,6 @@ from .polytope import (
     HPolytope,
     _reduce,
     ball_grid,
-    facet_by_normal,
     facets,
     triangulate,
 )
@@ -397,15 +401,21 @@ def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _ft_facets(fs: list[Facet], lams: np.ndarray) -> list[np.ndarray]:
+def _ft_facets(fs: list[Facet], lams: np.ndarray, charts=None) -> list[np.ndarray]:
     """ft_facet_measure of each facet at the frequency rows lams (n, d), all
-    node rows through one divided-difference batch."""
+    node rows through one divided-difference batch. charts[k] = (rows, back)
+    charts facet k at the frequency rows ``rows`` and gathers the result
+    back to lams by [back] (default (lams, :)); each row takes its own phase."""
     if any(F.volume_dm1 <= 0 for F in fs):
         raise DegenerateFacet("facet has zero surface volume")
+    # the phases of every facet in one array, elementwise as for one alone
+    origins = np.array([F.origin for F in fs]).reshape(-1, lams.shape[1])
+    phases = np.exp(-2j * np.pi * _dot(lams, origins.T)).T
     if lams.shape[1] == 1:
-        return [np.exp(-2j * np.pi * _dot(lams, F.origin)) for F in fs]
-    vals = _ft_simplices([(F.simplices, _dot(lams, F.tangent)) for F in fs])
-    return [np.exp(-2j * np.pi * _dot(lams, F.origin)) * v for F, v in zip(fs, vals)]
+        return list(phases)
+    charts = charts or [(lams, slice(None))] * len(fs)
+    vals = _ft_simplices([(F.simplices, _dot(rows, F.tangent)) for F, (rows, _) in zip(fs, charts)])
+    return [p * v[back] for p, v, (_, back) in zip(phases, vals, charts)]
 
 
 def ft_facet_measure(F: Facet, lams):
@@ -451,23 +461,28 @@ def sigma_bound(F: Facet, lam) -> float:
 
 def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]:
     """Facets of Q and those with unit normals -e1 (the low face A) and +e1
-    (B); FrameMismatch when both are absent."""
-    fs = facets(Q)
-    e1 = np.zeros(Q.dim)
-    e1[0] = 1.0
-    fa, fb = facet_by_normal(Q, -e1), facet_by_normal(Q, e1)
+    (B), found once per body; FrameMismatch when both are absent."""
+    fa, fb = Q._axis_pair
     if fa is None and fb is None:
         raise FrameMismatch("no facet pair normalized to the frame axis")
-    return fs, fa, fb
+    return facets(Q), fa, fb
 
 
 def _axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """axis_sigmas of each body at the rows of lams (n, d), as two
-    (len(bodies), n) arrays."""
+    (len(bodies), n) arrays.
+
+    The fixed-order sum <lam, tangent> of _dot starts with lam_1 * tangent[0],
+    which adds +-0 to +0 when the tangent's first row is exactly zero (the
+    framed normals +-e1): such a facet is charted at the distinct rows of
+    lams[:, 1:] only, with the bits of every row; any other at every row."""
     pairs = [_axis_facets(Q)[1:] for Q in bodies]
     present = [(i, side, F) for i, pair in enumerate(pairs) for side, F in enumerate(pair)
                if F is not None]
-    vals = _ft_facets([F for *_, F in present], lams)
+    _, first, back = np.unique(lams[:, 1:], axis=0, return_index=True, return_inverse=True)
+    distinct = (lams[first], back)
+    charts = [(lams, slice(None)) if F.tangent[0].any() else distinct for *_, F in present]
+    vals = _ft_facets([F for *_, F in present], lams, charts)
     out = np.zeros((2, len(pairs), lams.shape[0]), dtype=complex)
     for (i, side, _), v in zip(present, vals):
         out[side, i] = v

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePolytope, EmptyPolytope, UnboundedPolytope
+from .errors import DegeneratePolytope, EmptyPolytope, ParseError, UnboundedPolytope
 
 GEOM_TOL = 1e-9
 # A vertex lies on a facet hyperplane within this distance: above the GEOM_TOL
@@ -104,8 +104,9 @@ class HPolytope:
 
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
     with no interior (volume 0). Instances are immutable; the vertices,
-    incidence, pulled faces, facets, triangulation and volume are cached
-    properties, computed on first use (``_bodies`` seeds the first three).
+    incidence, pulled faces, facets, axis facet pair, triangulation and
+    volume are cached properties, computed on first use (``_bodies`` seeds
+    the first three).
     """
 
     dim: int
@@ -163,6 +164,13 @@ class HPolytope:
             return ()
         charts = [_facet_chart(self, i) for i in range(self.A.shape[0])]
         return tuple(F for F in charts if F is not None)
+
+    @cached_property
+    def _axis_pair(self) -> tuple[Facet | None, Facet | None]:
+        """The facets with unit normals -e1 and +e1 (the pair a certificate
+        frame puts on {y_1 = 0} and {y_1 = 1}), None where absent."""
+        e1 = np.eye(self.dim)[0]
+        return facet_by_normal(self, -e1), facet_by_normal(self, e1)
 
     @cached_property
     def _simplices(self) -> np.ndarray:
@@ -238,17 +246,15 @@ def _distinct_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge_duplicate_normals(A: np.ndarray, b: np.ndarray):
-    """Merge halfspaces whose unit normals differ by <= GEOM_TOL, keeping min offset."""
-    n = A.shape[0]
+    """Merge halfspaces whose unit normals differ by <= GEOM_TOL into the
+    first kept one, keeping min offset."""
     keep: list[int] = []
-    for i in range(n):
-        merged = False
-        for j in keep:
-            if np.linalg.norm(A[i] - A[j]) <= GEOM_TOL:
-                b[j] = min(b[j], b[i])
-                merged = True
-                break
-        if not merged:
+    for i in range(A.shape[0]):
+        near = np.flatnonzero(np.linalg.norm(A[keep] - A[i], axis=1) <= GEOM_TOL)
+        if near.size:
+            j = keep[near[0]]
+            b[j] = min(b[j], b[i])
+        else:
             keep.append(i)
     return A[keep], b[keep]
 
@@ -342,7 +348,9 @@ def normalize(raw_halfspaces, dim: int) -> HPolytope:
     boundedness (recession cone {Ax <= 0} must be trivial), then removes
     halfspaces that do not support a facet of positive (d-1)-volume.
 
-    Raises UnboundedPolytope / EmptyPolytope accordingly.
+    Raises UnboundedPolytope / EmptyPolytope accordingly, and ParseError,
+    before anything is allocated, when the n distinct halfspaces give more
+    than MAX_VERTEX_CANDIDATES vertex systems C(n, dim).
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -360,6 +368,9 @@ def normalize(raw_halfspaces, dim: int) -> HPolytope:
     A = np.array(rows)
     b = np.array(offs)
     A, b = _merge_duplicate_normals(A, b)
+    if math.comb(A.shape[0], dim) > MAX_VERTEX_CANDIDATES:
+        raise ParseError(f"{A.shape[0]} distinct halfspaces in dimension {dim} give more "
+                         f"than {MAX_VERTEX_CANDIDATES} vertex candidates")
     _check_bounded(A, dim)
     P = _reduce(A, b, dim)
     if P.empty:

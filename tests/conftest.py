@@ -82,10 +82,32 @@ def random_polytope_3d(rng, scale=1.0, min_vol=0.05, max_tries=50):
     raise RuntimeError("could not generate a random 3-d polytope")
 
 
+def sphere_points(n):
+    """n points on the unit sphere in convex position (a Fibonacci lattice)."""
+    k = np.arange(n) + 0.5
+    polar, azimuth = np.arccos(1 - 2 * k / n), np.pi * (1 + 5 ** 0.5) * k
+    return np.column_stack([np.cos(azimuth) * np.sin(polar),
+                            np.sin(azimuth) * np.sin(polar), np.cos(polar)])
+
+
 def symmetrized_polygon(rng, scale=1.0):
     """Random centrally symmetric polygon (hull of points and their negations)."""
     pts = rng.uniform(-scale, scale, (int(rng.integers(3, 6)), 2))
     return from_vertices(np.concatenate([pts, -pts]))
+
+
+def _mp_divdiff_exp(y, mpmath):
+    """Divided difference of exp over the nodes i*y (floats or mpmath reals)
+    at the working precision. The nodes are sorted, so equal nodes stand
+    together, and a window of equal nodes takes the confluent entry
+    exp(z) / lv!."""
+    z = [mpmath.mpc(0, v) for v in sorted(y)]
+    table = [mpmath.exp(v) for v in z]
+    for lv in range(1, len(z)):
+        table = [table[i] / lv if z[i + lv] == z[i]
+                 else (table[i + 1] - table[i]) / (z[i + lv] - z[i])
+                 for i in range(len(z) - lv)]
+    return complex(table[0])
 
 
 def ball_cone_bounds(P, frame, omega, params, radius, n_angles=8, n_radii=2):

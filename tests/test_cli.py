@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from gonb.cli import main
 from gonb import cone_constant, ConeScanParams, stft_indicator
 from gonb.io import load_certificate, load_polytope, polytope_to_dict
 
-from conftest import make_pentagon
+from conftest import make_pentagon, sphere_points
 
 
 @pytest.fixture
@@ -515,6 +516,35 @@ def test_oversize_inputs_exit_2_without_allocating(square_file, tmp_path, capsys
         assert code == 2
         assert err.startswith("ParseError") and message in err
         assert peak < 16 * 2 ** 20, f"{argv[0]} traced {peak} bytes before refusing"
+
+
+def test_vertex_input_hull_bounded_before_allocating(tmp_path, capsys):
+    """The hull of 60 sphere points has 116 facet planes: C(116, 3) =
+    253,460 vertex systems are refused with exit 2 before they are set up
+    (in 0.03 s; unbounded, the load took 1.4 s and 361 MB); 39 points (74
+    planes, C(74, 3) = 64,824 systems) still load."""
+    import scipy.spatial  # noqa: F401  (its import is not the refusal's allocation)
+
+    def sphere_file(n):
+        return _write(tmp_path, f"sphere{n}.json",
+                      {"dim": 3, "vertices": sphere_points(n).tolist()})
+
+    path = sphere_file(60)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = run(["symmetry", "--in", path])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ParseError") and "116 distinct halfspaces" in err
+    assert "Traceback" not in err
+    assert peak < 16 * 2 ** 20, f"traced {peak} bytes before refusing"
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    assert run(["symmetry", "--in", sphere_file(39)]) == 0
 
 
 def test_unexpected_value_error_is_not_a_precondition_failure(square_file, monkeypatch):

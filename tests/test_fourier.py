@@ -24,8 +24,10 @@ from gonb import (
     translate_intersection,
     volume,
 )
+from gonb import fourier, from_vertices
 from gonb.fourier import (
     _axis_facets,
+    _axis_residuals,
     _axis_sigmas,
     _ft_simplices,
     apply_frame,
@@ -35,10 +37,17 @@ from gonb.fourier import (
     divdiff_exp_direct,
     divdiff_exp_series,
 )
-from gonb.gabor import build_axis_frame
+from gonb.gabor import _transverse_grid, build_axis_frame
 from gonb.polytope import ball_grid, is_symmetric
 
-from conftest import ball_cone_bounds, make_pentagon, random_polygon, random_polytope_3d
+from conftest import (
+    PENTAGON_VERTICES,
+    _mp_divdiff_exp,
+    ball_cone_bounds,
+    make_pentagon,
+    random_polygon,
+    random_polytope_3d,
+)
 
 I2PI = 1j / (2 * math.pi)
 
@@ -107,16 +116,6 @@ def test_divdiff_two_far_clusters():
     # reference by perturbing the clusters apart slightly and Richardson-like check
     z2 = 1j * np.array([0.0, 1e-3, 2.5, 2.5 + 1e-3])
     assert abs(divdiff_exp(z2) - direct_wide) < 2e-3
-
-
-def _mp_divdiff_exp(y, mpmath):
-    """Divided difference of exp over the nodes i*y at the working precision."""
-    z = [mpmath.mpc(0, float(v)) for v in y]
-    table = [mpmath.exp(v) for v in z]
-    for lv in range(1, len(z)):
-        table = [(table[i + 1] - table[i]) / (z[i + lv] - z[i])
-                 for i in range(len(z) - lv)]
-    return complex(table[0])
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -491,6 +490,61 @@ def test_axis_sigmas_match_the_scan_formula(pentagon):
             assert np.array_equal(got_a, one[0]) and np.array_equal(got_b, one[1])
             for got, ref in zip(one, _axis_sigma_reference(Qt, lams)):
                 assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
+
+
+def _cut_box(d):
+    """The unit d-cube cut by x_1 + x_2 <= 1.5."""
+    box = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(d) for s in (1, -1)]
+    return normalize(box + [((1.0, 1.0) + (0.0,) * (d - 2), 1.5)], d)
+
+
+def _rotated_pentagon(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return from_vertices(PENTAGON_VERTICES @ np.array([[c, -s], [s, c]]).T)
+
+
+@pytest.mark.parametrize("case", ["pentagon", "cut cube", "cut 4-cube", "rotated pentagon"])
+def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
+    """On a lam_1 x lam' product grid, the axis facet transforms of the
+    framed ball translates and their axis-route residuals equal (==) a
+    per-facet ft_facet_measure at every row. A framed axis tangent whose
+    first row is exactly zero is charted at the distinct rows of lam' only;
+    the pentagon rotated by 0.3 rad frames its axis normals about 1e-16 off
+    +-e1, so its tangents' first rows are not zero and every row is charted."""
+    P = {"pentagon": make_pentagon, "cut cube": lambda: _cut_box(3),
+         "cut 4-cube": lambda: _cut_box(4),
+         "rotated pentagon": lambda: _rotated_pentagon(0.3)}[case]()
+    d = P.dim
+    Q = apply_frame(P, build_axis_frame(P, *is_symmetric(P, 1e-9).witness))
+    Qts = [translate_intersection(Q, t) for t in ball_grid(d, 0.1, 4, 1)]
+    tr = _transverse_grid(d, 0.5, 7)
+    lam1 = np.concatenate([[0.0], np.geomspace(10.0, 200.0, 6)])
+    lams = np.concatenate([np.repeat(lam1, tr.shape[0])[:, None],
+                           np.tile(tr, (lam1.size, 1))], axis=1)
+    charted = []
+    batch = fourier._ft_simplices
+
+    def counted(parts):
+        charted.append([rows.shape[0] for _, rows in parts])
+        return batch(parts)
+
+    monkeypatch.setattr(fourier, "_ft_simplices", counted)
+    sa, sb = _axis_sigmas(Qts, lams)
+    ft, sa_r, sb_r, g = _axis_residuals(Qts, lams)
+    monkeypatch.undo()
+    full = case == "rotated pentagon"
+    # the facet batches of both calls (the residual's indicator batch is last)
+    assert charted[0] == charted[1] == [lams.shape[0] if full else tr.shape[0]] * len(charted[0])
+    for i, Qt in enumerate(Qts):
+        _, fa, fb = _axis_facets(Qt)
+        assert all(F is None or bool(F.tangent[0].any()) == full for F in (fa, fb))
+        ref_a, ref_b = (np.zeros(lams.shape[0], dtype=complex) if F is None
+                        else ft_facet_measure(F, lams) for F in (fa, fb))
+        for got_a, got_b in ((sa[i], sb[i]), (sa_r[i], sb_r[i])):
+            assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+        ref_ft = ft_indicator(Qt, lams)
+        assert np.array_equal(ft[i], ref_ft)
+        assert np.array_equal(g[i], -2j * np.pi * lams[:, 0] * ref_ft + ref_a - ref_b)
 
 
 # -- sigma bound ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from gonb import (
     stft_indicator,
     stft_indicator_quadrature,
     translate_intersection,
+    triangulate,
     volume,
 )
 from gonb import fourier, gabor
@@ -33,7 +35,7 @@ from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import _translate_intersections, is_symmetric
 
-from conftest import PENTAGON_VERTICES, ball_cone_bounds, random_polygon
+from conftest import PENTAGON_VERTICES, _mp_divdiff_exp, ball_cone_bounds, random_polygon
 
 SMALL_PARAMS = CertificateScanParams(n_lambda1=24, n_cross=9, cone_n_radial=32,
                                      cone_n_cross=8)
@@ -417,18 +419,47 @@ def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch
 
 def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
     """Divided-difference calls of the pentagon certificate (204 when every
-    translate and facet had its own): with chunks that hold a whole stage,
+    translate and facet had its own, 43 while the verify scan charted its
+    axis facets at all 720 frequencies): with chunks that hold a whole stage,
     one per delta halving, one for the cone constant and one per node width
-    of the verify scan; at the shipped chunk size (43 calls) no call exceeds
+    of the verify scan; at the shipped chunk size (32 calls) no call exceeds
     a chunk."""
     calls = _counted_kernel(monkeypatch)
     build_certificate(pentagon, 0.2, 0.2)
-    assert len(calls) <= 48
+    assert len(calls) <= 32
     assert max(rows for rows, _ in calls) <= fourier._CHUNK_ROWS
     calls.clear()
     monkeypatch.setattr(fourier, "_CHUNK_ROWS", 1 << 20)
     build_certificate(pentagon, 0.2, 0.2)
     assert len(calls) <= 12
+
+
+def test_verify_scan_charts_axis_facets_at_distinct_transverse_rows(pentagon, monkeypatch):
+    """The default-grid pentagon certificate's verify scan charts the 34
+    axis facets of its 17 translates at the 15 distinct transverse rows, not
+    at the 720 scan frequencies; the indicator transforms take all 720."""
+    batches, inside = [], []
+    scan, batch = gabor._verify_scan, fourier._ft_simplices
+
+    def tagged(*args):
+        inside.append(True)
+        try:
+            return scan(*args)
+        finally:
+            inside.pop()
+
+    def counted(parts):
+        if inside:  # (nodes per simplex, frequency rows) of each part
+            batches.append([(simp.shape[1], lams.shape[0]) for simp, lams in parts])
+        return batch(parts)
+
+    monkeypatch.setattr(gabor, "_verify_scan", tagged)
+    monkeypatch.setattr(fourier, "_ft_simplices", counted)
+    cert = build_certificate(pentagon, 0.2, 0.2)
+    assert cert.provenance.n_t == 17 and cert.provenance.n_lambda == 720
+    facet_parts, body_parts = [(2, 15)] * 34, [(3, 720)] * 17
+    assert batches[:2] == [facet_parts, body_parts]
+    assert batches == [facet_parts, body_parts] * (len(batches) // 2)
 
 
 def _certificate_bits(cert):
@@ -515,6 +546,37 @@ def test_build_certificate_cut_cube_3d():
     assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
     assert cert.min_abs_scanned > 0
     assert cert.provenance.min_chain_slack >= -1e-12
+
+
+def test_build_certificate_cut_4cube_4d():
+    """The unit 4-cube cut by x_1 + x_2 <= 1.5 at reduced grids (23
+    translates, 10,488 scan points): the criterion-5 inequalities hold in
+    four dimensions, and |V| at min_abs_point is the one-shift STFT there
+    and agrees with a 60-digit mpmath sum over the translate's simplices."""
+    box = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(4) for s in (1, -1)]
+    P = normalize(box + [((1, 1, 0, 0), 1.5)], 4)
+    params = CertificateScanParams(n_lambda1=12, n_cross=7, n_t_angles=4, n_t_radii=1,
+                                   cone_n_radial=16, cone_n_cross=6)
+    cert = build_certificate(P, 0.1, 0.2, params)
+    assert cert.provenance.n_scan_points >= 10_000
+    assert cert.eta > 0
+    assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
+    assert cert.min_abs_scanned > 0
+    assert cert.provenance.min_chain_slack >= -1e-12
+    t, lam = cert.provenance.min_abs_point
+    Q = fourier.apply_frame(P, cert.frame)
+    assert abs(stft_indicator(Q, t, lam)) == cert.min_abs_scanned
+    with mpmath.workdps(60):
+        lam_mp = [mpmath.mpf(x) for x in lam]
+        total = 0
+        for simp in triangulate(translate_intersection(Q, t)):
+            y = [-2 * mpmath.pi * mpmath.fsum(a * x for a, x in zip(lam_mp, v)) for v in simp]
+            k_vol = abs(np.linalg.det(simp[1:] - simp[0]))  # 4! * volume
+            total += k_vol * mpmath.mpc(_mp_divdiff_exp(y, mpmath))
+        ref = abs(complex(total)) / volume(Q)
+    # measured 2.9e-16 relative at |V| = 3.7e-4; the kernel's worst relative
+    # error per node row against mpmath is 2.3e-15
+    assert abs(cert.min_abs_scanned - ref) <= 1e-13 * ref
 
 
 # 2.5 x the slowest of ten measured runs (3.6-4.8 s; 2-core VM, Python 3.11, numpy 2.4)

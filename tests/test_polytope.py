@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gonb import (
     EmptyPolytope,
+    ParseError,
     UnboundedPolytope,
     facet_by_normal,
     facets,
@@ -37,7 +39,13 @@ from gonb.polytope import (
     facet_gap,
 )
 
-from conftest import PENTAGON_VERTICES, random_polygon, random_polytope_3d, symmetrized_polygon
+from conftest import (
+    PENTAGON_VERTICES,
+    random_polygon,
+    random_polytope_3d,
+    sphere_points,
+    symmetrized_polygon,
+)
 
 
 def vertex_set_equal(V, W, tol=1e-9):
@@ -56,6 +64,40 @@ def test_normalize_drops_dominated_constraint():
     assert len(P.b) == 2
     offs = sorted(P.b.tolist())
     assert offs == [0.0, 1.0]
+
+
+def test_normalize_bounds_distinct_halfspaces_before_allocating():
+    """C(n, d) vertex systems of the n distinct halfspaces are bounded by
+    MAX_VERTEX_CANDIDATES after duplicate normals merge: 400 copies of the
+    square's 4 rows load, and 363 tangents of a circle (C(363, 2) = 65,703
+    systems; 362 give 65,341, within the bound) do not."""
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    assert normalize(square * 100, 2).A.shape == (4, 2)
+    ang = 2 * np.pi * np.arange(363) / 363
+    assert math.comb(363, 2) > polytope.MAX_VERTEX_CANDIDATES >= math.comb(362, 2)
+    with pytest.raises(ParseError, match="363 distinct halfspaces"):
+        normalize([((math.cos(a), math.sin(a)), 1.0) for a in ang], 2)
+
+
+def test_large_vertex_hull_refused_quickly():
+    """800 sphere points give 1,596 hull planes: the duplicate-normal merge
+    tests each row against the kept rows at once, so the refusal takes
+    0.2 s (6.4 s with one norm per pair of rows)."""
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="1596 distinct halfspaces"):
+        from_vertices(sphere_points(800))
+    assert time.perf_counter() - t0 < 3.0
+
+
+def test_random_point_hulls_load_under_the_bound():
+    """The 4-9-point hulls the random generators draw (4-8 points in 2-d,
+    5-9 in 3-d) stay far below the bound (at most 14 planes in 3-d)."""
+    rng = np.random.default_rng(5)
+    for d, sizes in ((2, range(4, 9)), (3, range(5, 10))):
+        for n in sizes:
+            for _ in range(5):
+                P = from_vertices(rng.uniform(-1.0, 1.0, (n, d)))
+                assert P.A.shape[0] <= (n if d == 2 else 2 * n - 4)
 
 
 def test_normalize_square_is_identity(unit_square):
