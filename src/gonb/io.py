@@ -38,9 +38,9 @@ def load_polytope(source) -> HPolytope:
     ``dim`` is a number with an integral value >= 1, not a boolean. Normals
     need ``dim`` entries and a norm above GEOM_TOL; normal entries, offsets
     and vertex coordinates must be finite with |x| <= COORD_BOUND; the vertex
-    candidates C(n, dim) of n halfspaces are bounded by MAX_VERTEX_CANDIDATES,
-    dim by MAX_DIM, and vertex input needs dim <= 3. Anything else is a
-    ParseError.
+    candidates C(n, dim) of n halfspaces and the hull candidates C(n, dim) of
+    n distinct vertices are bounded by MAX_VERTEX_CANDIDATES, dim by MAX_DIM,
+    and vertex input needs dim <= 3. Anything else is a ParseError.
     """
     data = _load(source)
     dim = data.get("dim")
@@ -79,7 +79,7 @@ def load_polytope(source) -> HPolytope:
         if dim > 3:
             raise ParseError("vertex input needs dim <= 3")
         check_coordinates(verts, "vertex")
-        return from_vertices(verts, dim)
+        return from_vertices(verts)
     raise ParseError("polytope JSON needs 'halfspaces' or 'vertices'")
 
 

@@ -1,9 +1,10 @@
 """Convex polytope geometry on half-space representations.
 
-Canonical H-representations, brute-force vertex enumeration, translate-
-intersections via the per-halfspace offset minimum (a batch of shifts shares
-one stacked vertex solve), Minkowski parallel-facet symmetry tests, and the
-exact Hausdorff metric for convex polytopes.
+Canonical H-representations, brute-force vertex enumeration, point hulls
+from the cofactor planes of point d-subsets, translate-intersections via the
+per-halfspace offset minimum (a batch of shifts shares one stacked vertex
+solve), Minkowski parallel-facet symmetry tests, and the exact Hausdorff
+metric for convex polytopes.
 
 Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
 computed once per polytope: the facets of a face with vertex set S are the
@@ -34,8 +35,8 @@ GEOM_TOL = 1e-9
 # calls a body flat, so a thin body keeps a consistent incidence (at 1e-7 a
 # 5e-8 wide slab lost half its volume to the pulling triangulation).
 INCIDENCE_TOL = 1e-8
-# Vertex enumeration solves one d x d system per d-subset of the halfspaces;
-# 30 halfspaces in 4-d give 27,405 of them.
+# Vertex enumeration solves one d x d system per d-subset of the halfspaces
+# (30 in 4-d give 27,405), and a point hull spans one plane per point d-subset.
 MAX_VERTEX_CANDIDATES = 1 << 16
 
 
@@ -385,9 +386,8 @@ def _check_bounded(A: np.ndarray, dim: int) -> None:
     that some unit u has |A u| <= GEOM_TOL (rank A < dim), or it is pointed
     and has an extreme ray: the null vector u of dim - 1 independent rows
     with A u <= 0 or A u >= 0. Every such candidate is tested in one batch;
-    the null vector of rows M is their cofactor vector
-    u_k = (-1)^k det(M without column k), and for dim = 1 the empty subset
-    gives u = 1, so the test reads "A has entries of both signs".
+    the null vector of rows M is their cofactor vector, and for dim = 1 the
+    empty subset gives u = 1, so the test reads "A has entries of both signs".
     """
     n = A.shape[0]
     if n <= dim:
@@ -395,12 +395,7 @@ def _check_bounded(A: np.ndarray, dim: int) -> None:
     if np.linalg.svd(A, compute_uv=False)[-1] <= GEOM_TOL:
         raise UnboundedPolytope("the normals do not span the space")
     subsets = np.array(list(itertools.combinations(range(n), dim - 1)), dtype=np.intp)
-    M = A[subsets]
-    U = np.stack([(-1) ** k * np.linalg.det(np.delete(M, k, axis=2)) for k in range(dim)],
-                 axis=1)
-    norms = np.linalg.norm(U, axis=1)
-    live = norms > GEOM_TOL
-    U = U[live] / norms[live, None]
+    U, _ = _cofactors(A[subsets])
     S = U @ A.T
     ray = (S.max(axis=1) <= GEOM_TOL) | (S.min(axis=1) >= -GEOM_TOL)
     if np.any(ray):
@@ -409,28 +404,51 @@ def _check_bounded(A: np.ndarray, dim: int) -> None:
         raise UnboundedPolytope(f"recession direction {u.tolist()} exists")
 
 
-def from_vertices(points, dim: int | None = None) -> HPolytope:
-    """Convex hull of points converted to a canonical H-representation (d <= 3)."""
+def _cofactors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit cofactor vectors of the row stacks M (m, d-1, d) and which stacks
+    they come from: those whose cofactor vector u_k = (-1)^k det(M without
+    column k) has a norm above GEOM_TOL. Each u is orthogonal to the rows of
+    its M, and the empty stack of d = 1 gives u = 1."""
+    U = np.stack([(-1) ** k * np.linalg.det(np.delete(M, k, axis=2))
+                  for k in range(M.shape[2])], axis=1)
+    norms = np.linalg.norm(U, axis=1)
+    live = norms > GEOM_TOL
+    return U[live] / norms[live, None], live
+
+
+def from_vertices(points) -> HPolytope:
+    """Convex hull of points (n, d), d <= 3, as a canonical H-representation.
+
+    Each d-subset of the distinct points spans a plane, its cofactor normal;
+    a plane is kept, facing outward, when every point lies on one side of it
+    within GEOM_TOL, and ``normalize`` merges, bounds and reduces the kept
+    planes. Raises ParseError, before any subset is set up, when the n
+    distinct points give more than MAX_VERTEX_CANDIDATES subsets C(n, d).
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
-    d = pts.shape[1] if dim is None else dim
+    d = pts.shape[1]
     if d > 3:
         raise ValueError("vertex input supported for d <= 3 only")
-    if d == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        if hi - lo <= GEOM_TOL:
-            raise DegeneratePolytope("degenerate 1-d vertex input")
-        return normalize([((1.0,), hi), ((-1.0,), -lo)], 1)
+    pts = np.unique(pts, axis=0)
+    n = pts.shape[0]
+    if math.comb(n, d) > MAX_VERTEX_CANDIDATES:
+        raise ParseError(f"{n} distinct points in dimension {d} give more than "
+                         f"{MAX_VERTEX_CANDIDATES} hull candidates")
     if _affine_rank(pts) < d:
         raise DegeneratePolytope("vertex set is not full-dimensional")
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise DegeneratePolytope(f"convex hull failed: {str(exc).splitlines()[0]}") from exc
-    raw = [(eq[:-1], -eq[-1]) for eq in hull.equations]
+    P = pts[np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)]
+    U, live = _cofactors(P[:, 1:] - P[:, :1])
+    c = np.einsum("ij,ij->i", U, P[live, 0])
+    raw = []
+    step = max(1, MAX_VERTEX_CANDIDATES // n)
+    for start in range(0, U.shape[0], step):
+        u, cu = U[start:start + step], c[start:start + step]
+        S = pts @ u.T  # (n, planes)
+        up, down = S.max(axis=0) - cu <= GEOM_TOL, S.min(axis=0) - cu >= -GEOM_TOL
+        for sign, side in ((1.0, up), (-1.0, down)):
+            raw += zip(sign * u[side], sign * cu[side])
     return normalize(raw, d)
 
 

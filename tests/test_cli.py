@@ -177,6 +177,18 @@ def test_exit_code_unbounded(tmp_path):
     assert run(["symmetry", "--in", str(path)]) == 3
 
 
+@pytest.mark.parametrize("vertices", [[[0], [5e-9]], [[0, 0], [1, 0], [0, 5e-9]]],
+                         ids=["1-d", "2-d"])
+def test_flat_vertex_input_exits_3(vertices, tmp_path, capsys):
+    """Vertex sets flat at the 1e-8 affine-rank tolerance are degenerate in
+    every dimension, a 1-d segment of length 5e-9 as well."""
+    path = _write(tmp_path, "flat.json", {"dim": len(vertices[0]), "vertices": vertices})
+    code = run(["symmetry", "--in", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("DegeneratePolytope") and "Traceback" not in err
+
+
 def test_check_orth_cli(square_file, lattice_file, tmp_path):
     out = tmp_path / "orth.json"
     assert run(["check-orth", "--in", square_file, "--lattice", lattice_file,
@@ -353,10 +365,11 @@ _PENTAGON_HALFSPACES = {"dim": 2, "halfspaces": [
     {"normal": [-1, 0], "offset": 0}]}
 
 
-def test_cold_path_never_imports_scipy(tmp_path):
-    """Importing the CLI, loading a half-space window and building its
-    certificate leave scipy unloaded; only vertex input needs ConvexHull."""
-    window = tmp_path / "pentagon.json"
+def test_cold_path_never_imports_scipy(tmp_path, pentagon_file):
+    """Importing the CLI, loading a half-space window, building its
+    certificate and loading the same window as vertex input leave scipy
+    unloaded."""
+    window = tmp_path / "pentagon_h.json"
     window.write_text(json.dumps(_PENTAGON_HALFSPACES))
     code = textwrap.dedent("""
         import sys
@@ -364,15 +377,16 @@ def test_cold_path_never_imports_scipy(tmp_path):
         io.load_polytope(sys.argv[1])
         code = cli.main(["certificate", "--in", sys.argv[1], "--eps", "0.2",
                          "--omega", "0.2", "--out", sys.argv[2]])
+        code += cli.main(["symmetry", "--in", sys.argv[3]])
         print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     src = str(Path(gonb.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, str(window), str(tmp_path / "c.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, str(window), str(tmp_path / "c.json"),
+                           pentagon_file], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def _write(tmp_path, name, obj):
@@ -518,33 +532,44 @@ def test_oversize_inputs_exit_2_without_allocating(square_file, tmp_path, capsys
         assert peak < 16 * 2 ** 20, f"{argv[0]} traced {peak} bytes before refusing"
 
 
-def test_vertex_input_hull_bounded_before_allocating(tmp_path, capsys):
-    """The hull of 60 sphere points has 116 facet planes: C(116, 3) =
-    253,460 vertex systems are refused with exit 2 before they are set up
-    (in 0.03 s; unbounded, the load took 1.4 s and 361 MB); 39 points (74
-    planes, C(74, 3) = 64,824 systems) still load."""
-    import scipy.spatial  # noqa: F401  (its import is not the refusal's allocation)
-
-    def sphere_file(n):
-        return _write(tmp_path, f"sphere{n}.json",
-                      {"dim": 3, "vertices": sphere_points(n).tolist()})
-
-    path = sphere_file(60)
+def _traced_refusal(argv, capsys):
+    """Run argv under tracemalloc, check that it exits 2 with a ParseError
+    inside 16 MB traced and 2.0 s, and return its stderr."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        code = run(["symmetry", "--in", path])
+        code = run(argv)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("ParseError") and "116 distinct halfspaces" in err
-    assert "Traceback" not in err
+    assert err.startswith("ParseError") and "Traceback" not in err
     assert peak < 16 * 2 ** 20, f"traced {peak} bytes before refusing"
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+    return err
+
+
+def test_vertex_input_hull_bounded_before_allocating(tmp_path, capsys):
+    """The hull of 60 sphere points has 116 facet planes: C(116, 3) =
+    253,460 vertex systems are refused with exit 2 before they are set up
+    (unbounded, the load took 1.4 s and 361 MB); 39 points (74 planes,
+    C(74, 3) = 64,824 systems) still load. 363 distinct circle points give
+    C(363, 2) = 65,703 hull candidates and are refused before any hull
+    plane is built."""
+    def sphere_file(n):
+        return _write(tmp_path, f"sphere{n}.json",
+                      {"dim": 3, "vertices": sphere_points(n).tolist()})
+
+    err = _traced_refusal(["symmetry", "--in", sphere_file(60)], capsys)
+    assert "116 distinct halfspaces" in err
     assert run(["symmetry", "--in", sphere_file(39)]) == 0
+    ang = 2 * np.pi * np.arange(363) / 363
+    circle = _write(tmp_path, "circle.json",
+                    {"dim": 2, "vertices": np.column_stack([np.cos(ang), np.sin(ang)]).tolist()})
+    err = _traced_refusal(["symmetry", "--in", circle], capsys)
+    assert "363 distinct points" in err
 
 
 def test_unexpected_value_error_is_not_a_precondition_failure(square_file, monkeypatch):

@@ -79,14 +79,60 @@ def test_normalize_bounds_distinct_halfspaces_before_allocating():
         normalize([((math.cos(a), math.sin(a)), 1.0) for a in ang], 2)
 
 
+def _qhull_planes(pts):
+    """The reference hull's facet planes (normal, offset), from Qhull."""
+    from scipy.spatial import ConvexHull
+
+    return [(e[:-1], -e[-1]) for e in ConvexHull(pts).equations]
+
+
+def _qhull_route(pts):
+    return normalize(_qhull_planes(pts), pts.shape[1])
+
+
 def test_large_vertex_hull_refused_quickly():
-    """800 sphere points give 1,596 hull planes: the duplicate-normal merge
+    """The 1,596 hull planes of 800 sphere points: the duplicate-normal merge
     tests each row against the kept rows at once, so the refusal takes
-    0.2 s (6.4 s with one norm per pair of rows)."""
+    0.2 s (6.4 s with one norm per pair of rows). As vertex input the 800
+    points are refused by their count, C(800, 3) hull candidates, before
+    any hull plane is built."""
+    raw = _qhull_planes(sphere_points(800))
     t0 = time.perf_counter()
     with pytest.raises(ParseError, match="1596 distinct halfspaces"):
-        from_vertices(sphere_points(800))
+        normalize(raw, 3)
     assert time.perf_counter() - t0 < 3.0
+    with pytest.raises(ParseError, match="800 distinct points"):
+        from_vertices(sphere_points(800))
+
+
+def test_point_hulls_match_qhull():
+    """80 random point sets each in d = 2 and 3 give Qhull's facets within
+    1e-12; exactly coplanar sets (a 4x4x4 grid, the unit cube with interior
+    and face points) give them exactly."""
+    rng = np.random.default_rng(12)
+    for d in (2, 3):
+        for _ in range(80):
+            pts = rng.uniform(-1.0, 1.0, (int(rng.integers(d + 2, 12)), d))
+            P, Q = from_vertices(pts), _qhull_route(pts)
+            assert P.A.shape == Q.A.shape
+            assert np.abs(P.A - Q.A).max() <= 1e-12 and np.abs(P.b - Q.b).max() <= 1e-12
+    grid = np.array(list(itertools.product(range(4), repeat=3)), dtype=float)
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+    cube = np.vstack([cube, rng.uniform(0.1, 0.9, (20, 3)), [[1, 0.5, 0.5], [0.5, 0, 0.3]]])
+    for pts in (grid, cube):
+        P, Q = from_vertices(pts), _qhull_route(pts)
+        assert P.A.shape == (6, 3)
+        assert np.array_equal(P.A, Q.A) and np.array_equal(P.b, Q.b)
+
+
+def test_repeated_points_change_no_hull():
+    """The pentagon closed by its first vertex, and 100 copies of its 5
+    vertices, give the pentagon's A and b."""
+    P = _qhull_route(PENTAGON_VERTICES)
+    for pts in (PENTAGON_VERTICES, np.vstack([PENTAGON_VERTICES, PENTAGON_VERTICES[:1]]),
+                np.tile(PENTAGON_VERTICES, (100, 1))):
+        Q = from_vertices(pts)
+        assert np.array_equal(Q.A, P.A) and np.array_equal(Q.b, P.b)
 
 
 def test_random_point_hulls_load_under_the_bound():
