@@ -12,6 +12,7 @@ form for negative entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -273,6 +274,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gonb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -66,9 +66,10 @@ KEY_SCALE = 1e9
 # Size bounds, checked before the arrays they bound are allocated: the
 # candidate grid of a lattice truncation, the ordered pairs a pair search
 # visits, the per-column difference key tables of the dedup (one entry per
-# pair of distinct coordinate values) and the per-chunk distinct differences
-# it merges. Z^4 in [-3,3]^4 needs 6,561 candidates, 5,762,400 pairs, 196
-# table entries and 128,613 differences to merge.
+# pair of distinct coordinate values), and both the dedup's code table and
+# the per-chunk distinct differences its sort path merges. Z^4 in [-3,3]^4
+# needs 6,561 candidates, 5,762,400 pairs, 196 key-table entries and a
+# 28,561-code table.
 MAX_LATTICE_CANDIDATES = 1 << 20
 MAX_PAIRS = 1 << 23
 MAX_KEY_TABLE = 1 << 22
@@ -254,8 +255,16 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     all keys zero are a ParseError. Returns the rounded differences in
     lexicographic order and, for each, the generating ordered pair (i, j)
     with points[i] - points[j] equal to it and the smallest i.
+
+    The code space, the product over columns of the number of distinct keys,
+    numbers the key tuples in lexicographic order. When it holds at most
+    MAX_DIFFS codes (lattice truncations: Z^4 in [-3,3]^4 has 28,561), one
+    table keeps the least flat pair index i * m + j per code; a larger space
+    (points in general position) sorts each chunk's codes and merges them.
     """
     m, k = pts.shape
+    if m == 0:
+        return np.zeros((0, k)), np.zeros(0, np.int64), np.zeros(0, np.int64)
     check_pair_count(m)
     values = [np.unique(pts[:, c], return_inverse=True) for c in range(k)]
     entries = sum(u.size ** 2 for u, _ in values)
@@ -270,18 +279,32 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
         cols.append((idx, rank.reshape(u.size, u.size).astype(np.int32), keys))
     radices = [keys.size for _, _, keys in cols]
     zeros = [int(np.searchsorted(keys, 0)) for _, _, keys in cols]
+    space = math.prod(radices)
+    table = space <= MAX_DIFFS
+    if table:
+        # a pair's code is the sum of its column codes, and it is positive
+        # (first nonzero key > 0) exactly when its code exceeds the zero code
+        codes = [rank * math.prod(radices[c + 1:]) for c, (_, rank, _) in enumerate(cols)]
+        zero = int(np.ravel_multi_index(zeros, radices))
+        seen = np.full(space, m * m, dtype=np.int64)
     step = max(1, pairs_per_chunk // m)
     parts = []
     n_parts = 0
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
-        R = [rank[idx[rows]][:, idx].ravel() for idx, rank, _ in cols]
-        # ordered pairs whose first nonzero key is positive
-        positive = np.zeros(R[0].size, dtype=bool)
-        open_ = np.ones(R[0].size, dtype=bool)
-        for r, z in zip(R, zeros):
-            positive |= open_ & (r > z)
-            open_ &= r == z
+        # take gathers the (rows, m) block in C order, so ravel copies nothing
+        if table:
+            code = sum(t[idx[rows]].take(idx, axis=1).ravel()
+                       for t, (idx, _, _) in zip(codes, cols))
+            positive, open_ = code > zero, code == zero
+        else:
+            R = [rank[idx[rows]].take(idx, axis=1).ravel() for idx, rank, _ in cols]
+            # ordered pairs whose first nonzero key is positive
+            positive = np.zeros(R[0].size, dtype=bool)
+            open_ = np.ones(R[0].size, dtype=bool)
+            for r, z in zip(R, zeros):
+                positive |= open_ & (r > z)
+                open_ &= r == z
         # a pair of distinct points with all keys zero would drop out unseen
         i, j = np.divmod(start * m + np.flatnonzero(open_), m)
         if np.any(i != j):
@@ -289,6 +312,9 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
             raise ParseError(f"time-frequency points {i[k]} and {j[k]} coincide at the 1e-9 "
                              f"resolution of pair differences")
         flat = np.flatnonzero(positive)
+        if table:
+            np.minimum.at(seen, code[flat], start * m + flat)
+            continue
         R = [r[flat] for r in R]
         _, first = np.unique(_lex_codes(R, radices), return_index=True)
         n_parts += first.size
@@ -296,12 +322,17 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
             raise ParseError(f"the {m} time-frequency points give more than "
                              f"{MAX_DIFFS} pair differences to merge")
         parts.append((np.stack([r[first] for r in R]), start * m + flat[first]))
-    R = np.concatenate([p[0] for p in parts], axis=1)
-    flat = np.concatenate([p[1] for p in parts])
-    # chunks run in increasing i, so the first occurrence has the smallest i
-    _, first = np.unique(_lex_codes(list(R), radices), return_index=True)
-    diffs = np.stack([keys[r[first]] for r, (_, _, keys) in zip(R, cols)], axis=1)
-    i, j = np.divmod(flat[first], m)
+    if table:
+        code = np.flatnonzero(seen < m * m)
+        R, flat = np.unravel_index(code, radices), seen[code]
+    else:
+        R = np.concatenate([p[0] for p in parts], axis=1)
+        flat = np.concatenate([p[1] for p in parts])
+        # chunks run in increasing i, so the first occurrence has the smallest i
+        _, first = np.unique(_lex_codes(list(R), radices), return_index=True)
+        R, flat = [r[first] for r in R], flat[first]
+    diffs = np.stack([keys[r] for r, (_, _, keys) in zip(R, cols)], axis=1)
+    i, j = np.divmod(flat, m)
     return diffs / KEY_SCALE, i, j
 
 

@@ -158,9 +158,13 @@ def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon
     assert len(out) > 0 and got == expected
 
 
-def test_single_point_no_pairs(pentagon):
-    L = TimeFrequencySet(np.array([[0.0, 0.0, 0.0, 0.0]]))
-    assert check_orthogonality(pentagon, L, 1e-9) == []
+@pytest.mark.parametrize("m", [0, 1])
+def test_single_point_no_pairs(m, pentagon):
+    pts = np.zeros((m, 4))
+    assert check_orthogonality(pentagon, TimeFrequencySet(pts), 1e-9) == []
+    diffs, i, j = _unique_signed_diffs(pts)
+    assert diffs.shape == (0, 4) and diffs.dtype == float
+    assert i.shape == j.shape == (0,) and i.dtype == j.dtype == np.int64
 
 
 # -- difference dedup ------------------------------------------------------------
@@ -234,20 +238,88 @@ def test_unique_signed_diffs_matches_reference(name):
     assert [smallest[tuple(w)] for w in diffs] == list(i)
 
 
+def _code_space(pts: np.ndarray) -> int:
+    """Product over columns of the number of distinct rounded differences."""
+    return math.prod(np.unique(np.round(u[:, None] - u, 9)).size
+                     for u in (np.unique(col) for col in pts.T))
+
+
+def _sort_calls(monkeypatch) -> list:
+    """Count the calls of gabor._lex_codes, which only the sort path makes."""
+    calls = []
+    lex_codes = gabor._lex_codes
+
+    def counted(*args):
+        calls.append(1)
+        return lex_codes(*args)
+
+    monkeypatch.setattr(gabor, "_lex_codes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", [name for name, pts in _dedup_cases().items()
+                                  if _code_space(pts) <= gabor.MAX_DIFFS])
+def test_unique_signed_diffs_table_and_sort_paths_agree(name, monkeypatch):
+    pts = _dedup_cases()[name]
+    sorts = _sort_calls(monkeypatch)
+    table = _unique_signed_diffs(pts)
+    assert not sorts
+    # one code fewer than the space sends the same input through the sort path
+    monkeypatch.setattr(gabor, "MAX_DIFFS", _code_space(pts) - 1)
+    merged = _unique_signed_diffs(pts)
+    assert sorts
+    for a, b in zip(table, merged):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_unique_signed_diffs_refuses_points_closer_than_the_resolution():
     """A pair whose difference rounds to the all-zero key would drop out of
-    the dedup and never be evaluated, so the set is refused instead."""
+    the dedup and never be evaluated, so the set is refused instead, on the
+    sort path and on the table path."""
     pts = _straddling_points(np.random.default_rng(2), 150, 4, distinct=False)  # one such pair
     with pytest.raises(ParseError, match="1e-9 resolution"):
         _unique_signed_diffs(pts)
+    grid = lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
+    near = np.vstack([grid, grid[40] + [0, 0, 0, 3e-10]])
+    assert _code_space(near) <= gabor.MAX_DIFFS
+    with pytest.raises(ParseError, match="points 40 and 81 coincide at the 1e-9 resolution"):
+        _unique_signed_diffs(near)
 
 
 def test_unique_signed_diffs_chunking_is_invisible():
-    pts = _dedup_cases()["straddling"]
-    whole = _unique_signed_diffs(pts, pairs_per_chunk=pts.shape[0] ** 2)
-    pieces = _unique_signed_diffs(pts, pairs_per_chunk=1)
-    for a, b in zip(whole, pieces):
-        assert np.array_equal(a, b)
+    # the straddling points take the sort path, the integer lattice the table
+    for pts in (_dedup_cases()[name] for name in ("straddling", "integer")):
+        whole = _unique_signed_diffs(pts, pairs_per_chunk=pts.shape[0] ** 2)
+        pieces = _unique_signed_diffs(pts, pairs_per_chunk=1)
+        for a, b in zip(whole, pieces):
+            assert np.array_equal(a, b)
+
+
+def _benchmark_sets():
+    """The point sets of the orth-square and orth-pentagon workloads at seed 0,
+    and 200 points in general position."""
+    shear = np.eye(4)
+    shear[2, 0] = 0.5
+    return {
+        "integer": lattice_points(np.eye(4), np.zeros(4), [-3] * 4, [3] * 4),
+        "sheared": lattice_points(shear, np.zeros(4), [-2] * 4, [2] * 4),
+        "scaled": lattice_points(np.diag([2.0, 1.0, 0.5, 1.0]), np.zeros(4),
+                                 [-2] * 4, [2] * 4),
+        "float": np.random.default_rng(0).uniform(-1.5, 1.5, (200, 4)),
+    }
+
+
+@pytest.mark.parametrize("name, space", [("integer", 28_561), ("sheared", 12_393),
+                                         ("scaled", 6_885), ("float", None)])
+def test_unique_signed_diffs_lattices_take_the_table_path(name, space, monkeypatch):
+    pts = _benchmark_sets()[name]
+    if space is None:
+        assert _code_space(pts) > gabor.MAX_DIFFS
+    else:
+        assert _code_space(pts) == space
+    sorts = _sort_calls(monkeypatch)
+    _unique_signed_diffs(pts)
+    assert bool(sorts) == (space is None)
 
 
 def test_lattice_truncation_refused_before_allocation():
