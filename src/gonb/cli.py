@@ -175,8 +175,9 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_check_orth(args) -> int:
-    if args.max_reports < 0:
-        raise ParseError("--max-reports must be >= 0")
+    # with no report allowed, a violation would print as the orthogonal verdict
+    if args.max_reports < 1:
+        raise ParseError("--max-reports must be >= 1")
     # |V| <= 1, so a threshold of 1 or more would pass every window
     if not 0 < args.tol_zero < 1:
         raise ParseError(f"--tol-zero must lie in (0, 1), got {args.tol_zero!r}")

@@ -48,6 +48,7 @@ from .polytope import (
     GEOM_TOL,
     HPolytope,
     _translate_intersections,
+    _vertex_groups,
     ball_grid,
     facet_gap,
     is_symmetric,
@@ -247,7 +248,71 @@ def _lex_codes(ranks: list[np.ndarray], radices: list[int]) -> np.ndarray:
     return code
 
 
-def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
+def _live_blocks(window: HPolytope | None, cols: list, m: int):
+    """The pairs the dedup visits, as blocks (rows, live) of point indices:
+    each row of a block is paired with each point of live.
+
+    Without a window one block holds all m^2 pairs. With a window the points
+    are grouped by their time tuple (the value indices of the window's d
+    time columns), and a group meets the points of the groups whose time
+    class with it can meet: its time key kappa passes, for every row a of
+    the window's A,
+
+        |<a, kappa>| / KEY_SCALE - slack <= w(a),
+
+    where w(a) is the width along a of the relaxed window
+    {A x <= b + GEOM_TOL}, the tolerance within which _vertex_groups calls a
+    vertex candidate feasible. A candidate x of the translate at shift t has
+    A x <= min(b, b + A t) + GEOM_TOL, so x and x - t lie in the relaxed
+    window and |<a, t>| <= w(a): a class that fails the test holds no pair
+    whose translate is non-empty or degenerate. The slack bounds
+    |<a, t - kappa / KEY_SCALE>| for every exact pair difference t of the
+    class: per column, |t_c| <= 2 COORD_BOUND, so the product t_c * KEY_SCALE
+    rounds by at most 2 COORD_BOUND KEY_SCALE 2^-53 < 1/4 and rint by 1/2,
+    and |t_c - kappa_c / KEY_SCALE| < 1 / KEY_SCALE; a unit row a has
+    |a|_1 <= d, which gives the first term, d / KEY_SCALE. The second,
+    d 2 COORD_BOUND 2^-48, covers rounding: a sum of d products with factors
+    |t_c| <= 2 COORD_BOUND is off by at most d^2 2 COORD_BOUND 2^-53 <=
+    d 2 COORD_BOUND 2^-51 (d <= 4), and the term holds eight such errors,
+    those of the translate's A t and A x, of the widths and of <a, kappa>
+    here. _vertex_groups' own GEOM_TOL on the relaxed window only adds
+    candidates, which widens w. The all-zero class always passes, so every
+    coincident pair is visited. Consecutive groups with the same live groups
+    share a block.
+    """
+    everyone = np.arange(m)
+    if window is None:
+        return [(everyone, everyone)]
+    d = window.dim
+    A = window.A
+    _, first, group = np.unique(
+        np.ravel_multi_index([idx for idx, _, _ in cols[:d]],
+                             [rank.shape[0] for _, rank, _ in cols[:d]]),
+        return_index=True, return_inverse=True)
+    times = np.stack([idx[first] for idx, _, _ in cols[:d]], axis=1)
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    _, V = next(_vertex_groups(A, (window.b + GEOM_TOL)[None], d))
+    reach = V[0] @ A.T
+    width = reach.max(axis=0) - reach.min(axis=0)
+    slack = d * (1 + 2 * COORD_BOUND * KEY_SCALE * 2.0 ** -48) / KEY_SCALE
+    n = times.shape[0]
+    live = np.empty((n, n), dtype=bool)  # group g meets group h
+    # slabs of groups with at most 2^18 (group pair, row of A) products
+    step = max(1, (1 << 18) // (n * A.shape[0]))
+    for lo in range(0, n, step):
+        kappa = np.stack([keys[rank[np.ix_(times[lo:lo + step, c], times[:, c])]]
+                          for c, (_, rank, keys) in enumerate(cols[:d])], axis=-1)
+        live[lo:lo + step] = np.all(np.abs(kappa @ A.T) / KEY_SCALE - slack <= width,
+                                    axis=-1)
+    heads = np.flatnonzero(np.r_[True, np.any(live[1:] != live[:-1], axis=1)])
+    bounds = np.append((np.cumsum(sizes) - sizes)[heads], m)
+    return [(order[lo:hi], order[np.repeat(live[g], sizes)])
+            for g, lo, hi in zip(heads, bounds[:-1], bounds[1:])]
+
+
+def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None,
+                         pairs_per_chunk: int = 1 << 18):
     """Distinct nonzero pair differences up to sign (first nonzero > 0).
 
     Differences are compared through the integer keys rint(D * 1e9), the same
@@ -260,7 +325,15 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     numbers the key tuples in lexicographic order. When it holds at most
     MAX_DIFFS codes (lattice truncations: Z^4 in [-3,3]^4 has 28,561), one
     table keeps the least flat pair index i * m + j per code; a larger space
-    (points in general position) sorts each chunk's codes and merges them.
+    (points in general position) sorts each chunk's codes, in increasing i,
+    and merges them.
+
+    With a window, the table path visits only the pairs whose time class can
+    meet (_live_blocks) and drops the differences of the other classes,
+    whose translates are surely empty: on Z^4 in [-3,3]^4 and the unit
+    square, 866,761 of the 5,764,801 pairs and 760 of the 14,280
+    differences. Every pair of a kept difference is visited, so it keeps its
+    bits and its smallest-i pair. Without a window nothing is dropped.
     """
     m, k = pts.shape
     if m == 0:
@@ -284,46 +357,58 @@ def _unique_signed_diffs(pts: np.ndarray, pairs_per_chunk: int = 1 << 18):
     if table:
         # a pair's code is the sum of its column codes, and it is positive
         # (first nonzero key > 0) exactly when its code exceeds the zero code
-        codes = [rank * math.prod(radices[c + 1:]) for c, (_, rank, _) in enumerate(cols)]
+        tables = [rank * math.prod(radices[c + 1:]) for c, (_, rank, _) in enumerate(cols)]
         zero = int(np.ravel_multi_index(zeros, radices))
         seen = np.full(space, m * m, dtype=np.int64)
-    step = max(1, pairs_per_chunk // m)
+    else:
+        tables = [rank for _, rank, _ in cols]
+    # the sort path's chunks run in increasing i over every pair
+    blocks = _live_blocks(window if table else None, cols, m)
     parts = []
     n_parts = 0
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        # take gathers the (rows, m) block in C order, so ravel copies nothing
-        if table:
-            code = sum(t[idx[rows]].take(idx, axis=1).ravel()
-                       for t, (idx, _, _) in zip(codes, cols))
-            positive, open_ = code > zero, code == zero
-        else:
-            R = [rank[idx[rows]].take(idx, axis=1).ravel() for idx, rank, _ in cols]
-            # ordered pairs whose first nonzero key is positive
-            positive = np.zeros(R[0].size, dtype=bool)
-            open_ = np.ones(R[0].size, dtype=bool)
-            for r, z in zip(R, zeros):
-                positive |= open_ & (r > z)
-                open_ &= r == z
-        # a pair of distinct points with all keys zero would drop out unseen
-        i, j = np.divmod(start * m + np.flatnonzero(open_), m)
-        if np.any(i != j):
-            k = int(np.argmax(i != j))
-            raise ParseError(f"time-frequency points {i[k]} and {j[k]} coincide at the 1e-9 "
-                             f"resolution of pair differences")
-        flat = np.flatnonzero(positive)
-        if table:
-            np.minimum.at(seen, code[flat], start * m + flat)
-            continue
-        R = [r[flat] for r in R]
-        _, first = np.unique(_lex_codes(R, radices), return_index=True)
-        n_parts += first.size
-        if n_parts > MAX_DIFFS:
-            raise ParseError(f"the {m} time-frequency points give more than "
-                             f"{MAX_DIFFS} pair differences to merge")
-        parts.append((np.stack([r[first] for r in R]), start * m + flat[first]))
+    coincident = m * m  # least flat index of a pair of distinct points with all keys zero
+    for rows, live in blocks:
+        at = [idx[live] for idx, _, _ in cols]
+        step = max(1, pairs_per_chunk // live.size)
+        for start in range(0, rows.size, step):
+            r = rows[start:start + step]
+            pair = (r[:, None] * m + live).ravel()
+            # take gathers the (r, live) block in C order, so ravel copies nothing
+            R = (t[idx[r]].take(a, axis=1).ravel() for t, (idx, _, _), a in zip(tables, cols, at))
+            if table:
+                code = sum(R)
+                open_ = code == zero
+            else:
+                R = list(R)
+                # ordered pairs whose first nonzero key is positive
+                positive = np.zeros(pair.size, dtype=bool)
+                open_ = np.ones(pair.size, dtype=bool)
+                for c, z in zip(R, zeros):
+                    positive |= open_ & (c > z)
+                    open_ &= c == z
+            same = pair[open_]
+            same = same[same // m != same % m]
+            if same.size:
+                coincident = min(coincident, int(same.min()))
+            if table:
+                # negative pairs fill codes below the zero code, which are never read
+                np.minimum.at(seen, code, pair)
+                continue
+            flat = np.flatnonzero(positive)
+            R = [c[flat] for c in R]
+            _, first = np.unique(_lex_codes(R, radices), return_index=True)
+            n_parts += first.size
+            if n_parts > MAX_DIFFS:
+                raise ParseError(f"the {m} time-frequency points give more than "
+                                 f"{MAX_DIFFS} pair differences to merge")
+            parts.append((np.stack([c[first] for c in R]), pair[flat[first]]))
+    # a pair of distinct points with all keys zero would drop out unseen
+    if coincident < m * m:
+        i, j = divmod(coincident, m)
+        raise ParseError(f"time-frequency points {i} and {j} coincide at the 1e-9 "
+                         f"resolution of pair differences")
     if table:
-        code = np.flatnonzero(seen < m * m)
+        code = zero + 1 + np.flatnonzero(seen[zero + 1:] < m * m)
         R, flat = np.unravel_index(code, radices), seen[code]
     else:
         R = np.concatenate([p[0] for p in parts], axis=1)
@@ -344,17 +429,21 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     Evaluates V(v - v') over all ordered pairs v != v' (deduplicated by
     difference vector rounded to 9 decimals; |V| is symmetric under sign flip)
     and reports the differences with |V| > tol_zero, each with its generating
-    pair of smallest first index and the value at that pair's difference. An empty list means mutual orthogonality
-    holds on the truncation. At most ``max_reports`` violations are returned,
-    largest |V| first selection, sorted lexicographically by (t, lam); each is
-    re-confirmed against the quadrature oracle when it is large enough for the
-    oracle to resolve.
+    pair of smallest first index and the value at that pair's difference.
+    Differences whose time class cannot meet P (see _live_blocks) are never
+    formed: V is identically zero there. An empty list means mutual
+    orthogonality holds on the truncation. At most ``max_reports`` (at least
+    1) violations are returned, largest |V| first selection, sorted
+    lexicographically by (t, lam); each is re-confirmed against the
+    quadrature oracle when it is large enough for the oracle to resolve.
     """
+    if max_reports < 1:
+        raise ValueError(f"max_reports must be at least 1, got {max_reports!r}")
     vol = _window_volume(P)
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
-    _, first, second = _unique_signed_diffs(L.points)
+    _, first, second = _unique_signed_diffs(L.points, P)
     # each distinct difference is evaluated at the exact difference of its
     # generating pair. Sorted by time shift (order), every shift group is a
     # slice of rows: one translate batch per block of shifts and one
@@ -379,24 +468,35 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
-    reports = []
-    for k, val in hits:
-        ok: bool | None = None
-        if confirm:
-            ok = _confirm_violation(P, W[k, :d], W[k, d:], val)
-        reports.append(ViolationReport((L.point(first[k]), L.point(second[k])),
-                                       complex(val), abs(val), ok))
+    oks = _confirm_violations(P, W, hits) if confirm else [None] * len(hits)
+    reports = [ViolationReport((L.point(first[k]), L.point(second[k])), val, abs(val), ok)
+               for (k, val), ok in zip(hits, oks)]
     reports.sort(key=lambda r: tuple(np.concatenate([r.pair[0].as_row(),
                                                      r.pair[1].as_row()])))
     return reports
 
 
-def _confirm_violation(P, t, lam, val) -> bool | None:
-    """Two-evaluator agreement; None when below the oracle's resolution."""
-    if abs(val) < 1e-3:
-        return None
-    q = stft_indicator_quadrature(P, t, lam, QUAD_N)
-    return abs(q - val) <= 0.3 * abs(val) + 1e-3
+def _stft_quadratures(P: HPolytope, W: np.ndarray, n_per_axis: int) -> np.ndarray:
+    """stft_indicator_quadrature at each row (t, lam) of W, bit for bit, with
+    the translates of all rows from one batch."""
+    vol = _window_volume(P)
+    d = P.dim
+    Qs = _translate_intersections(P, W[:, :d])
+    return np.array([_per_volume(ft_indicator_quadrature(Q, w[None, d:], n_per_axis), vol)[0]
+                     for Q, w in zip(Qs, W)], dtype=complex)
+
+
+def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
+    """Two-evaluator agreement of each hit (k, value at row k of W) with the
+    quadrature oracle; None when below the oracle's resolution."""
+    big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3]
+    oks: list[bool | None] = [None] * len(hits)
+    if big:
+        qs = _stft_quadratures(P, W[[hits[n][0] for n in big]], QUAD_N)
+        for n, q in zip(big, qs):
+            val = hits[n][1]
+            oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
+    return oks
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,24 @@ def test_check_orth_float_points_cli(pentagon_file, tmp_path):
         assert abs(stft_indicator(P, w[:2], w[2:]) - value) <= 1e-10
 
 
+@pytest.mark.parametrize("max_reports", ["0", "1"])
+def test_check_orth_needs_a_report(max_reports, pentagon_file, tmp_path, capsys):
+    """The sheared lattice violates on the pentagon: with no report allowed
+    the command would print the orthogonal verdict, so 0 is refused."""
+    shear = np.eye(4)
+    shear[2, 0] = 0.5
+    lat = _write(tmp_path, "l.json", {"lattice": {**_LATTICE_4D, "basis": shear.tolist()}})
+    out = tmp_path / "o.json"
+    code = run(["check-orth", "--in", pentagon_file, "--lattice", lat,
+                "--max-reports", max_reports, "--out", str(out)])
+    if max_reports == "0":
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("ParseError") and "--max-reports must be >= 1" in err
+    else:
+        assert code == 0 and json.loads(out.read_text())["n_violations_reported"] == 1
+
+
 @pytest.mark.parametrize("gap", [1e-10, 4e-10, 6e-10])
 def test_check_orth_point_resolution(gap, square_file, tmp_path, capsys):
     """Points 1e-9 apart or more give a pair; closer ones are refused, since
@@ -441,6 +459,7 @@ def test_polytope_json_contract(poly, message, tmp_path, capsys):
     (["check-orth", "--lattice", "absent.json", "--tol-zero", "inf"], "--tol-zero"),
     (["check-orth", "--lattice", "absent.json", "--tol-zero", "0"], "--tol-zero"),
     (["check-orth", "--lattice", "absent.json", "--tol-zero", "1"], "--tol-zero"),
+    (["check-orth", "--lattice", "absent.json", "--max-reports", "-1"], "--max-reports"),
 ])
 def test_flag_contract(argv, message, square_file, tmp_path, capsys):
     code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o")])

@@ -35,7 +35,14 @@ from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import _translate_intersections, is_symmetric
 
-from conftest import PENTAGON_VERTICES, _mp_divdiff_exp, ball_cone_bounds, random_polygon
+from conftest import (
+    PENTAGON_VERTICES,
+    _mp_divdiff_exp,
+    ball_cone_bounds,
+    make_pentagon,
+    make_unit_square,
+    random_polygon,
+)
 
 SMALL_PARAMS = CertificateScanParams(n_lambda1=24, n_cross=9, cone_n_radial=32,
                                      cone_n_cross=8)
@@ -351,6 +358,156 @@ def test_merge_bound_refuses_before_the_merge(monkeypatch):
     monkeypatch.setattr(gabor, "MAX_DIFFS", n_diffs - 1)
     with pytest.raises(ParseError, match="pair differences to merge"):
         _unique_signed_diffs(pts)
+
+
+# -- the time-class prune ---------------------------------------------------------
+
+
+def _cut_cube():
+    cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
+    return normalize(cube + [((1, 1, 0), 1.5)], 3)
+
+
+def _prune_window(d: int):
+    """A non-symmetric window of each dimension the dedup cases have."""
+    return {1: normalize([((1,), 1.3), ((-1,), -0.2)], 1), 2: make_pentagon(),
+            3: _cut_cube()}[d]
+
+
+def _prune_cases():
+    """(window, points): every dedup case with the window of its dimension,
+    the three workload lattices with their windows, random non-symmetric
+    polygons on Z^4 in [-2,2]^4, and the cut cube on Z^6 in [-1,1]^6."""
+    cases = {f"dedup_{name}": (_prune_window(pts.shape[1] // 2), pts)
+             for name, pts in _dedup_cases().items()}
+    sets = _benchmark_sets()
+    cases["integer"] = (make_unit_square(), sets["integer"])
+    cases["sheared"] = (make_pentagon(), sets["sheared"])
+    cases["scaled"] = (make_pentagon(), sets["scaled"])
+    rng = np.random.default_rng(5)
+    grid = lattice_points(np.eye(4), np.zeros(4), [-2] * 4, [2] * 4)
+    for n in range(3):
+        cases[f"polygon_{n}"] = (random_polygon(rng, scale=0.8), grid)
+    cases["cut_cube_6"] = (_cut_cube(), lattice_points(np.eye(6), np.zeros(6), [-1] * 6, [1] * 6))
+    return cases
+
+
+def _visits(monkeypatch) -> list:
+    """Record the pairs of each call of gabor._live_blocks' blocks."""
+    visits = []
+    live_blocks = gabor._live_blocks
+
+    def counted(window, cols, m):
+        blocks = live_blocks(window, cols, m)
+        visits.append(sum(rows.size * live.size for rows, live in blocks))
+        return blocks
+
+    monkeypatch.setattr(gabor, "_live_blocks", counted)
+    return visits
+
+
+@pytest.mark.parametrize("name", list(_prune_cases()))
+def test_prune_drops_only_surely_empty_translates(name):
+    """The window's dedup keeps rows of the dedup without one, with their
+    bits, dtypes and pairs, and every difference it drops has an empty
+    translate at its generating pair's exact difference."""
+    P, pts = _prune_cases()[name]
+    every = _unique_signed_diffs(pts)
+    kept = _unique_signed_diffs(pts, P)
+    index = {tuple(w): n for n, w in enumerate(every[0])}
+    rows = [index[tuple(w)] for w in kept[0]]
+    for a, b in zip(kept, every):
+        assert a.dtype == b.dtype and np.array_equal(a, b[rows])
+    dropped = np.setdiff1d(np.arange(every[0].shape[0]), rows)
+    W = pts[every[1][dropped]] - pts[every[2][dropped]]
+    shifts = np.unique(W[:, :P.dim], axis=0)
+    assert all(Q.empty for Q in _translate_intersections(P, shifts))
+    # float sets take the sort path, which keeps every pair, and the scaled
+    # dedup case spans no more than the pentagon
+    keep_all = {"dedup_random", "dedup_straddling", "dedup_d1", "dedup_d3",
+                "dedup_d3_straddling", "dedup_single", "dedup_scaled"}
+    assert (dropped.size == 0) == (name in keep_all)
+
+
+def test_prune_visits_the_pairs_of_the_live_classes(unit_square, monkeypatch):
+    """Z^4 in [-3,3]^4 with the unit square: of the 13^2 time shifts only
+    those with both |t_c| <= 1 can meet, so a time group meets at most 9 of
+    the 49 groups: 19^2 group pairs of 49^2 pairs each, 760 differences of
+    14,280 and 5 distinct time shifts instead of 85."""
+    pts = _benchmark_sets()["integer"]
+    visits = _visits(monkeypatch)
+    diffs, _, _ = _unique_signed_diffs(pts, unit_square)
+    everything, _, _ = _unique_signed_diffs(pts)
+    assert visits == [866_761, 2401 ** 2]
+    assert diffs.shape[0] == 760 and everything.shape[0] == 14_280
+    assert np.unique(diffs[:, :2], axis=0).shape[0] == 5
+
+
+def _report_rows(reports):
+    return [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value, r.abs_value,
+             r.confirmed) for r in reports]
+
+
+@pytest.mark.parametrize("tol_zero", [1e-9, 1e-15])
+def test_prune_keeps_check_orthogonality_reports(tol_zero, monkeypatch):
+    """The reports are equal with every time class forced live."""
+    cases = _prune_cases()
+    live_blocks = gabor._live_blocks
+    for name in ("integer", "sheared", "scaled", "polygon_0", "cut_cube_6"):
+        P, pts = cases[name]
+        L = TimeFrequencySet(pts)
+        pruned = check_orthogonality(P, L, tol_zero, max_reports=10_000, confirm=False)
+        with monkeypatch.context() as mp:
+            mp.setattr(gabor, "_live_blocks", lambda window, cols, m: live_blocks(None, cols, m))
+            every = check_orthogonality(P, L, tol_zero, max_reports=10_000, confirm=False)
+        assert _report_rows(pruned) == _report_rows(every)
+        assert (len(pruned) > 0) == (name != "integer")
+
+
+def test_prune_still_refuses_near_coincident_points(unit_square, monkeypatch):
+    """A point 3e-10 from lattice point 1200 of Z^4 in [-3,3]^4 is refused
+    through the window's dedup too, where most classes are pruned."""
+    grid = _benchmark_sets()["integer"]
+    near = np.vstack([grid, grid[1200] + [0, 0, 0, 3e-10]])
+    visits = _visits(monkeypatch)
+    with pytest.raises(ParseError, match="points 1200 and 2401 coincide at the 1e-9 resolution"):
+        _unique_signed_diffs(near, unit_square)
+    assert visits[0] < near.shape[0] ** 2 / 5
+    with pytest.raises(ParseError, match="points 1200 and 2401 coincide"):
+        check_orthogonality(unit_square, TimeFrequencySet(near))
+
+
+def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
+    """The oracle values of one translate batch equal stft_indicator_quadrature
+    bit for bit, and the confirmations of a check come from one batch."""
+    rng = np.random.default_rng(3)
+    W = np.concatenate([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-2, 2, (5, 2))], axis=1)
+    W[0, :2] = [3.0, 0.0]  # an empty translate
+    for n in (40, gabor.QUAD_N):
+        got = gabor._stft_quadratures(pentagon, W, n)
+        want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W]
+        assert got.dtype == complex and got.tolist() == want
+    batches = []
+
+    def counted(P, T):
+        batches.append(len(T))
+        return _translate_intersections(P, T)
+
+    monkeypatch.setattr(gabor, "_translate_intersections", counted)
+    L = TimeFrequencySet(lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4))
+    out = check_orthogonality(pentagon, L, 1e-9, max_reports=6)
+    assert len(batches) == 2 and batches[1] == 6
+    for rep in out:
+        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        q = stft_indicator_quadrature(pentagon, w[:2], w[2:], gabor.QUAD_N)
+        assert rep.confirmed == (abs(q - rep.value) <= 0.3 * rep.abs_value + 1e-3)
+
+
+@pytest.mark.parametrize("max_reports", [0, -1])
+def test_check_orthogonality_needs_a_report(max_reports, pentagon):
+    L = TimeFrequencySet(lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4))
+    with pytest.raises(ValueError, match="max_reports must be at least 1"):
+        check_orthogonality(pentagon, L, max_reports=max_reports)
 
 
 def test_check_orthogonality_float_points_report_their_pairs(pentagon):
