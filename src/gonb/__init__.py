@@ -29,7 +29,6 @@ from .fourier import (
     ConeScanParams,
     ScanGrid,
     apply_frame,
-    cone_constant,
     divergence_residual,
     ft_facet_measure,
     ft_indicator,
@@ -40,7 +39,6 @@ from .gabor import (
     CertificateScanParams,
     NonZeroCertificate,
     NotFound,
-    TimeFrequencyPoint,
     TimeFrequencySet,
     ViolationReport,
     build_certificate,

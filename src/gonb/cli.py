@@ -34,6 +34,7 @@ from .gabor import (
     NotFound,
     build_certificate,
     check_orthogonality,
+    check_certificate_window,
     check_coordinates,
     check_scale,
     find_violation_pair,
@@ -190,8 +191,8 @@ def cmd_check_orth(args) -> int:
         "n_violations_reported": len(reports),
         "violations": [
             {
-                "v": [float(x) for x in r.pair[0].as_row()],
-                "v_prime": [float(x) for x in r.pair[1].as_row()],
+                "v": [float(x) for x in r.v],
+                "v_prime": [float(x) for x in r.v_prime],
                 "value": _complex_dict(r.value),
                 "confirmed": r.confirmed,
             }
@@ -215,8 +216,8 @@ def cmd_find_violation(args) -> int:
                      "message": result.message})
     else:
         _emit(args, {"found": True,
-                     "v": [float(x) for x in result.pair[0].as_row()],
-                     "v_prime": [float(x) for x in result.pair[1].as_row()],
+                     "v": [float(x) for x in result.v],
+                     "v_prime": [float(x) for x in result.v_prime],
                      "value": _complex_dict(result.value)})
     return 0
 
@@ -251,6 +252,7 @@ def cmd_scan(args) -> int:
         if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")
         _grid_size(args.grid * args.n_cross ** (d - 1), "--grid with --n-cross")
+        check_certificate_window(P, cert)
         params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid,
                                 n_cross=args.n_cross)
         mesh = cone_lambda_grid(d, cert.omega, params)

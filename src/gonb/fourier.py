@@ -12,10 +12,10 @@ kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
 mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
 row has the same bits in any batch: the transforms of many bodies or facets
-(``_ft_indicators``, ``_axis_sigmas``, ``_axis_residuals``,
+(``_ft_indicators``, ``axis_sigmas``, ``_axis_residuals``,
 ``_ball_cone_constant``) share one batch of node rows. An axis facet whose
 tangent's first row is exactly zero (the framed normals +-e1) has chart rows
-that do not depend on lam_1, so ``_axis_sigmas`` charts it at the distinct
+that do not depend on lam_1, so ``axis_sigmas`` charts it at the distinct
 transverse rows lam[1:] only and gives every frequency its own phase: a
 certificate scan over a lam_1 x lam' grid charts each such facet at |lam'|
 rows, with the bits of every row. One cutter, ``_runs``, splits consecutive
@@ -468,9 +468,11 @@ def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]
     return facets(Q), fa, fb
 
 
-def _axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """axis_sigmas of each body at the rows of lams (n, d), as two
-    (len(bodies), n) arrays.
+def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_A, sigma_B) of each body: ft_facet_measure of its facets with
+    unit normals -e1 and +e1 at the rows of lams (n, d), as two
+    (len(bodies), n) arrays, zeros where a facet is absent; FrameMismatch
+    when a body has neither.
 
     The fixed-order sum <lam, tangent> of _dot starts with lam_1 * tangent[0],
     which adds +-0 to +0 when the tangent's first row is exactly zero (the
@@ -487,14 +489,6 @@ def _axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for (i, side, _), v in zip(present, vals):
         out[side, i] = v
     return out[0], out[1]
-
-
-def axis_sigmas(Q: HPolytope, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_A, sigma_B): ft_facet_measure of the facets of Q with unit
-    normals -e1 and +e1 at each row of lams (n, d), zeros where a facet is
-    absent; FrameMismatch when both are."""
-    (sa,), (sb,) = _axis_sigmas([Q], lams)
-    return sa, sb
 
 
 def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
@@ -515,7 +509,7 @@ def _axis_residuals(bodies, lams: np.ndarray):
     (len(bodies), n) arrays: the indicator transform, the axis facet
     transforms and the axis-route residual G = -2*pi*i*lam_1*ft + sigma_A -
     sigma_B."""
-    sa, sb = _axis_sigmas(bodies, lams)
+    sa, sb = axis_sigmas(bodies, lams)
     ft = np.array(_ft_indicators(bodies, [lams] * len(bodies))).reshape(sa.shape)
     return ft, sa, sb, -2j * np.pi * lams[:, 0] * ft + sa - sb
 
@@ -619,13 +613,6 @@ def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
             best = (float(vals[i, k]), blk.start + int(i), int(k))
     value, i, k = best
     return ConeBound(value, shifts[i].copy(), lam_grid[k].copy(), min_sin)
-
-
-def cone_constant(P: HPolytope, frame: AxisFrame, omega: float,
-                  params: ConeScanParams = ConeScanParams()) -> ConeBound:
-    """_ball_cone_constant of the one body apply_frame(P, frame); arg_t is
-    zero."""
-    return _ball_cone_constant([apply_frame(P, frame)], np.zeros((1, P.dim)), omega, params)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from .fourier import (
     ConeBound,
     ConeScanParams,
     _axis_residuals,
-    _axis_sigmas,
     _ball_cone_constant,
     _freqs,
     _ft_indicators,
     _runs,
     apply_frame,
-    ft_indicator,
+    axis_sigmas,
     ft_indicator_quadrature,
 )
 from .polytope import (
@@ -53,7 +52,6 @@ from .polytope import (
     facet_gap,
     is_symmetric,
     tangent_basis,
-    translate_intersection,
     volume,
 )
 
@@ -75,6 +73,9 @@ MAX_LATTICE_CANDIDATES = 1 << 20
 MAX_PAIRS = 1 << 23
 MAX_KEY_TABLE = 1 << 22
 MAX_DIFFS = 1 << 20
+# Pairs a dedup chunk holds at once, and (group pair, row of A) products a
+# slab of the time-class test holds.
+PAIRS_PER_CHUNK = 1 << 18
 # Time shifts an orthogonality check intersects at once: the translates of a
 # block are built, transformed and dropped before the next block.
 SHIFT_BLOCK = 1 << 12
@@ -104,15 +105,6 @@ def check_scale(value: float, what: str) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TimeFrequencyPoint:
-    t: np.ndarray
-    lam: np.ndarray
-
-    def as_row(self) -> np.ndarray:
-        return np.concatenate([self.t, self.lam])
-
-
-@dataclass(frozen=True, eq=False)
 class TimeFrequencySet:
     """Finite candidate set in R^{2d}: rows are (t_1..t_d, lam_1..lam_d)."""
 
@@ -123,8 +115,11 @@ class TimeFrequencySet:
         if pts.ndim != 2 or pts.shape[1] % 2 != 0:
             raise ValueError("points must be rows of even length 2d")
         check_coordinates(pts, "time-frequency point")
-        uniq = np.unique(np.round(pts, 12), axis=0)
-        if uniq.shape[0] != pts.shape[0]:
+        # rows equal after rounding to 12 decimals (-0.0 == 0.0) are adjacent
+        # once the rounded rows are sorted
+        r = np.round(pts, 12)
+        r = r[np.lexsort(r.T)]
+        if np.all(r[1:] == r[:-1], axis=1).any():
             raise ValueError("duplicate time-frequency point")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -136,10 +131,6 @@ class TimeFrequencySet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def point(self, i: int) -> TimeFrequencyPoint:
-        row = self.points[i]
-        return TimeFrequencyPoint(row[: self.d].copy(), row[self.d:].copy())
 
 
 def lattice_points(basis, shift, lo, hi) -> np.ndarray:
@@ -195,24 +186,56 @@ def _per_volume(vals: np.ndarray, vol: float) -> np.ndarray:
     return (np.asarray(vals, dtype=complex).view(float) / vol).view(complex)
 
 
-def _stft(P: HPolytope, t, lam, transform):
-    """transform(P intersect (P + t), lams) / vol(P) at each row of lam
-    (n, d); a 1-D lam returns a complex. An empty translate gives zeros."""
+def _midpoint(n_per_axis: int):
+    """The midpoint-rule transform for _stfts, n_per_axis points per axis."""
+    if n_per_axis < 2:
+        raise ValueError("n_per_axis must be >= 2")
+    return lambda bodies, lams: [ft_indicator_quadrature(Q, lam, n_per_axis)
+                                 for Q, lam in zip(bodies, lams)]
+
+
+def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
+           transform=_ft_indicators) -> np.ndarray:
+    """V(t, lam) = transform(P intersect (P + t), lam) / vol(P) at each row of
+    lams (n, d), whose rows come grouped by shift: counts[g] consecutive rows
+    belong to the row shifts[g] of shifts (s, d).
+
+    One translate batch per SHIFT_BLOCK shifts, and one transform batch
+    (transform(bodies, lams per body)) per run of live translates that holds
+    at most fourier._BODY_ROWS rows; an empty or degenerate translate gives
+    zeros. The default transform is elementwise, so a row has the same bits
+    in any batch.
+    """
     vol = _window_volume(P)
-    lams, one = _freqs(lam, P.dim)
-    vals = _per_volume(transform(translate_intersection(P, t), lams), vol)
-    return complex(vals[0]) if one else vals
+    counts = np.asarray(counts)
+    ends = np.cumsum(counts)
+    vals = np.zeros(lams.shape[0], dtype=complex)
+    for lo in range(0, shifts.shape[0], SHIFT_BLOCK):
+        Qs = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK])
+        live = [g for g, Q in enumerate(Qs, lo) if not (Q.empty or Q.degenerate)]
+        for run in _runs(counts[live], fourier._BODY_ROWS):
+            rows = [slice(ends[g] - counts[g], ends[g]) for g in live[run]]
+            bodies = [Qs[g - lo] for g in live[run]]
+            for r, v in zip(rows, transform(bodies, [lams[r] for r in rows])):
+                vals[r] = _per_volume(v, vol)
+    return vals
 
 
 def stft_indicator(P: HPolytope, t, lam):
     """V(t, lam) = vol(P)^{-1} * ft_indicator(P intersect (P+t), lam) for one
     shift t at each row of lam (n, d); a 1-D lam returns a complex."""
-    return _stft(P, t, lam, ft_indicator)
+    _window_volume(P)
+    lams, one = _freqs(lam, P.dim)
+    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]])
+    return complex(vals[0]) if one else vals
 
 
 def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
     """Independent midpoint-rule evaluation of the same STFT values."""
-    return _stft(P, t, lam, lambda Q, rows: ft_indicator_quadrature(Q, rows, n_per_axis))
+    _window_volume(P)
+    lams, one = _freqs(lam, P.dim)
+    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]], _midpoint(n_per_axis))
+    return complex(vals[0]) if one else vals
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +245,12 @@ def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
 
 @dataclass(frozen=True, eq=False)
 class ViolationReport:
-    """A pair of candidate points whose STFT difference value is nonzero."""
+    """A pair of candidate points, read-only rows (t, lam), whose STFT
+    difference value V(v - v_prime) is nonzero."""
 
-    pair: tuple[TimeFrequencyPoint, TimeFrequencyPoint]
+    v: np.ndarray
+    v_prime: np.ndarray
     value: complex
-    abs_value: float
     confirmed: bool | None = None
 
 
@@ -298,8 +322,8 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int):
     slack = d * (1 + 2 * COORD_BOUND * KEY_SCALE * 2.0 ** -48) / KEY_SCALE
     n = times.shape[0]
     live = np.empty((n, n), dtype=bool)  # group g meets group h
-    # slabs of groups with at most 2^18 (group pair, row of A) products
-    step = max(1, (1 << 18) // (n * A.shape[0]))
+    # slabs of groups with at most PAIRS_PER_CHUNK (group pair, row of A) products
+    step = max(1, PAIRS_PER_CHUNK // (n * A.shape[0]))
     for lo in range(0, n, step):
         kappa = np.stack([keys[rank[np.ix_(times[lo:lo + step, c], times[:, c])]]
                           for c, (_, rank, keys) in enumerate(cols[:d])], axis=-1)
@@ -311,8 +335,7 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int):
             for g, lo, hi in zip(heads, bounds[:-1], bounds[1:])]
 
 
-def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None,
-                         pairs_per_chunk: int = 1 << 18):
+def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None):
     """Distinct nonzero pair differences up to sign (first nonzero > 0).
 
     Differences are compared through the integer keys rint(D * 1e9), the same
@@ -369,7 +392,7 @@ def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None,
     coincident = m * m  # least flat index of a pair of distinct points with all keys zero
     for rows, live in blocks:
         at = [idx[live] for idx, _, _ in cols]
-        step = max(1, pairs_per_chunk // live.size)
+        step = max(1, PAIRS_PER_CHUNK // live.size)
         for start in range(0, rows.size, step):
             r = rows[start:start + step]
             pair = (r[:, None] * m + live).ravel()
@@ -439,51 +462,28 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     """
     if max_reports < 1:
         raise ValueError(f"max_reports must be at least 1, got {max_reports!r}")
-    vol = _window_volume(P)
+    _window_volume(P)
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
     _, first, second = _unique_signed_diffs(L.points, P)
     # each distinct difference is evaluated at the exact difference of its
     # generating pair. Sorted by time shift (order), every shift group is a
-    # slice of rows: one translate batch per block of shifts and one
-    # transform batch per run of live shift groups
+    # run of rows
     W = L.points[first] - L.points[second]
     shifts, inverse, counts = np.unique(W[:, :d], axis=0, return_inverse=True,
                                         return_counts=True)
     order = np.argsort(inverse, kind="stable")
-    freqs = W[order, d:]
-    ends = np.cumsum(counts)
-    vals = np.zeros(W.shape[0], dtype=complex)
-    for lo in range(0, shifts.shape[0], SHIFT_BLOCK):
-        Qs = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK])
-        live = [g for g, Q in enumerate(Qs, lo) if not (Q.empty or Q.degenerate)]
-        for run in _runs(counts[live], fourier._BODY_ROWS):
-            rows = [slice(ends[g] - counts[g], ends[g]) for g in live[run]]
-            bodies = [Qs[g - lo] for g in live[run]]
-            for r, v in zip(rows, _ft_indicators(bodies, [freqs[r] for r in rows])):
-                vals[r] = _per_volume(v, vol)
-    values = np.empty_like(vals)
-    values[order] = vals
+    values = np.empty(W.shape[0], dtype=complex)
+    values[order] = _stfts(P, shifts, W[order, d:], counts)
     hits = [(k, complex(values[k])) for k in np.flatnonzero(np.abs(values) > tol_zero)]
     hits.sort(key=lambda h: -abs(h[1]))
     hits = hits[:max_reports]
     oks = _confirm_violations(P, W, hits) if confirm else [None] * len(hits)
-    reports = [ViolationReport((L.point(first[k]), L.point(second[k])), val, abs(val), ok)
+    reports = [ViolationReport(L.points[first[k]], L.points[second[k]], val, ok)
                for (k, val), ok in zip(hits, oks)]
-    reports.sort(key=lambda r: tuple(np.concatenate([r.pair[0].as_row(),
-                                                     r.pair[1].as_row()])))
+    reports.sort(key=lambda r: tuple(np.concatenate([r.v, r.v_prime])))
     return reports
-
-
-def _stft_quadratures(P: HPolytope, W: np.ndarray, n_per_axis: int) -> np.ndarray:
-    """stft_indicator_quadrature at each row (t, lam) of W, bit for bit, with
-    the translates of all rows from one batch."""
-    vol = _window_volume(P)
-    d = P.dim
-    Qs = _translate_intersections(P, W[:, :d])
-    return np.array([_per_volume(ft_indicator_quadrature(Q, w[None, d:], n_per_axis), vol)[0]
-                     for Q, w in zip(Qs, W)], dtype=complex)
 
 
 def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
@@ -492,7 +492,9 @@ def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
     big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3]
     oks: list[bool | None] = [None] * len(hits)
     if big:
-        qs = _stft_quadratures(P, W[[hits[n][0] for n in big]], QUAD_N)
+        d = P.dim
+        rows = W[[hits[n][0] for n in big]]
+        qs = _stfts(P, rows[:, :d], rows[:, d:], np.ones(len(big), dtype=int), _midpoint(QUAD_N))
         for n, q in zip(big, qs):
             val = hits[n][1]
             oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
@@ -559,6 +561,12 @@ def window_fingerprint(P: HPolytope) -> str:
     return hashlib.sha256(blob + bytes([P.dim])).hexdigest()
 
 
+def check_certificate_window(P: HPolytope, cert: NonZeroCertificate) -> None:
+    """Raise CertificateMismatch unless cert was built for the window P."""
+    if window_fingerprint(P) != cert.provenance.window_hash:
+        raise CertificateMismatch("certificate was built for a different window")
+
+
 def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
     """Frame mapping facet F onto {y_1 = 0} and its parallel G onto {y_1 = 1}.
 
@@ -582,7 +590,7 @@ def _axis_gap(Qts: list[HPolytope], transverse: np.ndarray) -> float:
     lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1)
     worst = np.inf
     for blk in _runs([lams.shape[0]] * len(Qts), fourier._BODY_ROWS):
-        sa, sb = _axis_sigmas(Qts[blk], lams)
+        sa, sb = axis_sigmas(Qts[blk], lams)
         worst = min(worst, float(np.abs(np.abs(sa) - np.abs(sb)).min()))
     return worst
 
@@ -746,8 +754,7 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
     Pair condition in frame coordinates: |t - t'| < eps and lam - lam' in
     S(2*delta) \\ B_R.
     """
-    if window_fingerprint(P) != cert.provenance.window_hash:
-        raise CertificateMismatch("certificate was built for a different window")
+    check_certificate_window(P, cert)
     frame = cert.frame
     Q = apply_frame(P, frame)
     d = P.dim
@@ -773,8 +780,7 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
         for j in np.flatnonzero(far):
             val = stft_indicator(Q, dt[j], dl[j])
             if abs(val) > TOL_ZERO:
-                return ViolationReport((L.point(i), L.point(int(j))), val,
-                                       abs(val), None)
+                return ViolationReport(pts[i], pts[j], val)
             raise ScanFailure(
                 "certificate region contained a vanishing pair; parameters "
                 "falsified")

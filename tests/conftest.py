@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gonb import (
-    AxisFrame,
     apply_frame,
-    cone_constant,
     from_vertices,
     normalize,
     translate_intersection,
     volume,
 )
+from gonb.fourier import _ball_cone_constant
 from gonb.polytope import ball_grid
 
 PENTAGON_VERTICES = np.array([(0, 0), (2, 0), (2, 2), (1, 2), (0, 1)], dtype=float)
@@ -111,10 +110,10 @@ def _mp_divdiff_exp(y, mpmath):
 
 
 def ball_cone_bounds(P, frame, omega, params, radius, n_angles=8, n_radii=2):
-    """(t, cone_constant) of each translate Q intersect (Q + t), Q =
+    """(t, cone bound) of each translate Q intersect (Q + t), Q =
     apply_frame(P, frame), at the ball_grid shifts |t| <= radius, in grid
-    order."""
+    order; each bound is that of the one translate, with arg_t zero."""
     Q = apply_frame(P, frame)
-    ident = AxisFrame.identity(P.dim)
-    return [(t, cone_constant(translate_intersection(Q, t), ident, omega, params))
+    zero = np.zeros((1, P.dim))
+    return [(t, _ball_cone_constant([translate_intersection(Q, t)], zero, omega, params))
             for t in ball_grid(P.dim, radius, n_angles, n_radii)]

@@ -204,7 +204,7 @@ def test_criterion_7_main_theorem_witnesses():
         assert len(out) >= 1, f"lattice {name} produced no violation"
         worst = 0.0
         for repv in out:
-            w = repv.pair[0].as_row() - repv.pair[1].as_row()
+            w = repv.v - repv.v_prime
             rel = _confirm_by_oracle(pent, w, repv.value)
             assert rel <= 1e-4, f"{name}: oracle disagreement {rel:.2e}"
             worst = max(worst, rel)

@@ -14,7 +14,8 @@ import pytest
 
 import gonb
 from gonb.cli import main
-from gonb import cone_constant, ConeScanParams, stft_indicator
+from gonb import ConeScanParams, apply_frame, stft_indicator
+from gonb.fourier import _ball_cone_constant
 from gonb.io import load_certificate, load_polytope, polytope_to_dict
 
 from conftest import make_pentagon, sphere_points
@@ -130,8 +131,8 @@ def test_scan_gt_abs_matches_cone_constant(pentagon_file, tmp_path):
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
     sup = max(abs(float(c.split(",")[2])) * float(c.split(",")[6]) for c in rows)
     P = make_pentagon()
-    bound = cone_constant(P, cert.frame, cert.omega,
-                          ConeScanParams(r0=10, r1=200, n_radial=24, n_cross=5))
+    bound = _ball_cone_constant([apply_frame(P, cert.frame)], np.zeros((1, 2)), cert.omega,
+                                ConeScanParams(r0=10, r1=200, n_radial=24, n_cross=5))
     assert sup == pytest.approx(bound.value, rel=1e-12)
 
 
@@ -139,6 +140,26 @@ def test_scan_gt_abs_requires_certificate(pentagon_file, tmp_path):
     code = run(["scan", "--in", pentagon_file, "--field", "gt_abs",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_certificate_of_another_window_exits_3(pentagon_file, square_file, lattice_file,
+                                               tmp_path, capsys):
+    """A gt_abs scan of the square with the pentagon's certificate is refused
+    like find-violation with it (exit 3, CertificateMismatch), after the flag
+    and region checks, which keep exit 2."""
+    cert = str(tmp_path / "cert.json")
+    assert run(["certificate", "--in", pentagon_file, "--eps", "0.2", "--omega", "0.2",
+                "--out", cert]) == 0
+    out = tmp_path / "o"
+    for argv in (["scan", "--field", "gt_abs", "--grid", "4", "--n-cross", "3"],
+                 ["find-violation", "--lattice", lattice_file]):
+        capsys.readouterr()
+        code = run(argv + ["--in", square_file, "--certificate", cert, "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err.startswith("CertificateMismatch")
+    assert run(["scan", "--field", "gt_abs", "--n-cross", "0", "--in", square_file,
+                "--certificate", cert, "--out", str(out)]) == 2
+    assert "empty scan region" in capsys.readouterr().err
 
 
 def test_scan_empty_region_is_parse_error(square_file, tmp_path):

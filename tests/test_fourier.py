@@ -13,7 +13,6 @@ from gonb import (
     ConeTooWide,
     ParallelDirection,
     ScanGrid,
-    cone_constant,
     divergence_residual,
     facets,
     ft_facet_measure,
@@ -28,7 +27,7 @@ from gonb import fourier, from_vertices
 from gonb.fourier import (
     _axis_facets,
     _axis_residuals,
-    _axis_sigmas,
+    _ball_cone_constant,
     _ft_simplices,
     apply_frame,
     axis_sigmas,
@@ -484,9 +483,9 @@ def test_axis_sigmas_match_the_scan_formula(pentagon):
         # round <lam, origin> and the tangent coordinates an ulp apart; with
         # frame coordinates below 2 a phase moves by a few ulps of 4*pi*|lam|_1
         rel = 4 * np.finfo(float).eps * 4 * np.pi * np.abs(lams).sum(axis=1)
-        sa, sb = _axis_sigmas(Qts, lams)
+        sa, sb = axis_sigmas(Qts, lams)
         for Qt, got_a, got_b in zip(Qts, sa, sb):
-            one = axis_sigmas(Qt, lams)
+            one = [s[0] for s in axis_sigmas([Qt], lams)]
             assert np.array_equal(got_a, one[0]) and np.array_equal(got_b, one[1])
             for got, ref in zip(one, _axis_sigma_reference(Qt, lams)):
                 assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
@@ -529,7 +528,7 @@ def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
         return batch(parts)
 
     monkeypatch.setattr(fourier, "_ft_simplices", counted)
-    sa, sb = _axis_sigmas(Qts, lams)
+    sa, sb = axis_sigmas(Qts, lams)
     ft, sa_r, sb_r, g = _axis_residuals(Qts, lams)
     monkeypatch.undo()
     full = case == "rotated pentagon"
@@ -600,8 +599,8 @@ def test_sigma_bound_parallel_direction_raises(unit_square):
 
 
 def test_cone_constant_square_is_zero(unit_square):
-    bound = cone_constant(unit_square, AxisFrame.identity(2), 0.2,
-                          ConeScanParams(n_radial=16, n_cross=5))
+    bound = _ball_cone_constant([unit_square], np.zeros((1, 2)), 0.2,
+                                ConeScanParams(n_radial=16, n_cross=5))
     assert bound.value <= 1e-12
 
 
@@ -624,8 +623,9 @@ def test_cone_constant_monotone_in_omega(pentagon):
     frame = _pentagon_frame(pentagon)
     # nested cross grids: fractions {0, +-1/2, +-1} at omega vs 2*omega
     p = ConeScanParams(r0=10, r1=100, n_radial=24, n_cross=5)
-    c_small = cone_constant(pentagon, frame, 0.1, p)
-    c_big = cone_constant(pentagon, frame, 0.2, p)
+    Q = [apply_frame(pentagon, frame)]
+    c_small = _ball_cone_constant(Q, np.zeros((1, 2)), 0.1, p)
+    c_big = _ball_cone_constant(Q, np.zeros((1, 2)), 0.2, p)
     assert c_small.value <= c_big.value * (1 + 1e-9)
 
 
@@ -665,8 +665,8 @@ def test_cone_too_wide_detects_parallel_normal(pentagon):
     # omega = 1 puts the direction (1, -1) in the scanned cone, parallel to the
     # mapped slant normal
     with pytest.raises(ConeTooWide):
-        cone_constant(pentagon, frame, 1.0, ConeScanParams(r0=10, r1=20, n_radial=4,
-                                                           n_cross=5))
+        _ball_cone_constant([apply_frame(pentagon, frame)], np.zeros((1, 2)), 1.0,
+                            ConeScanParams(r0=10, r1=20, n_radial=4, n_cross=5))
 
 
 # -- scan grid / CSV ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from gonb import (
     triangulate,
     volume,
 )
-from gonb import fourier, gabor
+from gonb import fourier, gabor, polytope
 from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import _translate_intersections, is_symmetric
@@ -111,6 +111,32 @@ def test_duplicate_points_rejected():
         TimeFrequencySet(np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]))
 
 
+def test_duplicate_rule_is_the_unique_rule():
+    """A set is refused exactly when np.unique of its rows rounded to 12
+    decimals has fewer rows: on random near-duplicate sets, with rows moved
+    by about 1e-13 and coordinates set to +0.0 and -0.0."""
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(300):
+        m = int(rng.integers(2, 12))
+        pool = rng.integers(-1, 2, (6, 4)).astype(float)
+        pts = pool[rng.integers(0, 6, m)]
+        pts += rng.choice([0.0, 0.0, 1e-13, -4e-13, 6e-13], (m, 4))
+        pts[rng.random((m, 4)) < 0.3] *= -1.0  # zeros become -0.0
+        want = np.unique(np.round(pts, 12), axis=0).shape[0] != m
+        try:
+            TimeFrequencySet(pts)
+            got = False
+        except ValueError as exc:
+            assert str(exc) == "duplicate time-frequency point"
+            got = True
+        assert got == want
+        refused += got
+    assert 50 < refused < 250
+    with pytest.raises(ValueError, match="duplicate"):
+        TimeFrequencySet(np.array([[0.0, 1, 0, 0], [-0.0, 1, 0, 0]]))
+
+
 def test_lattice_points_sheared_unit_density():
     basis = np.eye(4)
     basis[2, 0] = 0.5
@@ -134,9 +160,10 @@ def test_pentagon_small_lattice_violates(pentagon):
     out = check_orthogonality(pentagon, TimeFrequencySet(pts), 1e-9, max_reports=6)
     assert len(out) > 0
     for rep in out:
-        assert rep.abs_value > 1e-9
+        assert abs(rep.value) > 1e-9
         assert rep.confirmed in (True, None)
-        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        assert not (rep.v.flags.writeable or rep.v_prime.flags.writeable)
+        w = rep.v - rep.v_prime
         direct = stft_indicator(pentagon, w[:2], w[2:])
         assert direct == pytest.approx(rep.value, abs=1e-12)
 
@@ -160,7 +187,7 @@ def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon
         if abs(val) > 1e-9:
             expected[(i, j)] = val
     index = {tuple(p): k for k, p in enumerate(pts)}
-    got = {(index[tuple(r.pair[0].as_row())], index[tuple(r.pair[1].as_row())]): r.value
+    got = {(index[tuple(r.v)], index[tuple(r.v_prime)]): r.value
            for r in out}
     assert len(out) > 0 and got == expected
 
@@ -293,11 +320,13 @@ def test_unique_signed_diffs_refuses_points_closer_than_the_resolution():
         _unique_signed_diffs(near)
 
 
-def test_unique_signed_diffs_chunking_is_invisible():
+def test_unique_signed_diffs_chunking_is_invisible(monkeypatch):
     # the straddling points take the sort path, the integer lattice the table
     for pts in (_dedup_cases()[name] for name in ("straddling", "integer")):
-        whole = _unique_signed_diffs(pts, pairs_per_chunk=pts.shape[0] ** 2)
-        pieces = _unique_signed_diffs(pts, pairs_per_chunk=1)
+        monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", pts.shape[0] ** 2)
+        whole = _unique_signed_diffs(pts)
+        monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", 1)
+        pieces = _unique_signed_diffs(pts)
         for a, b in zip(whole, pieces):
             assert np.array_equal(a, b)
 
@@ -444,8 +473,7 @@ def test_prune_visits_the_pairs_of_the_live_classes(unit_square, monkeypatch):
 
 
 def _report_rows(reports):
-    return [(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value, r.abs_value,
-             r.confirmed) for r in reports]
+    return [(r.v.tolist(), r.v_prime.tolist(), r.value, r.confirmed) for r in reports]
 
 
 @pytest.mark.parametrize("tol_zero", [1e-9, 1e-15])
@@ -478,13 +506,14 @@ def test_prune_still_refuses_near_coincident_points(unit_square, monkeypatch):
 
 
 def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
-    """The oracle values of one translate batch equal stft_indicator_quadrature
-    bit for bit, and the confirmations of a check come from one batch."""
+    """The midpoint-rule values of one translate batch, one shift per row,
+    equal stft_indicator_quadrature bit for bit, and the confirmations of a
+    check come from one batch."""
     rng = np.random.default_rng(3)
     W = np.concatenate([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-2, 2, (5, 2))], axis=1)
     W[0, :2] = [3.0, 0.0]  # an empty translate
     for n in (40, gabor.QUAD_N):
-        got = gabor._stft_quadratures(pentagon, W, n)
+        got = gabor._stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, gabor._midpoint(n))
         want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W]
         assert got.dtype == complex and got.tolist() == want
     batches = []
@@ -498,9 +527,9 @@ def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
     out = check_orthogonality(pentagon, L, 1e-9, max_reports=6)
     assert len(batches) == 2 and batches[1] == 6
     for rep in out:
-        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        w = rep.v - rep.v_prime
         q = stft_indicator_quadrature(pentagon, w[:2], w[2:], gabor.QUAD_N)
-        assert rep.confirmed == (abs(q - rep.value) <= 0.3 * rep.abs_value + 1e-3)
+        assert rep.confirmed == (abs(q - rep.value) <= 0.3 * abs(rep.value) + 1e-3)
 
 
 @pytest.mark.parametrize("max_reports", [0, -1])
@@ -516,7 +545,7 @@ def test_check_orthogonality_float_points_report_their_pairs(pentagon):
     out = check_orthogonality(pentagon, L, 1e-9, max_reports=8, confirm=False)
     assert len(out) == 8
     for rep in out:
-        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        w = rep.v - rep.v_prime
         assert abs(stft_indicator(pentagon, w[:2], w[2:]) - rep.value) <= 1e-10
 
 
@@ -544,7 +573,7 @@ def test_check_orthogonality_float_points_batch_their_transforms(pentagon, monke
     monkeypatch.undo()
     assert len(out) > 8
     for rep in out:
-        w = rep.pair[0].as_row() - rep.pair[1].as_row()
+        w = rep.v - rep.v_prime
         assert stft_indicator(pentagon, w[:2], w[2:]) == rep.value
 
 
@@ -574,7 +603,7 @@ def test_check_orthogonality_blocks_of_shift_groups_keep_the_reports(pentagon, m
             calls.clear()
             batches.clear()
             out = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
-            reports.append([(r.pair[0].as_row().tolist(), r.pair[1].as_row().tolist(), r.value)
+            reports.append([(r.v.tolist(), r.v_prime.tolist(), r.value)
                             for r in out])
             assert max(batches) <= shift_block
             if body_rows < default[1]:
@@ -582,6 +611,41 @@ def test_check_orthogonality_blocks_of_shift_groups_keep_the_reports(pentagon, m
             if shift_block < default[0]:
                 assert len(batches) > 1
         assert reports[0] and all(r == reports[0] for r in reports[1:])
+
+
+def _perturbed_grid(seed):
+    """Z^4 in [-1, 1]^4 with the time parts moved by multiples of 1e-10 (at
+    most 3e-10): differences of one dedup key hold several exact shifts."""
+    pts = lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
+    pts[:, :2] += 1e-10 * np.random.default_rng(seed).integers(-3, 4, (81, 2))
+    return pts
+
+
+@pytest.mark.parametrize("name, batches", [
+    ("integer", [5]), ("sheared", [12, 6]), ("scaled", [7, 6]),
+    ("perturbed 0", [474, 6]), ("perturbed 1", [436, 6]), ("perturbed 2", [428, 6]),
+    ("perturbed 3", [433, 6]), ("perturbed 4", [513, 6]),
+])
+def test_check_orthogonality_translate_batches(name, batches, unit_square, pentagon,
+                                               monkeypatch):
+    """The translate batches of a check, as the workloads run it (the
+    integer lattice on the square with 64 reports, the others on the
+    pentagon with 6): one batch over the distinct exact time shifts of the
+    kept differences, then one over the confirmed hits. Grouping by exact
+    shift keeps the perturbed grids at 428-513 translates."""
+    sizes = []
+
+    def counted(P, T):
+        sizes.append(len(T))
+        return _translate_intersections(P, T)
+
+    monkeypatch.setattr(gabor, "_translate_intersections", counted)
+    if name.startswith("perturbed"):
+        P, pts = pentagon, _perturbed_grid(int(name.split()[1]))
+    else:
+        P, pts = (unit_square if name == "integer" else pentagon), _benchmark_sets()[name]
+    check_orthogonality(P, TimeFrequencySet(pts), 1e-9, max_reports=64 if name == "integer" else 6)
+    assert sizes == batches
 
 
 # check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):
@@ -595,7 +659,7 @@ def test_check_orthogonality_200_float_points_within_budget(pentagon):
     t0 = time.perf_counter()
     out = check_orthogonality(pentagon, L, confirm=False)
     elapsed = time.perf_counter() - t0
-    assert len(out) == 64 and all(rep.abs_value > TOL_ZERO for rep in out)
+    assert len(out) == 64 and all(abs(rep.value) > TOL_ZERO for rep in out)
     assert elapsed < FLOAT_200_BUDGET_S, f"{elapsed:.2f} s"
 
 
@@ -629,19 +693,16 @@ def test_build_certificate_pentagon(pentagon):
 
 def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch):
     """eta, delta, C and the verify scan share one translate batch over the
-    ball shifts, and no shift is intersected on its own."""
+    ball shifts, and no shift is intersected on its own: every translate,
+    one-shift ones included, passes through polytope._translate_intersections."""
     calls = []
 
     def counted(P, T):
         calls.append(np.asarray(T).shape[0])
         return _translate_intersections(P, T)
 
-    def single(*args):
-        raise AssertionError("one-shift translate in the certificate")
-
     monkeypatch.setattr(gabor, "_translate_intersections", counted)
-    monkeypatch.setattr(gabor, "translate_intersection", single)
-    monkeypatch.setattr(fourier, "translate_intersection", single, raising=False)
+    monkeypatch.setattr(polytope, "_translate_intersections", counted)
     cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
     assert calls == [cert.provenance.n_t] == [17]
 
@@ -863,13 +924,13 @@ def test_find_violation_pair_pentagon(pentagon):
     L = _axis_spread_set(cert)
     res = find_violation_pair(pentagon, L, cert)
     assert not isinstance(res, NotFound)
-    assert res.abs_value > 0
+    assert abs(res.value) > 0
     # the certificate chain floor holds at the found pair
-    dlam = cert.frame.to_frame_freq(res.pair[0].lam - res.pair[1].lam)
+    dlam = cert.frame.to_frame_freq(res.v[2:] - res.v_prime[2:])
     floor = (cert.eta - cert.C / abs(dlam[0])) / (
         2 * np.pi * volume(pentagon) / cert.frame.scale ** 2 * abs(dlam[0])
     )
-    assert res.abs_value >= 0.9 * floor
+    assert abs(res.value) >= 0.9 * floor
 
 
 def test_find_violation_tight_spread_not_found(pentagon):
