@@ -459,26 +459,29 @@ def sigma_bound(F: Facet, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_facets(Q: HPolytope) -> tuple[list[Facet], Facet | None, Facet | None]:
-    """Facets of Q and those with unit normals -e1 (the low face A) and +e1
-    (B), found once per body; FrameMismatch when both are absent."""
+def _axis_facets(Q: HPolytope) -> tuple[Facet | None, Facet | None, list[Facet]]:
+    """The facets of the divergence identity: those with unit normals -e1 (A)
+    and +e1 (B), None where absent, and those G sums, off the pair with
+    <e1, n_F> nonzero, in facet order. An empty or degenerate Q has none;
+    FrameMismatch when a full-dimensional Q has neither A nor B."""
     fa, fb = Q._axis_pair
-    if fa is None and fb is None:
+    fs = facets(Q)
+    if fa is None and fb is None and fs:
         raise FrameMismatch("no facet pair normalized to the frame axis")
-    return facets(Q), fa, fb
+    return fa, fb, [F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14]
 
 
 def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_A, sigma_B) of each body: ft_facet_measure of its facets with
     unit normals -e1 and +e1 at the rows of lams (n, d), as two
     (len(bodies), n) arrays, zeros where a facet is absent; FrameMismatch
-    when a body has neither.
+    when a full-dimensional body has neither.
 
     The fixed-order sum <lam, tangent> of _dot starts with lam_1 * tangent[0],
     which adds +-0 to +0 when the tangent's first row is exactly zero (the
     framed normals +-e1): such a facet is charted at the distinct rows of
     lams[:, 1:] only, with the bits of every row; any other at every row."""
-    pairs = [_axis_facets(Q)[1:] for Q in bodies]
+    pairs = [_axis_facets(Q)[:2] for Q in bodies]
     present = [(i, side, F) for i, pair in enumerate(pairs) for side, F in enumerate(pair)
                if F is not None]
     _, first, back = np.unique(lams[:, 1:], axis=0, return_index=True, return_inverse=True)
@@ -493,12 +496,9 @@ def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
     """G of each body at the rows of lams (n, d) by the boundary route: the
-    sum over its facets F off the axis pair of <e1, n_F> ft_facet_measure(F),
-    in facet order."""
-    rests = []
-    for Q in bodies:
-        fs, fa, fb = _axis_facets(Q)
-        rests.append([F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14])
+    sum over its G facets F (_axis_facets) of <e1, n_F> ft_facet_measure(F),
+    in facet order; zeros for an empty or degenerate body."""
+    rests = [_axis_facets(Q)[2] for Q in bodies]
     vals = iter(_ft_facets([F for rest in rests for F in rest], lams))
     return [sum((F.normal[0] * next(vals) for F in rest), np.zeros(lams.shape[0], dtype=complex))
             for rest in rests]
@@ -585,16 +585,16 @@ def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
 
     Takes the first maximum of |lam_1| * |G(lam)| in (shift, lam) order from
     boundary-route residual batches over blocks of bodies, with the smallest
-    facet angle seen. Raises ConeTooWide when a scanned direction is within
-    GEOM_TOL of a non-axis facet normal.
+    angle seen between a scanned direction and a normal of the G facets
+    (_axis_facets), whose rows the batches hold. Raises ConeTooWide when a
+    scanned direction is within GEOM_TOL of such a normal.
     """
     d = shifts.shape[1]
     lam_grid = cone_lambda_grid(d, omega, params)
     min_sin = 1.0
     rows = []  # (facet x frequency) rows of each body's residual
     for Q in bodies:
-        fs, fa, fb = _axis_facets(Q)
-        normals = np.array([F.normal for F in fs if F is not fa and F is not fb]).reshape(-1, d)
+        normals = np.array([F.normal for F in _axis_facets(Q)[2]]).reshape(-1, d)
         along = (lam_grid @ normals.T)[:, :, None] * normals
         sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
                 / np.linalg.norm(lam_grid, axis=1)[:, None])

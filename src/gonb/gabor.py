@@ -49,7 +49,6 @@ from .polytope import (
     _translate_intersections,
     _vertex_groups,
     ball_grid,
-    facet_gap,
     is_symmetric,
     tangent_basis,
     volume,
@@ -340,9 +339,9 @@ def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None):
 
     Differences are compared through the integer keys rint(D * 1e9), the same
     equivalence as rounding to 9 decimals; two points whose difference has
-    all keys zero are a ParseError. Returns the rounded differences in
-    lexicographic order and, for each, the generating ordered pair (i, j)
-    with points[i] - points[j] equal to it and the smallest i.
+    all keys zero are a ParseError. Returns, for each distinct difference in
+    the lexicographic order of the rounded differences, its generating
+    ordered pair (i, j) with the smallest i, as two index arrays.
 
     The code space, the product over columns of the number of distinct keys,
     numbers the key tuples in lexicographic order. When it holds at most
@@ -360,7 +359,7 @@ def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None):
     """
     m, k = pts.shape
     if m == 0:
-        return np.zeros((0, k)), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     check_pair_count(m)
     values = [np.unique(pts[:, c], return_inverse=True) for c in range(k)]
     entries = sum(u.size ** 2 for u, _ in values)
@@ -431,17 +430,15 @@ def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None):
         raise ParseError(f"time-frequency points {i} and {j} coincide at the 1e-9 "
                          f"resolution of pair differences")
     if table:
-        code = zero + 1 + np.flatnonzero(seen[zero + 1:] < m * m)
-        R, flat = np.unravel_index(code, radices), seen[code]
+        flat = seen[zero + 1:]
+        flat = flat[flat < m * m]
     else:
         R = np.concatenate([p[0] for p in parts], axis=1)
         flat = np.concatenate([p[1] for p in parts])
         # chunks run in increasing i, so the first occurrence has the smallest i
         _, first = np.unique(_lex_codes(list(R), radices), return_index=True)
-        R, flat = [r[first] for r in R], flat[first]
-    diffs = np.stack([keys[r] for r, (_, _, keys) in zip(R, cols)], axis=1)
-    i, j = np.divmod(flat, m)
-    return diffs / KEY_SCALE, i, j
+        flat = flat[first]
+    return np.divmod(flat, m)
 
 
 def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
@@ -466,7 +463,7 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     d = L.d
     if d != P.dim:
         raise ValueError("time-frequency set dimension mismatch")
-    _, first, second = _unique_signed_diffs(L.points, P)
+    first, second = _unique_signed_diffs(L.points, P)
     # each distinct difference is evaluated at the exact difference of its
     # generating pair. Sorted by time shift (order), every shift group is a
     # run of rows
@@ -650,12 +647,12 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     vol_q = volume(Q)
     d = P.dim
     eps_f = float(eps) / frame.scale
-    e1 = np.zeros(d)
-    e1[0] = 1.0
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
     Qts = _translate_intersections(Q, tgrid)
-    eta = min(facet_gap(Qt, -e1, e1) for Qt in Qts)
+    # the least |vol A - vol B| of a translate's axis pair, an absent facet counting 0
+    vols = [[0.0 if F is None else F.volume_dm1 for F in Qt._axis_pair] for Qt in Qts]
+    eta = min(abs(a - b) for a, b in vols)
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
 

@@ -39,8 +39,8 @@ def load_polytope(source) -> HPolytope:
     need ``dim`` entries and a norm above GEOM_TOL; normal entries, offsets
     and vertex coordinates must be finite with |x| <= COORD_BOUND; the vertex
     candidates C(n, dim) of n halfspaces and the hull candidates C(n, dim) of
-    n distinct vertices are bounded by MAX_VERTEX_CANDIDATES, dim by MAX_DIM,
-    and vertex input needs dim <= 3. Anything else is a ParseError.
+    n distinct vertices are bounded by MAX_VERTEX_CANDIDATES, and dim by
+    MAX_DIM in both forms. Anything else is a ParseError.
     """
     data = _load(source)
     dim = data.get("dim")
@@ -68,19 +68,19 @@ def load_polytope(source) -> HPolytope:
         if math.comb(len(raw), dim) > MAX_VERTEX_CANDIDATES:
             raise ParseError(f"{len(raw)} halfspaces in dimension {dim} give more than "
                              f"{MAX_VERTEX_CANDIDATES} vertex candidates")
-        if dim > MAX_DIM:
-            raise ParseError(f"polytope dimension {dim} is above the supported "
-                             f"dim <= {MAX_DIM}")
-        return normalize(raw, dim)
-    if "vertices" in data:
+    elif "vertices" in data:
         verts = _float_array(data["vertices"], "vertices")
         if verts.ndim != 2 or verts.shape[1] != dim:
             raise ParseError("vertices must be rows of length dim")
-        if dim > 3:
-            raise ParseError("vertex input needs dim <= 3")
-        check_coordinates(verts, "vertex")
-        return from_vertices(verts)
-    raise ParseError("polytope JSON needs 'halfspaces' or 'vertices'")
+    else:
+        raise ParseError("polytope JSON needs 'halfspaces' or 'vertices'")
+    if dim > MAX_DIM:
+        raise ParseError(f"polytope dimension {dim} is above the supported "
+                         f"dim <= {MAX_DIM}")
+    if "halfspaces" in data:
+        return normalize(raw, dim)
+    check_coordinates(verts, "vertex")
+    return from_vertices(verts)
 
 
 def polytope_to_dict(P: HPolytope) -> dict:

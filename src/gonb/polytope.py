@@ -417,7 +417,7 @@ def _cofactors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def from_vertices(points) -> HPolytope:
-    """Convex hull of points (n, d), d <= 3, as a canonical H-representation.
+    """Convex hull of points (n, d) as a canonical H-representation.
 
     Each d-subset of the distinct points spans a plane, its cofactor normal;
     a plane is kept, facing outward, when every point lies on one side of it
@@ -429,8 +429,6 @@ def from_vertices(points) -> HPolytope:
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     d = pts.shape[1]
-    if d > 3:
-        raise ValueError("vertex input supported for d <= 3 only")
     pts = np.unique(pts, axis=0)
     n = pts.shape[0]
     if math.comb(n, d) > MAX_VERTEX_CANDIDATES:
@@ -720,7 +718,7 @@ def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
 
 
 # ---------------------------------------------------------------------------
-# translate balls and facet-volume gaps
+# translate balls
 # ---------------------------------------------------------------------------
 
 
@@ -751,10 +749,3 @@ def ball_grid(dim: int, radius: float, n_angles: int, n_radii: int,
     out = np.array(pts) if pts else np.zeros((0, dim))
     return out
 
-
-def facet_gap(Q: HPolytope, nA: np.ndarray, nB: np.ndarray | None) -> float:
-    """|V(A) - V(B)| for the facets A, B of Q with unit normals nA, nB; an
-    absent facet (or nB None) has volume 0, so the gap is 0 on an empty or
-    degenerate Q."""
-    A, B = facet_by_normal(Q, nA), None if nB is None else facet_by_normal(Q, nB)
-    return abs((0.0 if A is None else A.volume_dm1) - (0.0 if B is None else B.volume_dm1))

@@ -142,6 +142,20 @@ def test_scan_gt_abs_requires_certificate(pentagon_file, tmp_path):
     assert code == 2
 
 
+def test_scan_gt_abs_of_an_empty_translate_writes_zeros(pentagon_file, tmp_path):
+    """At t = (5, 5) the pentagon's translate is empty: the gt_abs scan exits
+    0 with a zero residual at each of its 4 x 3 frequencies, as a stft_abs
+    scan there writes zeros."""
+    cert = str(tmp_path / "cert.json")
+    assert run(["certificate", "--in", pentagon_file, "--eps", "0.2", "--omega", "0.2",
+                "--out", cert]) == 0
+    out = tmp_path / "gt.csv"
+    assert run(["scan", "--in", pentagon_file, "--field", "gt_abs", "--certificate", cert,
+                "--t", "5,5", "--grid", "4", "--n-cross", "3", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert len(rows) == 12 and all(float(c) == 0 for row in rows for c in row[-3:])
+
+
 def test_certificate_of_another_window_exits_3(pentagon_file, square_file, lattice_file,
                                                tmp_path, capsys):
     """A gt_abs scan of the square with the pentagon's certificate is refused
@@ -442,7 +456,7 @@ def _write(tmp_path, name, obj):
     ({"dim": 2, "halfspaces": _SQUARE_HALFSPACES + [{"normal": [0, -1], "offset": 1e7}]},
      "|x| <="),
     ({"dim": 2, "vertices": [[0, 0], [1e308, 0], [0, 1]]}, "|x| <="),
-    ({"dim": 4, "vertices": np.vstack([np.zeros(4), np.eye(4)]).tolist()}, "dim <= 3"),
+    ({"dim": 5, "vertices": np.vstack([np.zeros(5), np.eye(5)]).tolist()}, "dim <= 4"),
     ({"dim": 8, "halfspaces": [{"normal": list(row), "offset": 1}
                                for row in np.vstack([np.eye(8), -np.eye(8)] * 2)]},
      "vertex candidates"),
@@ -458,6 +472,18 @@ def test_polytope_json_contract(poly, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("ParseError") and message in err
+
+
+def test_vertex_input_is_accepted_up_to_dim_4(tmp_path, capsys):
+    """The 4-simplex as vertex input loads like its half-spaces."""
+    simplex = {"dim": 4, "vertices": np.vstack([np.zeros(4), np.eye(4)]).tolist()}
+    halfspaces = {"dim": 4, "halfspaces": [{"normal": list(-row), "offset": 0} for row in np.eye(4)]
+                  + [{"normal": [1, 1, 1, 1], "offset": 1}]}
+    outs = []
+    for name, poly in (("v.json", simplex), ("h.json", halfspaces)):
+        assert run(["symmetry", "--in", _write(tmp_path, name, poly)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -572,9 +598,9 @@ def test_oversize_inputs_exit_2_without_allocating(square_file, tmp_path, capsys
         assert peak < 16 * 2 ** 20, f"{argv[0]} traced {peak} bytes before refusing"
 
 
-def _traced_refusal(argv, capsys):
+def _traced_refusal(argv, capsys, mb=16):
     """Run argv under tracemalloc, check that it exits 2 with a ParseError
-    inside 16 MB traced and 2.0 s, and return its stderr."""
+    inside mb MB traced and 2.0 s, and return its stderr."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -586,7 +612,7 @@ def _traced_refusal(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("ParseError") and "Traceback" not in err
-    assert peak < 16 * 2 ** 20, f"traced {peak} bytes before refusing"
+    assert peak < mb * 2 ** 20, f"traced {peak} bytes before refusing"
     assert elapsed < 2.0, f"{elapsed:.2f} s"
     return err
 
@@ -610,6 +636,25 @@ def test_vertex_input_hull_bounded_before_allocating(tmp_path, capsys):
                     {"dim": 2, "vertices": np.column_stack([np.cos(ang), np.sin(ang)]).tolist()})
     err = _traced_refusal(["symmetry", "--in", circle], capsys)
     assert "363 distinct points" in err
+
+
+def test_4d_vertex_input_hull_bounded_before_allocating(tmp_path, capsys):
+    """On S^3, 11 random points (33 hull planes, C(33, 4) = 40,920 vertex
+    systems) load; 36 points give 165 planes, whose C(165, 4) = 2.97e7
+    vertex systems are refused with exit 2 after the C(36, 4) = 58,905 hull
+    candidates (measured on a 2-core VM: 0.47 s and 19.1 MB traced, so the
+    gate is 32 MB and 2.0 s), and 37 points give
+    66,045 hull candidates and are refused before any hull plane is built."""
+    def sphere_file(n):
+        pts = np.random.default_rng(0).normal(size=(n, 4))
+        return _write(tmp_path, f"s3_{n}.json",
+                      {"dim": 4, "vertices": (pts / np.linalg.norm(pts, axis=1)[:, None]).tolist()})
+
+    assert run(["symmetry", "--in", sphere_file(11)]) == 0
+    err = _traced_refusal(["symmetry", "--in", sphere_file(36)], capsys, mb=32)
+    assert "165 distinct halfspaces" in err
+    err = _traced_refusal(["symmetry", "--in", sphere_file(37)], capsys)
+    assert "37 distinct points" in err
 
 
 def test_unexpected_value_error_is_not_a_precondition_failure(square_file, monkeypatch):

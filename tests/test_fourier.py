@@ -11,6 +11,7 @@ from gonb import (
     AxisFrame,
     ConeScanParams,
     ConeTooWide,
+    FrameMismatch,
     ParallelDirection,
     ScanGrid,
     divergence_residual,
@@ -409,7 +410,7 @@ def test_divergence_residual_at_zero_frequency(pentagon):
     from gonb.fourier import _axis_facets
 
     Q = apply_frame(pentagon, frame)
-    _, fa, fb = _axis_facets(Q)
+    fa, fb, _ = _axis_facets(Q)
     assert g0 == pytest.approx(fa.volume_dm1 - fb.volume_dm1, abs=1e-12)
 
 
@@ -424,6 +425,24 @@ def test_divergence_residual_routes_agree(pentagon):
         a = divergence_residual(Qt, frame, lam)
         b = divergence_residual(Qt, frame, lam, via_boundary=True)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def test_empty_and_touching_translates_have_zero_residuals(pentagon):
+    """An empty translate and a touching one (the segment x = 2, y in [0, 1])
+    have no facets, so both residual routes give zeros; a full-dimensional
+    body with neither axis facet stays a FrameMismatch on both."""
+    frame = build_axis_frame(pentagon, *is_symmetric(pentagon, 1e-9).witness)
+    lams = np.random.default_rng(4).uniform(-30, 30, (6, 2))
+    for t, empty in (((5.0, 5.0), True), ((2.0, 0.0), False)):
+        Qt = translate_intersection(pentagon, t)
+        assert Qt.degenerate and Qt.empty == empty
+        for via in (False, True):
+            vals = divergence_residual(Qt, frame, lams, via_boundary=via)
+            assert vals.shape == (6,) and not vals.any()
+    tilted = from_vertices([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+    for via in (False, True):
+        with pytest.raises(FrameMismatch, match="no facet pair"):
+            divergence_residual(tilted, AxisFrame.identity(2), lams, via_boundary=via)
 
 
 def test_batched_residual_and_facet_measure_match_single_rows(pentagon):
@@ -445,7 +464,7 @@ def test_batched_residual_and_facet_measure_match_single_rows(pentagon):
 def _axis_sigma_reference(Qt, lams):
     """(sigma_A, sigma_B) arrays over rows of lams for the axis facet pair,
     as the certificate scan computed them before fourier.axis_sigmas."""
-    _, fa, fb = _axis_facets(Qt)
+    fa, fb, _ = _axis_facets(Qt)
     n = lams.shape[0]
     sa = np.zeros(n, dtype=complex)
     sb = np.zeros(n, dtype=complex)
@@ -535,7 +554,7 @@ def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
     # the facet batches of both calls (the residual's indicator batch is last)
     assert charted[0] == charted[1] == [lams.shape[0] if full else tr.shape[0]] * len(charted[0])
     for i, Qt in enumerate(Qts):
-        _, fa, fb = _axis_facets(Qt)
+        fa, fb, _ = _axis_facets(Qt)
         assert all(F is None or bool(F.tangent[0].any()) == full for F in (fa, fb))
         ref_a, ref_b = (np.zeros(lams.shape[0], dtype=complex) if F is None
                         else ft_facet_measure(F, lams) for F in (fa, fb))
@@ -658,6 +677,42 @@ def test_cone_constant_matches_pointwise_scan(pentagon):
         assert bound.value == pytest.approx(best, rel=1e-13)
         assert scaled_residual(Qt, bound.arg_lam) == pytest.approx(best, rel=1e-13)
         assert not np.any(bound.arg_t)
+
+
+def test_cone_row_budget_is_the_rows_the_residuals_form(pentagon, monkeypatch):
+    """The cone budgets the (G facet x frequency) rows that the boundary route
+    forms: on the 17 framed ball translates of the pentagon certificate
+    (eps 0.2) and its 64 x 16 cone frequencies that is one facet per
+    translate, 17 x 1,024 rows in one batch. The framed top and bottom
+    facets, with <e1, n> = 0, enter neither the rows nor the angle check."""
+    frame = _pentagon_frame(pentagon)
+    Q = apply_frame(pentagon, frame)
+    shifts = ball_grid(2, 0.2 / frame.scale, 8, 2)
+    Qts = [translate_intersection(Q, t) for t in shifts]
+    budgets, formed, batches = [], [], []
+    runs, ft_facets, residuals = fourier._runs, fourier._ft_facets, fourier._boundary_residuals
+
+    def counted_runs(sizes, limit):
+        if limit == fourier._BODY_ROWS:
+            budgets.append(list(sizes))
+        return runs(sizes, limit)
+
+    def counted_facets(fs, lams, charts=None):
+        formed.append(len(fs) * lams.shape[0])
+        return ft_facets(fs, lams, charts)
+
+    def counted_residuals(bodies, lams):
+        batches.append(len(bodies))
+        return residuals(bodies, lams)
+
+    monkeypatch.setattr(fourier, "_runs", counted_runs)
+    monkeypatch.setattr(fourier, "_ft_facets", counted_facets)
+    monkeypatch.setattr(fourier, "_boundary_residuals", counted_residuals)
+    bound = _ball_cone_constant(Qts, shifts, 0.2, ConeScanParams())
+    assert budgets == [[1024] * 17] and formed == [17 * 1024] and batches == [17]
+    assert all(len(_axis_facets(Qt)[2]) == 1 for Qt in Qts)
+    # the slant facet's normal (1, -1) / sqrt(2) against directions (1, u), |u| <= 0.2
+    assert bound.min_sin_theta == pytest.approx(0.8 / math.sqrt(2 * 1.04), rel=1e-12)
 
 
 def test_cone_too_wide_detects_parallel_normal(pentagon):

@@ -31,7 +31,7 @@ from gonb import (
     volume,
 )
 from gonb import fourier, gabor, polytope
-from gonb.gabor import TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
+from gonb.gabor import KEY_SCALE, TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
 from gonb.io import certificate_from_dict, certificate_to_dict
 from gonb.polytope import _translate_intersections, is_symmetric
 
@@ -178,7 +178,7 @@ def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon
         pts = lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
     L = TimeFrequencySet(pts)
     out = check_orthogonality(pentagon, L, 1e-9, max_reports=10_000, confirm=False)
-    _, first, second = _unique_signed_diffs(pts)
+    first, second = _unique_signed_diffs(pts)
     expected = {}
     for i, j in zip(first, second):
         w = pts[i] - pts[j]
@@ -196,12 +196,18 @@ def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon
 def test_single_point_no_pairs(m, pentagon):
     pts = np.zeros((m, 4))
     assert check_orthogonality(pentagon, TimeFrequencySet(pts), 1e-9) == []
-    diffs, i, j = _unique_signed_diffs(pts)
+    diffs, i, j = _dedup(pts)
     assert diffs.shape == (0, 4) and diffs.dtype == float
     assert i.shape == j.shape == (0,) and i.dtype == j.dtype == np.int64
 
 
 # -- difference dedup ------------------------------------------------------------
+
+
+def _dedup(pts: np.ndarray, window=None):
+    """The rounded differences of _unique_signed_diffs' pairs, and the pairs."""
+    i, j = _unique_signed_diffs(pts, window)
+    return np.rint((pts[i] - pts[j]) * KEY_SCALE) / KEY_SCALE, i, j
 
 
 def _reference_unique_signed_diffs(pts: np.ndarray, chunk: int = 400) -> np.ndarray:
@@ -264,7 +270,7 @@ def _dedup_cases():
 @pytest.mark.parametrize("name", list(_dedup_cases()))
 def test_unique_signed_diffs_matches_reference(name):
     pts = _dedup_cases()[name]
-    diffs, i, j = _unique_signed_diffs(pts)
+    diffs, i, j = _dedup(pts)
     assert np.array_equal(diffs, _reference_unique_signed_diffs(pts))
     # each difference carries its generating pair with the smallest i
     assert np.array_equal(np.round(pts[i] - pts[j], 9), diffs)
@@ -296,11 +302,11 @@ def _sort_calls(monkeypatch) -> list:
 def test_unique_signed_diffs_table_and_sort_paths_agree(name, monkeypatch):
     pts = _dedup_cases()[name]
     sorts = _sort_calls(monkeypatch)
-    table = _unique_signed_diffs(pts)
+    table = _dedup(pts)
     assert not sorts
     # one code fewer than the space sends the same input through the sort path
     monkeypatch.setattr(gabor, "MAX_DIFFS", _code_space(pts) - 1)
-    merged = _unique_signed_diffs(pts)
+    merged = _dedup(pts)
     assert sorts
     for a, b in zip(table, merged):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -324,9 +330,9 @@ def test_unique_signed_diffs_chunking_is_invisible(monkeypatch):
     # the straddling points take the sort path, the integer lattice the table
     for pts in (_dedup_cases()[name] for name in ("straddling", "integer")):
         monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", pts.shape[0] ** 2)
-        whole = _unique_signed_diffs(pts)
+        whole = _dedup(pts)
         monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", 1)
-        pieces = _unique_signed_diffs(pts)
+        pieces = _dedup(pts)
         for a, b in zip(whole, pieces):
             assert np.array_equal(a, b)
 
@@ -381,9 +387,9 @@ def test_pair_and_key_table_bounds_refuse_before_allocation():
 
 def test_merge_bound_refuses_before_the_merge(monkeypatch):
     pts = np.random.default_rng(1).uniform(-1, 1, (60, 2))
-    n_diffs = _unique_signed_diffs(pts)[0].shape[0]  # 1,770: all distinct
+    n_diffs = _unique_signed_diffs(pts)[0].size  # 1,770: all distinct
     monkeypatch.setattr(gabor, "MAX_DIFFS", n_diffs)
-    assert _unique_signed_diffs(pts)[0].shape[0] == n_diffs
+    assert _unique_signed_diffs(pts)[0].size == n_diffs
     monkeypatch.setattr(gabor, "MAX_DIFFS", n_diffs - 1)
     with pytest.raises(ParseError, match="pair differences to merge"):
         _unique_signed_diffs(pts)
@@ -441,8 +447,8 @@ def test_prune_drops_only_surely_empty_translates(name):
     bits, dtypes and pairs, and every difference it drops has an empty
     translate at its generating pair's exact difference."""
     P, pts = _prune_cases()[name]
-    every = _unique_signed_diffs(pts)
-    kept = _unique_signed_diffs(pts, P)
+    every = _dedup(pts)
+    kept = _dedup(pts, P)
     index = {tuple(w): n for n, w in enumerate(every[0])}
     rows = [index[tuple(w)] for w in kept[0]]
     for a, b in zip(kept, every):
@@ -465,8 +471,8 @@ def test_prune_visits_the_pairs_of_the_live_classes(unit_square, monkeypatch):
     14,280 and 5 distinct time shifts instead of 85."""
     pts = _benchmark_sets()["integer"]
     visits = _visits(monkeypatch)
-    diffs, _, _ = _unique_signed_diffs(pts, unit_square)
-    everything, _, _ = _unique_signed_diffs(pts)
+    diffs, _, _ = _dedup(pts, unit_square)
+    everything, _, _ = _dedup(pts)
     assert visits == [866_761, 2401 ** 2]
     assert diffs.shape[0] == 760 and everything.shape[0] == 14_280
     assert np.unique(diffs[:, :2], axis=0).shape[0] == 5

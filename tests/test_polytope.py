@@ -36,7 +36,6 @@ from gonb.polytope import (
     ball_grid,
     distance_to_polytope,
     _distance_to_facets,
-    facet_gap,
 )
 
 from conftest import (
@@ -108,7 +107,7 @@ def test_large_vertex_hull_refused_quickly():
 def test_point_hulls_match_qhull():
     """80 random point sets each in d = 2 and 3 give Qhull's facets within
     1e-12; exactly coplanar sets (a 4x4x4 grid, the unit cube with interior
-    and face points) give them exactly."""
+    and face points) give them exactly; so do six 4-d sets, within 1e-12."""
     rng = np.random.default_rng(12)
     for d in (2, 3):
         for _ in range(80):
@@ -123,6 +122,19 @@ def test_point_hulls_match_qhull():
         P, Q = from_vertices(pts), _qhull_route(pts)
         assert P.A.shape == (6, 3)
         assert np.array_equal(P.A, Q.A) and np.array_equal(P.b, Q.b)
+    # 4-d: the cube, the simplex, the cross-polytope, the cube cut by
+    # x_1 + x_2 <= 1.5 and random sets of 8 and 12 points
+    corners = list(itertools.product((0.0, 1.0), repeat=4))
+    cut = [v for v in corners if v[0] + v[1] <= 1.5]
+    cut += [(a, b, *v[2:]) for v in corners if v[0] + v[1] == 2 for a, b in ((1, 0.5), (0.5, 1))]
+    for pts, planes in ((corners, 8), (np.vstack([np.zeros(4), np.eye(4)]), 5),
+                        (np.vstack([np.eye(4), -np.eye(4)]), 16), (cut, 9),
+                        (rng.uniform(-1.0, 1.0, (8, 4)), None),
+                        (rng.uniform(-1.0, 1.0, (12, 4)), None)):
+        pts = np.asarray(pts, dtype=float)
+        P, Q = from_vertices(pts), _qhull_route(pts)
+        assert P.A.shape == Q.A.shape and planes in (None, P.A.shape[0])
+        assert np.abs(P.A - Q.A).max() <= 1e-12 and np.abs(P.b - Q.b).max() <= 1e-12
 
 
 def test_repeated_points_change_no_hull():
@@ -784,23 +796,27 @@ def test_minkowski_agrees_with_centroid_reflection_oracle():
         assert is_symmetric(T, 1e-7).symmetric == symmetry_center_oracle(T)
 
 
-# -- facet-volume gaps ---------------------------------------------------
+# -- axis-pair margins ---------------------------------------------------
 
 
-def test_facet_gap_gives_the_margins(pentagon):
-    e1 = np.array([1.0, 0.0])
+def _axis_gap(Q):
+    """|vol A - vol B| of Q's facets with unit normals -e1 and +e1, an absent
+    facet counting 0, as the certificate reads its margin."""
+    a, b = (0.0 if F is None else F.volume_dm1 for F in Q._axis_pair)
+    return abs(a - b)
 
+
+def test_axis_pair_gives_the_margins(pentagon):
     def margin(eps):
-        return min(facet_gap(translate_intersection(pentagon, t), e1, -e1)
+        return min(_axis_gap(translate_intersection(pentagon, t))
                    for t in ball_grid(2, eps, 8, 8))
 
-    # the sampled margins of the witness pair x = 2 / x = 0 over balls of radius eps
+    # the sampled margins of the witness pair x = 0 / x = 2 over balls of radius eps
     assert margin(0.0) == pytest.approx(1.0)
     assert 0.0 < margin(0.25) <= 1.0
     assert margin(math.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
     empty = translate_intersection(pentagon, (5.0, 0.0))
-    assert empty.empty and facet_gap(empty, e1, -e1) == 0.0
-    assert facet_gap(pentagon, np.array([0.0, -1.0]), None) == 2.0
+    assert empty.empty and empty._axis_pair == (None, None) and _axis_gap(empty) == 0.0
 
 
 def test_unpaired_witness_ties_go_to_the_first_facet():
