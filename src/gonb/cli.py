@@ -109,10 +109,6 @@ def _emit(args, obj: dict) -> None:
             fh.close()
 
 
-def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag, "abs": abs(z)}
-
-
 def cmd_symmetry(args) -> int:
     if not 0 <= args.tol < np.inf:
         raise ParseError(f"--tol must be finite and >= 0, got {args.tol!r}")
@@ -145,13 +141,13 @@ def cmd_ft(args) -> int:
     P = gio.load_polytope(args.infile)
     lam = _vector(args.lam, P.dim)
     val = ft_indicator(P, lam)
-    out = {"lambda": [float(x) for x in lam], "value": _complex_dict(val)}
+    out = {"lambda": [float(x) for x in lam], "value": gio.to_json(val)}
     if args.quadrature:
         if args.quadrature < 2:
             raise ParseError("--quadrature needs at least 2 points per axis")
         _grid_size(args.quadrature ** (P.dim - 1), "--quadrature rows")
         q = ft_indicator_quadrature(P, lam, args.quadrature)
-        out["quadrature"] = _complex_dict(q)
+        out["quadrature"] = gio.to_json(q)
     _emit(args, out)
     return 0
 
@@ -162,7 +158,7 @@ def cmd_stft(args) -> int:
     lam = _vector(args.lam, P.dim)
     val = stft_indicator(P, t, lam)
     _emit(args, {"t": [float(x) for x in t], "lambda": [float(x) for x in lam],
-                 "value": _complex_dict(val)})
+                 "value": gio.to_json(val)})
     return 0
 
 
@@ -186,20 +182,8 @@ def cmd_check_orth(args) -> int:
     L = _tf_set(args.lattice, P)
     reports = check_orthogonality(P, L, args.tol_zero,
                                   max_reports=args.max_reports)
-    out = {
-        "n_points": len(L),
-        "n_violations_reported": len(reports),
-        "violations": [
-            {
-                "v": [float(x) for x in r.v],
-                "v_prime": [float(x) for x in r.v_prime],
-                "value": _complex_dict(r.value),
-                "confirmed": r.confirmed,
-            }
-            for r in reports
-        ],
-    }
-    _emit(args, out)
+    _emit(args, {"n_points": len(L), "n_violations_reported": len(reports),
+                 "violations": [gio.to_json(r) for r in reports]})
     return 0
 
 
@@ -209,16 +193,12 @@ def cmd_find_violation(args) -> int:
     cert = _certificate(args.certificate, P)
     result = find_violation_pair(P, L, cert)
     if isinstance(result, NotFound):
-        _emit(args, {"found": False, "n_pairs": result.n_pairs,
-                     "n_time_close": result.n_time_close,
-                     "n_in_cylinder": result.n_in_cylinder,
-                     "n_beyond_radius": result.n_beyond_radius,
-                     "message": result.message})
+        _emit(args, {"found": False, **gio.to_json(result)})
     else:
         _emit(args, {"found": True,
                      "v": [float(x) for x in result.v],
                      "v_prime": [float(x) for x in result.v_prime],
-                     "value": _complex_dict(result.value)})
+                     "value": gio.to_json(result.value)})
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -514,6 +515,13 @@ class CertificateScanParams:
     cone_n_cross: int = 16
 
 
+class ScanPoint(NamedTuple):
+    """A point (t, lam) of the certificate's verify scan."""
+
+    t: np.ndarray
+    lam: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CertificateProvenance:
     window_hash: str
@@ -524,7 +532,7 @@ class CertificateProvenance:
     max_axial_residual: float
     min_chain_slack: float
     cone: ConeBound
-    min_abs_point: tuple[np.ndarray, np.ndarray]
+    min_abs_point: ScanPoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,8 +624,6 @@ def _verify_scan(Qts: list[HPolytope], lams: np.ndarray, vol_q: float):
 
 
 def _transverse_grid(d: int, radius: float, n_cross: int) -> np.ndarray:
-    if d == 1:
-        return np.zeros((1, 0))
     if d == 2:
         return np.linspace(-radius, radius, n_cross)[:, None]
     return ball_grid(d - 1, radius, n_cross, max(1, n_cross // 4))
@@ -694,7 +700,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         # the first translate whose minimum is least
         i = int(np.argmin(mins))
         min_abs = mins[i]
-        min_abs_at = (tgrid[i].copy(), lams[ks[i]].copy())
+        min_abs_at = ScanPoint(tgrid[i].copy(), lams[ks[i]].copy())
         eta_new = min(eta, min_gap)
         C_new = max(C, max_l1g)
         if eta_new <= 1e-12:
@@ -749,11 +755,11 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
     (necessarily nonzero) STFT value; NotFound carries the filter statistics.
 
     Pair condition in frame coordinates: |t - t'| < eps and lam - lam' in
-    S(2*delta) \\ B_R.
+    S(2*delta) \\ B_R; the value is V(v - v') in window coordinates, as
+    check_orthogonality reports it.
     """
     check_certificate_window(P, cert)
     frame = cert.frame
-    Q = apply_frame(P, frame)
     d = P.dim
     pts = L.points
     m = pts.shape[0]
@@ -775,7 +781,8 @@ def find_violation_pair(P: HPolytope, L: TimeFrequencySet,
         far = cyl & (np.linalg.norm(dl, axis=1) > cert.R)
         n_rad += int(far.sum())
         for j in np.flatnonzero(far):
-            val = stft_indicator(Q, dt[j], dl[j])
+            w = pts[i] - pts[j]
+            val = stft_indicator(P, w[:d], w[d:])
             if abs(val) > TOL_ZERO:
                 return ViolationReport(pts[i], pts[j], val)
             raise ScanFailure(

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 
 import numpy as np
 
 from .errors import ParseError
-from .fourier import AxisFrame, ConeBound
 from .gabor import (
-    CertificateProvenance,
     NonZeroCertificate,
     TimeFrequencySet,
     check_coordinates,
@@ -145,73 +146,49 @@ def _float_array(value, what: str) -> np.ndarray:
         raise ParseError(f"{what} must be numbers: {exc}") from exc
 
 
-def frame_to_dict(frame: AxisFrame) -> dict:
-    return {
-        "origin": [float(x) for x in frame.origin],
-        "basis": [[float(x) for x in row] for row in frame.basis],
-        "scale": float(frame.scale),
-    }
+def to_json(obj):
+    """The JSON value of a record (a dataclass or named tuple: an object of
+    its fields in declaration order), an array (nested lists) or a complex
+    ({"re", "im", "abs"}); any other value is returned as it is."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: to_json(value) for name, value in zip(obj._fields, obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag, "abs": abs(obj)}
+    return obj
 
 
-def frame_from_dict(data: dict) -> AxisFrame:
-    return AxisFrame(np.asarray(data["origin"], dtype=float),
-                     np.asarray(data["basis"], dtype=float),
-                     float(data["scale"]))
+@functools.cache
+def _field_types(cls) -> tuple:
+    return tuple(typing.get_type_hints(cls).items())
+
+
+def from_json(cls, data):
+    """The record cls read from the object ``data`` of its fields, by each
+    field's annotated type: float, int or str, an np.ndarray as a float
+    array, and a nested record by recursion. Unknown keys are ignored."""
+    values = {}
+    for name, kind in _field_types(cls):
+        value = data[name]
+        if kind is np.ndarray:
+            values[name] = np.asarray(value, dtype=float)
+        elif kind in (float, int, str):
+            values[name] = kind(value)
+        else:
+            values[name] = from_json(kind, value)
+    return cls(**values)
 
 
 def certificate_to_dict(cert: NonZeroCertificate) -> dict:
-    prov = cert.provenance
-    return {
-        "eps": cert.eps,
-        "delta": cert.delta,
-        "R": cert.R,
-        "omega": cert.omega,
-        "eta": cert.eta,
-        "C": cert.C,
-        "frame": frame_to_dict(cert.frame),
-        "min_abs_scanned": cert.min_abs_scanned,
-        "provenance": {
-            "window_hash": prov.window_hash,
-            "n_scan_points": prov.n_scan_points,
-            "n_t": prov.n_t,
-            "n_lambda": prov.n_lambda,
-            "min_sigma_gap": prov.min_sigma_gap,
-            "max_axial_residual": prov.max_axial_residual,
-            "min_chain_slack": prov.min_chain_slack,
-            "cone": {
-                "value": prov.cone.value,
-                "arg_t": [float(x) for x in prov.cone.arg_t],
-                "arg_lam": [float(x) for x in prov.cone.arg_lam],
-                "min_sin_theta": prov.cone.min_sin_theta,
-            },
-            "min_abs_point": {
-                "t": [float(x) for x in prov.min_abs_point[0]],
-                "lam": [float(x) for x in prov.min_abs_point[1]],
-            },
-        },
-    }
+    return to_json(cert)
 
 
 def certificate_from_dict(data: dict) -> NonZeroCertificate:
     try:
-        prov = data["provenance"]
-        cone = prov["cone"]
-        provenance = CertificateProvenance(
-            prov["window_hash"], int(prov["n_scan_points"]), int(prov["n_t"]),
-            int(prov["n_lambda"]), float(prov["min_sigma_gap"]),
-            float(prov["max_axial_residual"]), float(prov["min_chain_slack"]),
-            ConeBound(float(cone["value"]), np.asarray(cone["arg_t"], float),
-                      np.asarray(cone["arg_lam"], float),
-                      float(cone["min_sin_theta"])),
-            (np.asarray(prov["min_abs_point"]["t"], float),
-             np.asarray(prov["min_abs_point"]["lam"], float)),
-        )
-        cert = NonZeroCertificate(
-            float(data["eps"]), float(data["delta"]), float(data["R"]),
-            float(data["omega"]), float(data["eta"]), float(data["C"]),
-            frame_from_dict(data["frame"]), float(data["min_abs_scanned"]),
-            provenance,
-        )
+        cert = from_json(NonZeroCertificate, data)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from exc
     # the bounds of the CLI flags, which keep frame coordinates and

@@ -205,6 +205,19 @@ def test_exit_code_precondition(square_file, tmp_path):
     assert code == 3
 
 
+def test_exit_code_scan_falsification(pentagon_file, tmp_path, capsys):
+    """A frequency truncation below the region's entry radius falsifies the
+    certificate scan: exit 4 with no traceback; a wider one builds it."""
+    argv = ["certificate", "--in", pentagon_file, "--eps", "0.2", "--omega", "0.2",
+            "--out", str(tmp_path / "c.json")]
+    code = run(argv + ["--lambda-max", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("ScanFailure: region entry radius exceeds the frequency "
+                          "truncation") and "Traceback" not in err
+    assert run(argv + ["--lambda-max", "2"]) == 0
+
+
 def test_exit_code_unbounded(tmp_path):
     path = tmp_path / "halfline.json"
     path.write_text(json.dumps({

@@ -1,7 +1,10 @@
 """STFT, set diagnostics, certificates, and violation searches."""
 
+import json
 import math
 import time
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -32,7 +35,7 @@ from gonb import (
 )
 from gonb import fourier, gabor, polytope
 from gonb.gabor import KEY_SCALE, TOL_ZERO, _unique_signed_diffs, build_axis_frame, window_fingerprint
-from gonb.io import certificate_from_dict, certificate_to_dict
+from gonb.io import certificate_from_dict, certificate_to_dict, from_json, to_json
 from gonb.polytope import _translate_intersections, is_symmetric
 
 from conftest import (
@@ -896,8 +899,36 @@ def test_build_certificate_cut_cube_3d_default_grids_within_budget():
 
 
 def test_build_certificate_symmetric_window_refused(unit_square):
-    with pytest.raises(SymmetricInput):
-        build_certificate(unit_square, 0.2, 0.2, SMALL_PARAMS)
+    # a 1-d window is an interval, always symmetric
+    for P in (unit_square, normalize([((1,), 2.0), ((-1,), 0.5)], 1)):
+        with pytest.raises(SymmetricInput):
+            build_certificate(P, 0.2, 0.2, SMALL_PARAMS)
+
+
+def test_build_certificate_triangle_frame_by_support_width(simplex2):
+    """The triangle's witness facet x + y = 1 has no parallel facet, so the
+    frame scale is the support width 1/sqrt(2) down to the opposite vertex:
+    the witness lands on y_1 = 0 and the vertex (0, 0) on y_1 = 1. The
+    criterion-5 inequalities hold, and Z^4 in [-3, 3]^4 holds a pair in the
+    certificate region."""
+    F, G = is_symmetric(simplex2, 1e-9).witness
+    assert G is None
+    cert = build_certificate(simplex2, 0.05, 0.2)
+    frame = cert.frame
+    assert np.allclose(frame.origin, (0.5, 0.5), rtol=0, atol=1e-12)
+    assert frame.scale == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    y = np.array([frame.to_frame_point(x) for x in ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))])
+    assert np.allclose(y[:, 0], (0, 0, 1), rtol=0, atol=1e-12)
+    assert cert.provenance.n_scan_points == 12_240
+    assert cert.eta > 0
+    assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
+    assert cert.min_abs_scanned > 0
+    assert cert.provenance.min_chain_slack >= -1e-12
+    L = TimeFrequencySet(lattice_points(np.eye(4), np.zeros(4), -3 * np.ones(4),
+                                        3 * np.ones(4)))
+    res = find_violation_pair(simplex2, L, cert)
+    assert not isinstance(res, NotFound)
+    assert abs(res.value) > TOL_ZERO
 
 
 def test_build_certificate_margin_vanishes_for_large_eps(pentagon):
@@ -906,14 +937,81 @@ def test_build_certificate_margin_vanishes_for_large_eps(pentagon):
         build_certificate(pentagon, 2.0, 0.2, SMALL_PARAMS)
 
 
+def _frame_bits(frame):
+    return (tuple(frame.origin), tuple(map(tuple, frame.basis)), frame.scale)
+
+
 def test_certificate_json_round_trip(pentagon):
+    """Every field, the frame and the provenance counts keep their bits
+    through the JSON text."""
     cert = build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS)
-    back = certificate_from_dict(certificate_to_dict(cert))
-    assert back.eta == cert.eta
-    assert back.R == cert.R
-    assert back.min_abs_scanned == cert.min_abs_scanned
-    assert np.allclose(back.frame.basis, cert.frame.basis)
-    assert back.provenance.window_hash == cert.provenance.window_hash
+    back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+    assert _certificate_bits(back) == _certificate_bits(cert)
+    assert _frame_bits(back.frame) == _frame_bits(cert.frame)
+    pv, bpv = cert.provenance, back.provenance
+    assert (bpv.window_hash, bpv.n_t, bpv.n_lambda) == (pv.window_hash, pv.n_t, pv.n_lambda)
+    t, lam = bpv.min_abs_point
+    assert np.array_equal(t, pv.min_abs_point.t) and np.array_equal(lam, pv.min_abs_point.lam)
+
+
+# the certificate JSON layout: its records' fields in declaration order
+CERTIFICATE_KEY_PATHS = [
+    "eps", "delta", "R", "omega", "eta", "C",
+    "frame", "frame.origin", "frame.basis", "frame.scale",
+    "min_abs_scanned",
+    "provenance", "provenance.window_hash", "provenance.n_scan_points",
+    "provenance.n_t", "provenance.n_lambda", "provenance.min_sigma_gap",
+    "provenance.max_axial_residual", "provenance.min_chain_slack",
+    "provenance.cone", "provenance.cone.value", "provenance.cone.arg_t",
+    "provenance.cone.arg_lam", "provenance.cone.min_sin_theta",
+    "provenance.min_abs_point", "provenance.min_abs_point.t",
+    "provenance.min_abs_point.lam",
+]
+
+
+def _key_paths(obj, prefix=""):
+    for key, value in obj.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+
+
+def test_certificate_json_key_paths(pentagon):
+    """A renamed or reordered certificate field changes the JSON contract."""
+    data = certificate_to_dict(build_certificate(pentagon, 0.2, 0.2, SMALL_PARAMS))
+    assert list(_key_paths(data)) == CERTIFICATE_KEY_PATHS
+
+
+class _Pair(NamedTuple):
+    a: np.ndarray
+    n: int
+
+
+@dataclass(frozen=True, eq=False)
+class _Record:
+    x: float
+    k: int
+    name: str
+    rows: np.ndarray
+    pair: _Pair
+
+
+def test_record_json_round_trip():
+    """The writer gives a record's fields in order, arrays as nested lists
+    and a complex as re, im, abs; the reader rebuilds the record by the
+    annotated types and ignores unknown keys."""
+    rec = _Record(0.1, 3, "w", np.array([[1.5, -2.0], [0.0, 1e-300]]),
+                  _Pair(np.array([0.25]), 7))
+    data = json.loads(json.dumps(to_json(rec)))
+    assert data == {"x": 0.1, "k": 3, "name": "w", "rows": [[1.5, -2.0], [0.0, 1e-300]],
+                    "pair": {"a": [0.25], "n": 7}}
+    back = from_json(_Record, {**data, "extra": None})
+    assert (back.x, back.k, back.name, back.pair.n) == (0.1, 3, "w", 7)
+    assert back.rows.dtype == float and np.array_equal(back.rows, rec.rows)
+    assert np.array_equal(back.pair.a, rec.pair.a)
+    assert to_json(complex(3, -4)) == {"re": 3.0, "im": -4.0, "abs": 5.0}
+    with pytest.raises(KeyError):
+        from_json(_Record, {k: v for k, v in data.items() if k != "k"})
 
 
 # -- violation search ---------------------------------------------------------------
@@ -937,6 +1035,22 @@ def test_find_violation_pair_pentagon(pentagon):
         2 * np.pi * volume(pentagon) / cert.frame.scale ** 2 * abs(dlam[0])
     )
     assert abs(res.value) >= 0.9 * floor
+
+
+def test_find_violation_value_is_the_window_stft():
+    """On a rotated window the frame shift and frequency are not those of
+    the window: the reported value is V(v - v') in window coordinates, bit
+    for bit, as check-orth reports it."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    P = from_vertices(PENTAGON_VERTICES @ np.array([[c, -s], [s, c]]).T)
+    cert = build_certificate(P, 0.2, 0.2, SMALL_PARAMS)
+    # lam maps to (3R, 0) in the frame
+    lam = cert.frame.basis[:, 0] * 3 * cert.R / cert.frame.scale
+    L = TimeFrequencySet(np.array([[0.0, 0.0, *lam], [0.0, 0.0, 0.0, 0.0]]))
+    res = find_violation_pair(P, L, cert)
+    assert not isinstance(res, NotFound)
+    w = res.v - res.v_prime
+    assert res.value == stft_indicator(P, w[:2], w[2:])
 
 
 def test_find_violation_tight_spread_not_found(pentagon):
