@@ -318,10 +318,10 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
     if rows.size == 0:
         return out
     inc = np.abs(np.matmul(V[rows], A.T) - B[rows, None, :]) <= INCIDENCE_TOL
-    patterns, which = np.unique(inc.reshape(rows.size, -1), axis=0, return_inverse=True)
+    patterns, which = _distinct_rows(inc.reshape(rows.size, -1))
     for p, pattern in enumerate(patterns):
         pinc = pattern.reshape(q, -1)
-        members = rows[which.ravel() == p]
+        members = rows[which == p]
         Vm = V[members]
         memo: dict = {}
         vols = np.zeros((members.size, A.shape[0]))
@@ -333,13 +333,24 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
             normal = np.broadcast_to(A[i], cells.shape[:2] + (1, dim))
             edges = np.concatenate([normal, cells[:, :, 1:] - cells[:, :, :1]], axis=2)
             vols[:, i] = np.abs(np.linalg.det(edges)).sum(axis=1) / math.factorial(dim - 1)
-        keeps, kind = np.unique(vols > GEOM_TOL, axis=0, return_inverse=True)
+        keeps, kind = _distinct_rows(vols > GEOM_TOL)
         for j, keep in enumerate(keeps):
             Ak, kinc, pulls = A[keep], pinc[:, keep], dict(memo)
-            for k in members[kind.ravel() == j]:
+            for k in members[kind == j]:
                 out[k] = HPolytope(dim, Ak, B[k][keep])
                 vars(out[k]).update(_vertices=V[k], _incidence=kinc, _pulls=pulls)
     return out
+
+
+def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the boolean matrix M in lexicographic order, and
+    the index of each row's among them. Each row is packed into bytes, most
+    significant bit first, so that its bytes compare as the row does, and
+    viewed as one key: one 1-D sort instead of np.unique's row sort."""
+    packed = np.packbits(M, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return M[first], which.ravel()
 
 
 def normalize(raw_halfspaces, dim: int) -> HPolytope:
