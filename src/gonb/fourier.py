@@ -182,9 +182,10 @@ def _runs(sizes, limit: int) -> list[slice]:
     return runs
 
 
-def _ft_simplices(parts) -> list[np.ndarray]:
-    """For each part (simp (m, k+1, k), lams (n, k)), the sum over its
-    simplices of k! * vol * divdiff at each row of lams.
+def _ft_simplices(simp: np.ndarray, m, lams: np.ndarray, n) -> np.ndarray:
+    """The sum over a part's simplices of k! * vol * divdiff at each of its
+    frequency rows, for consecutive parts: part i has m[i] of the simplices
+    simp (M, k+1, k) and n[i] of the frequency rows lams (N, k), in order.
 
     The (frequency x simplex) node rows of every part go to divdiff_exp
     together, in runs of at most _CHUNK_ROWS rows (one frequency's rows when
@@ -192,19 +193,14 @@ def _ft_simplices(parts) -> list[np.ndarray]:
     has the same bits whatever the parts around it. A part without
     simplices gives zeros.
     """
-    if not parts:
-        return []
-    simps, lamss = zip(*parts)
-    owner = np.repeat(np.arange(len(simps)), [sp.shape[0] for sp in simps])
-    simp = np.concatenate(simps)
+    m, n = np.asarray(m, dtype=np.intp), np.asarray(n, dtype=np.intp)
+    owner = np.repeat(np.arange(m.size), m)
     vols = np.abs(np.linalg.det(simp[:, 1:, :] - simp[:, :1, :]))  # = k! * volume
     live = vols > 1e-15
     simp, vols = simp[live], vols[live]
-    m = np.bincount(owner[live], minlength=len(simps))  # simplices per part
+    m = np.bincount(owner[live], minlength=m.size)  # live simplices per part
     first = np.cumsum(m) - m  # each part's first simplex
-    sizes = [lams.shape[0] for lams in lamss]
-    lams = np.concatenate(lamss)
-    part = np.repeat(np.arange(len(simps)), sizes)  # frequency -> part
+    part = np.repeat(np.arange(m.size), n)  # frequency -> part
     per_lam = m[part]  # node rows of each frequency
     vals = np.zeros(lams.shape[0], dtype=complex)
     for run in _runs(per_lam, _CHUNK_ROWS):
@@ -225,21 +221,24 @@ def _ft_simplices(parts) -> list[np.ndarray]:
         acc = vals[run]
         for j in range(terms.shape[1]):
             acc += terms[:, j]
-    return np.split(vals, np.cumsum(sizes)[:-1])
+    return vals
 
 
-def _ft_indicators(bodies, lams) -> list[np.ndarray]:
-    """ft_indicator of each body at its frequency rows lams[i] (n_i, d), all
-    node rows through one divided-difference batch; an empty or degenerate
-    body has no simplices and gives zeros."""
-    return _ft_simplices([(triangulate(P), _freqs(lam, P.dim)[0]) for P, lam in zip(bodies, lams)])
+def _ft_indicators(bodies, lams: np.ndarray) -> np.ndarray:
+    """ft_indicator of each body at the frequency rows lams (n, d), as a
+    (len(bodies), n) array, all node rows through one divided-difference
+    batch; an empty or degenerate body has no simplices and gives zeros."""
+    simps = [triangulate(P) for P in bodies]
+    vals = _ft_simplices(np.concatenate(simps), [len(sp) for sp in simps],
+                         np.tile(lams, (len(bodies), 1)), [lams.shape[0]] * len(bodies))
+    return vals.reshape(len(bodies), lams.shape[0])
 
 
 def ft_indicator(P: HPolytope, lam):
     """Fourier transform of the indicator of P at each row of lam (n, d); a
     1-D lam returns a complex."""
     lams, one = _freqs(lam, P.dim)
-    vals = _ft_indicators([P], [lams])[0]
+    vals = _ft_indicators([P], lams)[0]
     return complex(vals[0]) if one else vals
 
 
@@ -393,7 +392,7 @@ def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
     A, b = P.A, P.b
     A2 = A @ frame.basis
     b2 = (b - A @ frame.origin) / frame.scale
-    return _reduce(A2, b2, P.dim)
+    return _reduce(A2, b2[None], P.dim).polytopes()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +410,14 @@ def _ft_facets(fs: list[Facet], lams: np.ndarray, charts=None) -> list[np.ndarra
     # the phases of every facet in one array, elementwise as for one alone
     origins = np.array([F.origin for F in fs]).reshape(-1, lams.shape[1])
     phases = np.exp(-2j * np.pi * _dot(lams, origins.T)).T
-    if lams.shape[1] == 1:
+    if lams.shape[1] == 1 or not fs:
         return list(phases)
     charts = charts or [(lams, slice(None))] * len(fs)
-    vals = _ft_simplices([(F.simplices, _dot(rows, F.tangent)) for F, (rows, _) in zip(fs, charts)])
+    sizes = [rows.shape[0] for rows, _ in charts]
+    vals = _ft_simplices(np.concatenate([F.simplices for F in fs]), [len(F.simplices) for F in fs],
+                         np.concatenate([_dot(rows, F.tangent) for F, (rows, _) in zip(fs, charts)]),
+                         sizes)
+    vals = np.split(vals, np.cumsum(sizes)[:-1])
     return [p * v[back] for p, v, (_, back) in zip(phases, vals, charts)]
 
 
@@ -510,7 +513,7 @@ def _axis_residuals(bodies, lams: np.ndarray):
     transforms and the axis-route residual G = -2*pi*i*lam_1*ft + sigma_A -
     sigma_B."""
     sa, sb = axis_sigmas(bodies, lams)
-    ft = np.array(_ft_indicators(bodies, [lams] * len(bodies))).reshape(sa.shape)
+    ft = _ft_indicators(bodies, lams)
     return ft, sa, sb, -2j * np.pi * lams[:, 0] * ft + sa - sb
 
 

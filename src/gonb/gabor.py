@@ -37,7 +37,6 @@ from .fourier import (
     _axis_residuals,
     _ball_cone_constant,
     _freqs,
-    _ft_indicators,
     _runs,
     apply_frame,
     axis_sigmas,
@@ -186,39 +185,50 @@ def _per_volume(vals: np.ndarray, vol: float) -> np.ndarray:
     return (np.asarray(vals, dtype=complex).view(float) / vol).view(complex)
 
 
-def _midpoint(n_per_axis: int):
-    """The midpoint-rule transform for _stfts, n_per_axis points per axis."""
-    if n_per_axis < 2:
-        raise ValueError("n_per_axis must be >= 2")
-    return lambda bodies, lams: [ft_indicator_quadrature(Q, lam, n_per_axis)
-                                 for Q, lam in zip(bodies, lams)]
+def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.ndarray:
+    """V(t, lam) = ft_indicator(P intersect (P + t), lam) / vol(P) at each row
+    of lams (n, d), whose rows come grouped by shift: counts[g] consecutive
+    rows belong to the row shifts[g] of shifts (s, d).
 
-
-def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
-           transform=_ft_indicators) -> np.ndarray:
-    """V(t, lam) = transform(P intersect (P + t), lam) / vol(P) at each row of
-    lams (n, d), whose rows come grouped by shift: counts[g] consecutive rows
-    belong to the row shifts[g] of shifts (s, d).
-
-    One translate batch per SHIFT_BLOCK shifts, and one transform batch
-    (transform(bodies, lams per body)) per run of live translates that holds
-    at most fourier._BODY_ROWS rows; an empty or degenerate translate gives
-    zeros. The default transform is elementwise, so a row has the same bits
-    in any batch.
+    One translate batch per SHIFT_BLOCK shifts: the simplices V[j][cells] of
+    its live translates, family by family, go to fourier._ft_simplices in
+    runs that hold at most fourier._BODY_ROWS rows, one division by vol(P)
+    per run. An empty or degenerate translate is in no family and gives
+    zeros. The transform is elementwise, so a row has the same bits in any
+    batch.
     """
     vol = _window_volume(P)
+    d = P.dim
     counts = np.asarray(counts)
     ends = np.cumsum(counts)
     vals = np.zeros(lams.shape[0], dtype=complex)
     for lo in range(0, shifts.shape[0], SHIFT_BLOCK):
-        Qs = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK])
-        live = [g for g, Q in enumerate(Qs, lo) if not (Q.empty or Q.degenerate)]
-        for run in _runs(counts[live], fourier._BODY_ROWS):
-            rows = [slice(ends[g] - counts[g], ends[g]) for g in live[run]]
-            bodies = [Qs[g - lo] for g in live[run]]
-            for r, v in zip(rows, transform(bodies, [lams[r] for r in rows])):
-                vals[r] = _per_volume(v, vol)
+        fams = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK]).families
+        if not fams:
+            continue
+        # every live translate's simplices, and its count of them and shift
+        simp = np.concatenate([F.V[:, F.cells].reshape(-1, d + 1, d) for F in fams])
+        m = np.repeat([F.cells.shape[0] for F in fams], [F.members.size for F in fams])
+        first = np.cumsum(m) - m
+        g = lo + np.concatenate([F.members for F in fams])
+        for run in _runs(counts[g], fourier._BODY_ROWS):
+            n = counts[g[run]]
+            rows = np.repeat(ends[g[run]] - np.cumsum(n), n) + np.arange(n.sum())
+            cells = simp[first[run.start]:first[run.start] + m[run].sum()]
+            vals[rows] = _per_volume(fourier._ft_simplices(cells, m[run], lams[rows], n), vol)
     return vals
+
+
+def _midpoint_stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
+                    n_per_axis: int) -> np.ndarray:
+    """The values of _stfts by the midpoint-rule oracle, n_per_axis points
+    per axis: one translate body per shift, SHIFT_BLOCK shifts at a time."""
+    vol = _window_volume(P)
+    rows = iter(np.split(lams, np.cumsum(counts)[:-1]))
+    vals = [ft_indicator_quadrature(Q, next(rows), n_per_axis)
+            for lo in range(0, shifts.shape[0], SHIFT_BLOCK)
+            for Q in _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK]).polytopes()]
+    return _per_volume(np.concatenate(vals), vol)
 
 
 def stft_indicator(P: HPolytope, t, lam):
@@ -234,7 +244,7 @@ def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
     """Independent midpoint-rule evaluation of the same STFT values."""
     _window_volume(P)
     lams, one = _freqs(lam, P.dim)
-    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]], _midpoint(n_per_axis))
+    vals = _midpoint_stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]], n_per_axis)
     return complex(vals[0]) if one else vals
 
 
@@ -492,7 +502,7 @@ def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
     if big:
         d = P.dim
         rows = W[[hits[n][0] for n in big]]
-        qs = _stfts(P, rows[:, :d], rows[:, d:], np.ones(len(big), dtype=int), _midpoint(QUAD_N))
+        qs = _midpoint_stfts(P, rows[:, :d], rows[:, d:], np.ones(len(big), dtype=int), QUAD_N)
         for n, q in zip(big, qs):
             val = hits[n][1]
             oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
@@ -655,7 +665,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     eps_f = float(eps) / frame.scale
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
-    Qts = _translate_intersections(Q, tgrid)
+    Qts = _translate_intersections(Q, tgrid).polytopes()
     # the least |vol A - vol B| of a translate's axis pair, an absent facet counting 0
     vols = [[0.0 if F is None else F.volume_dm1 for F in Qt._axis_pair] for Qt in Qts]
     eta = min(abs(a - b) for a, b in vols)

@@ -168,14 +168,20 @@ def _field_types(cls) -> tuple:
 
 def from_json(cls, data):
     """The record cls read from the object ``data`` of its fields, by each
-    field's annotated type: float, int or str, an np.ndarray as a float
-    array, and a nested record by recursion. Unknown keys are ignored."""
+    field's annotated type: a str from a string, a float from a number that
+    is not a bool, an int from such a number with an integral value (17.0
+    reads as 17), an np.ndarray as a float array, and a nested record by
+    recursion; ValueError for any other value. Unknown keys are ignored."""
     values = {}
     for name, kind in _field_types(cls):
         value = data[name]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if kind is np.ndarray:
             values[name] = np.asarray(value, dtype=float)
         elif kind in (float, int, str):
+            if not (isinstance(value, str) if kind is str
+                    else number and (kind is float or float(value).is_integer())):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
             values[name] = kind(value)
         else:
             values[name] = from_json(kind, value)

@@ -6,6 +6,13 @@ per-halfspace offset minimum (a batch of shifts shares one stacked vertex
 solve), Minkowski parallel-facet symmetry tests, and the exact Hausdorff
 metric for convex polytopes.
 
+A batch of bodies with shared normals (a window's translates, or the one
+body of a half-space list) comes back as families of full-dimensional bodies
+with one incidence pattern and the same kept rows: their vertices and offsets
+are stacked arrays, their incidence, faces and triangulation index shared.
+``Family.body`` alone makes an ``HPolytope`` of a member, where facets or one
+body are read.
+
 Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
 computed once per polytope: the facets of a face with vertex set S are the
 inclusion-maximal proper nonempty sets S & F_j. Polytopes and facets are
@@ -24,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +114,8 @@ class HPolytope:
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
     with no interior (volume 0). Instances are immutable; the vertices,
     incidence, pulled faces, facets, axis facet pair, triangulation and
-    volume are cached properties, computed on first use (``_bodies`` seeds
-    the first three).
+    volume are cached properties, computed on first use (``Family.body``
+    seeds the first three).
     """
 
     dim: int
@@ -156,7 +164,8 @@ class HPolytope:
 
     @cached_property
     def _pulls(self) -> dict:
-        """Memo of the pulled face triangulations, keyed by _pull."""
+        """Memo of the pulled face triangulations, keyed by _pull, and of the
+        facet charts' tangent bases, keyed by row index."""
         return {}
 
     @cached_property
@@ -266,18 +275,54 @@ def _affine_rank(pts: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-8))
 
 
-def _reduce(A: np.ndarray, b: np.ndarray, dim: int):
-    """Canonical HPolytope of {x : A x <= b} from distinct unit-normal rows A
-    (n, dim), one for each offset row of b (s, n); a 1-D b returns one.
-    Never raises on empty/degenerate results (they come back flagged). A
-    full-dimensional result keeps a row iff its facet has (d-1)-volume >
-    GEOM_TOL, and comes with its vertices and incidence cached. Only
-    ``normalize`` sees raw rows, and it merges duplicate normals first;
-    translate and frame rows are a polytope's own rows, moved or rotated."""
-    A = np.asarray(A, dtype=float).reshape(-1, dim)
-    b = np.asarray(b, dtype=float)
-    one = b.ndim == 1
-    B = b.reshape(-1, A.shape[0])
+class Family(NamedTuple):
+    """Full-dimensional bodies {x : A x <= B[j]} with one incidence (q, n)
+    and the same kept rows A (n, d): ``members`` (s,) are their rows in the
+    batch, B (s, n) their offsets and V (s, q, d) their vertices. They share
+    the memo of pulled faces and facet tangents, and the triangulation index
+    ``cells`` (m, d + 1): member j's simplices are V[j][cells]."""
+
+    members: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    V: np.ndarray
+    incidence: np.ndarray
+    pulls: dict
+    cells: np.ndarray
+
+    def body(self, j: int) -> HPolytope:
+        """Member j as an HPolytope, the family's faces in its cache."""
+        P = HPolytope(self.A.shape[1], self.A, self.B[j])
+        vars(P).update(_vertices=self.V[j], _incidence=self.incidence, _pulls=self.pulls)
+        return P
+
+
+class Batch(NamedTuple):
+    """The bodies {x : A x <= B[k]} of an offset batch in canonical rows A
+    (n, d): the families of the full-dimensional ones, and which rows of B
+    (s, n) have vertices (the others are empty)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    feasible: np.ndarray
+    families: list[Family]
+
+    def polytopes(self) -> list[HPolytope]:
+        """One HPolytope per row: a member's body, else all of A flagged
+        degenerate (and empty where the row has no vertices)."""
+        views = {k: F.body(j) for F in self.families for j, k in enumerate(F.members)}
+        return [views[k] if k in views else
+                HPolytope(self.A.shape[1], self.A, b, empty=not f, degenerate=True)
+                for k, (b, f) in enumerate(zip(self.B, self.feasible))]
+
+
+def _reduce(A: np.ndarray, B: np.ndarray, dim: int) -> Batch:
+    """The bodies {x : A x <= B[k]} of distinct unit-normal rows A (n, dim),
+    one per offset row of B (s, n), as a Batch in canonical rows; a
+    full-dimensional body keeps a row iff its facet has (d-1)-volume >
+    GEOM_TOL. Never raises on empty/degenerate results. Only ``normalize``
+    sees raw rows, and it merges duplicate normals first; translate and frame
+    rows are a polytope's own rows, moved or rotated."""
     # canonical row order: distinct unit normals differ by more than GEOM_TOL,
     # so their rows never tie at 12 decimals and the offsets never enter it
     order = np.lexsort(np.round(A, 12).T[::-1])
@@ -286,45 +331,38 @@ def _reduce(A: np.ndarray, b: np.ndarray, dim: int):
     # on which witness ties and certificate frames have always depended
     An = np.array([a / float(np.linalg.norm(a)) for a in A[order]]).reshape(-1, dim)
     Bn = B[:, order]
-    out = [None] * B.shape[0]
+    feasible = np.zeros(B.shape[0], dtype=bool)
+    families = []
     for rows, V in _vertex_groups(A, B, dim):
-        for k, P in zip(rows, _bodies(An, Bn[rows], V)):
-            out[k] = P
-    out = [HPolytope(dim, An, Bn[k], empty=True, degenerate=True) if P is None else P
-           for k, P in enumerate(out)]
-    return out[0] if one else out
+        feasible[rows] = True
+        families += _bodies(An, Bn, rows, V)
+    return Batch(An, Bn, feasible, families)
 
 
-def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
-    """The bodies {x : A x <= B[k]} with canonical rows and vertex sets V[k]
-    (s, q, d), flagged degenerate unless full-dimensional.
+def _bodies(A: np.ndarray, B: np.ndarray, rows: np.ndarray, V: np.ndarray) -> list[Family]:
+    """The families of the full-dimensional bodies among {x : A x <= B[k]}
+    for k in rows, with canonical rows and vertex sets V (len(rows), q, d).
 
-    Full-dimensional bodies with one incidence share their face
-    triangulations, which the incidence alone determines: their facet
-    volumes are one stacked determinant per row, and those that keep the
-    same rows share one memo of pulled faces. Each body's vertices (and
-    incidence and memo) go into its instance dict, where its cached
-    properties find them.
+    Bodies with one incidence share their face triangulations, which the
+    incidence alone determines: their facet volumes are one stacked
+    determinant per row, and those that keep the same rows (volume above
+    GEOM_TOL) form one family, whose memo holds the pulled faces.
     """
-    s, q, dim = V.shape
-    out = [None] * s
-    full = np.zeros(s, dtype=bool)
-    if q >= dim + 1:
-        full = np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim
-    for k in np.flatnonzero(~full):
-        out[k] = HPolytope(dim, A, B[k], degenerate=True)
-        vars(out[k])["_vertices"] = V[k]
-    rows = np.flatnonzero(full)
-    if rows.size == 0:
-        return out
-    inc = np.abs(np.matmul(V[rows], A.T) - B[rows, None, :]) <= INCIDENCE_TOL
-    patterns, which = _distinct_rows(inc.reshape(rows.size, -1))
+    q, dim = V.shape[1:]
+    if q < dim + 1:
+        return []
+    live = np.flatnonzero(np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim)
+    if live.size == 0:
+        return []
+    inc = np.abs(np.matmul(V[live], A.T) - B[rows[live], None, :]) <= INCIDENCE_TOL
+    patterns, which = _distinct_rows(inc.reshape(live.size, -1))
+    families = []
     for p, pattern in enumerate(patterns):
         pinc = pattern.reshape(q, -1)
-        members = rows[which == p]
-        Vm = V[members]
+        at = live[which == p]
+        Vm = V[at]
         memo: dict = {}
-        vols = np.zeros((members.size, A.shape[0]))
+        vols = np.zeros((at.size, A.shape[0]))
         for i in range(A.shape[0]):
             S = np.flatnonzero(pinc[:, i])
             if S.size < dim:
@@ -335,11 +373,10 @@ def _bodies(A: np.ndarray, B: np.ndarray, V: np.ndarray) -> list[HPolytope]:
             vols[:, i] = np.abs(np.linalg.det(edges)).sum(axis=1) / math.factorial(dim - 1)
         keeps, kind = _distinct_rows(vols > GEOM_TOL)
         for j, keep in enumerate(keeps):
-            Ak, kinc, pulls = A[keep], pinc[:, keep], dict(memo)
-            for k in members[kind == j]:
-                out[k] = HPolytope(dim, Ak, B[k][keep])
-                vars(out[k]).update(_vertices=V[k], _incidence=kinc, _pulls=pulls)
-    return out
+            k, kinc, pulls = at[kind == j], pinc[:, keep], dict(memo)
+            cells = _pull(kinc, np.arange(q), dim, pulls)
+            families.append(Family(rows[k], A[keep], B[rows[k]][:, keep], V[k], kinc, pulls, cells))
+    return families
 
 
 def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +387,7 @@ def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed = np.packbits(M, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    return M[first], which.ravel()
+    return M[first], which
 
 
 def normalize(raw_halfspaces, dim: int) -> HPolytope:
@@ -384,7 +421,7 @@ def normalize(raw_halfspaces, dim: int) -> HPolytope:
         raise ParseError(f"{A.shape[0]} distinct halfspaces in dimension {dim} give more "
                          f"than {MAX_VERTEX_CANDIDATES} vertex candidates")
     _check_bounded(A, dim)
-    P = _reduce(A, b, dim)
+    P = _reduce(A, b[None], dim).polytopes()[0]
     if P.empty:
         raise EmptyPolytope("half-space intersection is infeasible")
     return P
@@ -531,7 +568,9 @@ def _facet_chart(P: HPolytope, i: int) -> Facet | None:
     on = verts[S]
     c = on.mean(axis=0)
     origin = c - (float(a @ c) - bb) * a  # exact projection onto the hyperplane
-    T = tangent_basis(a)
+    if i not in memo:  # one tangent basis per row of a family
+        memo[i] = tangent_basis(a)
+    T = memo[i]
     simp = ((verts - origin) @ T)[_pull(inc, S, dim - 1, memo)]
     vol = float(_content(simp).sum())
     if vol <= GEOM_TOL:
@@ -651,15 +690,15 @@ def symmetry_center_oracle(P: HPolytope, tol: float = 1e-7) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _translate_intersections(P: HPolytope, T) -> list[HPolytope]:
+def _translate_intersections(P: HPolytope, T) -> Batch:
     """P intersected with its translate P + t, for every row t of the shift
-    array T (s, d).
+    array T (s, d), as a Batch whose families hold the live translates.
 
     Each keeps the normals of P with offsets min(b_i, b_i + <a_i, t>), so all
     share the vertex systems of P: one stacked solve finds every shift's
     vertex candidates and sorts out the empty shifts, and only the live
-    translates are built, from their feasible candidates and their incidence.
-    Empty or degenerate results come back flagged, never raised.
+    translates are grouped into families, from their feasible candidates and
+    their incidence. Empty or degenerate translates are in no family.
     """
     T = np.asarray(T, dtype=float).reshape(-1, P.dim)
     # a stacked matrix-vector product: every row has the bits of A @ t
@@ -669,8 +708,8 @@ def _translate_intersections(P: HPolytope, T) -> list[HPolytope]:
 
 def translate_intersection(P: HPolytope, t) -> HPolytope:
     """P intersected with P + t for one shift t: the one-row case of
-    _translate_intersections."""
-    return _translate_intersections(P, np.reshape(t, (1, P.dim)))[0]
+    _translate_intersections, flagged empty or degenerate when it is."""
+    return _translate_intersections(P, np.reshape(t, (1, P.dim))).polytopes()[0]
 
 
 # ---------------------------------------------------------------------------

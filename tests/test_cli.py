@@ -1,5 +1,6 @@
 """CLI harness: commands, formats, determinism, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -550,6 +551,11 @@ def test_time_frequency_contract(spec, message, square_file, tmp_path, capsys):
     ("frame", {"origin": [0, 0], "basis": np.eye(2).tolist(), "scale": 5e-324}, "scale"),
     ("frame", {"origin": [-1e308, 0], "basis": np.eye(2).tolist(), "scale": 1.0}, "|x| <="),
     ("omega", 1e7, "omega"),
+    # fields are read without conversion
+    ("provenance.n_scan_points", 12240.9, "n_scan_points must be of type int, got 12240.9"),
+    ("provenance.n_t", True, "n_t must be of type int, got True"),
+    ("min_abs_scanned", "0.5", "min_abs_scanned must be of type float, got '0.5'"),
+    ("provenance.window_hash", 12, "window_hash must be of type str, got 12"),
 ])
 def test_certificate_contract(field, value, message, tmp_path, capsys):
     window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
@@ -557,7 +563,8 @@ def test_certificate_contract(field, value, message, tmp_path, capsys):
     assert run(["certificate", "--in", window, "--eps", "0.2", "--omega", "0.2",
                 "--out", str(cert_path)]) == 0
     cert = json.loads(cert_path.read_text())
-    cert[field] = value
+    *path, key = field.split(".")
+    functools.reduce(dict.__getitem__, path, cert)[key] = value
     bad = _write(tmp_path, "bad.json", cert)
     for argv in (["scan", "--field", "gt_abs", "--certificate", bad],
                  ["find-violation", "--lattice", _write(tmp_path, "l.json", {"points": [[0] * 4]}),
@@ -566,6 +573,19 @@ def test_certificate_contract(field, value, message, tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("ParseError") and message in err
+
+
+def test_certificate_int_field_takes_an_integral_float(tmp_path):
+    """An int field reads an integral float as an int, as a polytope's dim
+    does: n_t 17.0 loads as 17."""
+    window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
+    cert_path = tmp_path / "cert.json"
+    assert run(["certificate", "--in", window, "--eps", "0.2", "--omega", "0.2",
+                "--out", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    cert["provenance"]["n_t"] = 17.0
+    n_t = load_certificate(_write(tmp_path, "c.json", cert)).provenance.n_t
+    assert type(n_t) is int and n_t == 17
 
 
 @pytest.mark.parametrize("argv", [

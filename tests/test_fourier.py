@@ -475,7 +475,7 @@ def _axis_sigma_reference(Qt, lams):
         if F.dim == 1:
             out[:] = phases
         else:
-            out[:] = phases * _ft_simplices([(F.simplices, lams @ F.tangent)])[0]
+            out[:] = phases * _ft_simplices(F.simplices, [len(F.simplices)], lams @ F.tangent, [n])
     return sa, sb
 
 
@@ -542,9 +542,9 @@ def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
     charted = []
     batch = fourier._ft_simplices
 
-    def counted(parts):
-        charted.append([rows.shape[0] for _, rows in parts])
-        return batch(parts)
+    def counted(simp, m, rows, n):
+        charted.append(list(n))
+        return batch(simp, m, rows, n)
 
     monkeypatch.setattr(fourier, "_ft_simplices", counted)
     sa, sb = axis_sigmas(Qts, lams)

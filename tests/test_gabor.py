@@ -459,7 +459,7 @@ def test_prune_drops_only_surely_empty_translates(name):
     dropped = np.setdiff1d(np.arange(every[0].shape[0]), rows)
     W = pts[every[1][dropped]] - pts[every[2][dropped]]
     shifts = np.unique(W[:, :P.dim], axis=0)
-    assert all(Q.empty for Q in _translate_intersections(P, shifts))
+    assert not _translate_intersections(P, shifts).feasible.any()
     # float sets take the sort path, which keeps every pair, and the scaled
     # dedup case spans no more than the pentagon
     keep_all = {"dedup_random", "dedup_straddling", "dedup_d1", "dedup_d3",
@@ -522,7 +522,7 @@ def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
     W = np.concatenate([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-2, 2, (5, 2))], axis=1)
     W[0, :2] = [3.0, 0.0]  # an empty translate
     for n in (40, gabor.QUAD_N):
-        got = gabor._stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, gabor._midpoint(n))
+        got = gabor._midpoint_stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, n)
         want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W]
         assert got.dtype == complex and got.tolist() == want
     batches = []
@@ -556,6 +556,25 @@ def test_check_orthogonality_float_points_report_their_pairs(pentagon):
     for rep in out:
         w = rep.v - rep.v_prime
         assert abs(stft_indicator(pentagon, w[:2], w[2:]) - rep.value) <= 1e-10
+
+
+def test_check_orthogonality_makes_no_translate_polytope(pentagon, monkeypatch):
+    """The 40 float points above: the exact values come from the translate
+    families' arrays, so no HPolytope is made after the window; the oracle
+    confirmations make one body per confirmed shift."""
+    made = []
+    init = polytope.HPolytope.__post_init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(polytope.HPolytope, "__post_init__", counted)
+    L = TimeFrequencySet(np.random.default_rng(11).uniform(-1.5, 1.5, (40, 4)))
+    assert len(check_orthogonality(pentagon, L, 1e-9, max_reports=8, confirm=False)) == 8
+    assert made == []
+    out = check_orthogonality(pentagon, L, 1e-9, max_reports=8)
+    assert 0 < len(made) == sum(abs(r.value) >= 1e-3 for r in out)
 
 
 def _counted_kernel(monkeypatch):
@@ -716,6 +735,23 @@ def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch
     assert calls == [cert.provenance.n_t] == [17]
 
 
+def test_certificate_charts_one_tangent_basis_per_family_row(pentagon, monkeypatch):
+    """The pentagon certificate's 17 ball translates form one family with 5
+    kept rows, whose facet charts share one tangent basis per row: 10
+    tangent_basis calls with the window's own 5 (90 when every translate
+    charted its facets alone)."""
+    calls = []
+    basis = polytope.tangent_basis
+
+    def counted(a):
+        calls.append(a)
+        return basis(a)
+
+    monkeypatch.setattr(polytope, "tangent_basis", counted)
+    build_certificate(pentagon, 0.2, 0.2)
+    assert len(calls) == 10
+
+
 def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
     """Divided-difference calls of the pentagon certificate (204 when every
     translate and facet had its own, 43 while the verify scan charted its
@@ -747,10 +783,10 @@ def test_verify_scan_charts_axis_facets_at_distinct_transverse_rows(pentagon, mo
         finally:
             inside.pop()
 
-    def counted(parts):
+    def counted(simp, m, lams, n):
         if inside:  # (nodes per simplex, frequency rows) of each part
-            batches.append([(simp.shape[1], lams.shape[0]) for simp, lams in parts])
-        return batch(parts)
+            batches.append([(simp.shape[1], rows) for rows in n])
+        return batch(simp, m, lams, n)
 
     monkeypatch.setattr(gabor, "_verify_scan", tagged)
     monkeypatch.setattr(fourier, "_ft_simplices", counted)
@@ -778,9 +814,9 @@ def test_certificate_stages_run_in_blocks_of_translates(pentagon, monkeypatch):
     rows = []
     batch = fourier._ft_simplices
 
-    def counted(parts):
-        rows.append(sum(lams.shape[0] for _, lams in parts))
-        return batch(parts)
+    def counted(simp, m, lams, n):
+        rows.append(lams.shape[0])
+        return batch(simp, m, lams, n)
 
     monkeypatch.setattr(fourier, "_ft_simplices", counted)
     monkeypatch.setattr(fourier, "_BODY_ROWS", 1)

@@ -582,7 +582,7 @@ def test_translate_lemma_min_matches_stacked_representation(seed):
     t = rng.uniform(-0.4, 0.4, 2)
     Q = translate_intersection(P, t)
     A, b = P.A, P.b
-    stacked = _reduce(np.vstack([A, A]), np.concatenate([b, b + A @ t]), 2)
+    stacked = _reduce(np.vstack([A, A]), np.concatenate([b, b + A @ t])[None], 2).polytopes()[0]
     if Q.empty or Q.degenerate:
         assert stacked.empty or stacked.degenerate
     else:
@@ -623,10 +623,10 @@ def test_batched_translates_match_one_shift_translates(name, pentagon, monkeypat
     far = rng.uniform(3.0, 4.0, (3, P.dim)) * rng.choice([-1.0, 1.0], (3, P.dim))
     T = np.concatenate([rng.uniform(-1.2, 1.2, (30, P.dim)), far, np.zeros((1, P.dim))])
     single = [_translate_bits(translate_intersection(P, t)) for t in T]
-    assert [_translate_bits(Q) for Q in _translate_intersections(P, T)] == single
+    assert [_translate_bits(Q) for Q in _translate_intersections(P, T).polytopes()] == single
     assert all(empty for _, _, empty, *_ in single[30:33])
     monkeypatch.setattr(polytope, "MAX_VERTEX_CANDIDATES", 2 * math.comb(P.A.shape[0], P.dim))
-    assert [_translate_bits(Q) for Q in _translate_intersections(P, T)] == single
+    assert [_translate_bits(Q) for Q in _translate_intersections(P, T).polytopes()] == single
 
 
 def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube):
@@ -634,16 +634,51 @@ def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube
     volume inside a batch, as in their one-shift calls."""
     width = 5e-8
     shifts = [(1.0, 0.0), (1 - width, 0.0), (0.5, 0.25), (3.0, 0.0)]
-    touching, slab, overlap, far = Qs = _translate_intersections(unit_square, shifts)
+    touching, slab, overlap, far = Qs = _translate_intersections(unit_square, shifts).polytopes()
     assert touching.degenerate and not touching.empty and volume(touching) == 0.0
     assert volume(slab) == pytest.approx(width, rel=1e-6)
     assert volume(overlap) == pytest.approx(0.375, abs=1e-15) and far.empty
     cube_shifts = [(1 - width, 0.3, 0.0), (0.2, -0.3, 0.1)]
-    cubes = _translate_intersections(unit_cube, cube_shifts)
+    cubes = _translate_intersections(unit_cube, cube_shifts).polytopes()
     assert volume(cubes[0]) == pytest.approx(0.7 * width, rel=1e-6)
     for P, T, batch in ((unit_square, shifts, Qs), (unit_cube, cube_shifts, cubes)):
         assert [_translate_bits(Q) for Q in batch] == \
             [_translate_bits(translate_intersection(P, t)) for t in T]
+
+
+@pytest.mark.parametrize("name", ["pentagon", "cut cube", "cut 4-cube"])
+def test_family_members_equal_one_shift_translates(name, pentagon):
+    """Each live translate of a batch is one family member whose arrays (kept
+    rows, offsets, vertices, incidence, V[j][cells]) and body are those of
+    its one-shift translate_intersection, bit for bit; every other shift's
+    one-shift translate is flagged degenerate, and empty exactly where the
+    batch found no vertex. The shifts include empty and touching ones."""
+    P = {"pentagon": pentagon, "cut cube": cut_cube(),
+         "cut 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)) + [((1, 1, 0, 0), 1.5)], 4)}[name]
+    d = P.dim
+    rng = np.random.default_rng(7)
+    far = rng.uniform(3.0, 4.0, (3, d)) * rng.choice([-1.0, 1.0], (3, d))
+    touching = np.diag([2.0 if name == "pentagon" else 1.0] * d)[:2]
+    T = np.concatenate([rng.uniform(-1.2, 1.2, (40, d)), far, touching, np.zeros((1, d))])
+    batch = _translate_intersections(P, T)
+    member = {k: (F, j) for F in batch.families for j, k in enumerate(F.members)}
+    flagged = set()
+    for k, t in enumerate(T):
+        Q = translate_intersection(P, t)
+        if k not in member:
+            assert Q.degenerate and Q.empty != batch.feasible[k]
+            flagged.add(bool(Q.empty))
+            continue
+        F, j = member[k]
+        assert not (Q.empty or Q.degenerate)
+        assert (F.A.tobytes(), F.B[j].tobytes(), F.V[j].tobytes(), F.incidence.tobytes(),
+                F.V[j][F.cells].tobytes()) == (Q.A.tobytes(), Q.b.tobytes(),
+                                                Q.vertex_array().tobytes(),
+                                                Q._incidence.tobytes(), triangulate(Q).tobytes())
+        body = F.body(j)
+        assert _translate_bits(body) == _translate_bits(Q)
+        assert body._incidence.tobytes() == Q._incidence.tobytes()
+    assert flagged == {True, False} and len(member) >= 15
 
 
 def _face_bits(P):
@@ -664,7 +699,7 @@ def test_lazy_faces_equal_seeded_faces(name, pentagon):
     P = {"pentagon": pentagon, "cut cube": cut_cube(),
          "unit 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)), 4),
          "pentagon translate": translate_intersection(pentagon, (0.3, -0.2))}[name]
-    seeded, lazy = _reduce(P.A, P.b, P.dim), HPolytope(P.dim, P.A, P.b)
+    seeded, lazy = _reduce(P.A, P.b[None], P.dim).polytopes()[0], HPolytope(P.dim, P.A, P.b)
     assert np.array_equal(seeded.A, P.A) and np.array_equal(seeded.b, P.b)
     assert "_incidence" in vars(seeded) and "_incidence" not in vars(lazy)
     assert _face_bits(lazy) == _face_bits(seeded)
@@ -708,7 +743,7 @@ def test_hausdorff_thin_triangles_converge_to_segment():
 
     v1, v2, v3 = np.zeros(2), np.array([1.0, 0.0]), np.array([0.5, math.sqrt(3) / 2])
     seg = _reduce(np.array([(0, 1), (0, -1), (1, 0), (-1, 0)], float),
-                  np.array([0.0, 0.0, 1.0, 0.0]), 2)
+                  np.array([[0.0, 0.0, 1.0, 0.0]]), 2).polytopes()[0]
     prev = math.inf
     for n in (2, 4, 8, 16, 32):
         Tn = from_vertices(np.array([v1, v2, v3 / n + (1 - 1 / n) * v1]))
