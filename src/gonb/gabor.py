@@ -207,8 +207,9 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
         if not fams:
             continue
         # every live translate's simplices, and its count of them and shift
-        simp = np.concatenate([F.V[:, F.cells].reshape(-1, d + 1, d) for F in fams])
-        m = np.repeat([F.cells.shape[0] for F in fams], [F.members.size for F in fams])
+        cells = [F.cells() for F in fams]
+        simp = np.concatenate([F.V[:, c].reshape(-1, d + 1, d) for F, c in zip(fams, cells)])
+        m = np.repeat([len(c) for c in cells], [F.members.size for F in fams])
         first = np.cumsum(m) - m
         g = lo + np.concatenate([F.members for F in fams])
         for run in _runs(counts[g], fourier._BODY_ROWS):

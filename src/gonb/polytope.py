@@ -6,12 +6,10 @@ per-halfspace offset minimum (a batch of shifts shares one stacked vertex
 solve), Minkowski parallel-facet symmetry tests, and the exact Hausdorff
 metric for convex polytopes.
 
-A batch of bodies with shared normals (a window's translates, or the one
-body of a half-space list) comes back as families of full-dimensional bodies
-with one incidence pattern and the same kept rows: their vertices and offsets
-are stacked arrays, their incidence, faces and triangulation index shared.
-``Family.body`` alone makes an ``HPolytope`` of a member, where facets or one
-body are read.
+Bodies that share their normals (a window's translates) are built as
+families: stacked vertices and offsets of the bodies with one incidence and
+the same kept rows, which share their faces; ``Family.body`` makes an
+``HPolytope`` of one member where facets or one body are read.
 
 Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
 computed once per polytope: the facets of a face with vertex set S are the
@@ -279,8 +277,7 @@ class Family(NamedTuple):
     """Full-dimensional bodies {x : A x <= B[j]} with one incidence (q, n)
     and the same kept rows A (n, d): ``members`` (s,) are their rows in the
     batch, B (s, n) their offsets and V (s, q, d) their vertices. They share
-    the memo of pulled faces and facet tangents, and the triangulation index
-    ``cells`` (m, d + 1): member j's simplices are V[j][cells]."""
+    one memo of pulled faces and facet tangents, and so one triangulation."""
 
     members: np.ndarray
     A: np.ndarray
@@ -288,7 +285,11 @@ class Family(NamedTuple):
     V: np.ndarray
     incidence: np.ndarray
     pulls: dict
-    cells: np.ndarray
+
+    def cells(self) -> np.ndarray:
+        """The pulling triangulation as vertex-index rows (m, d + 1): member
+        j's simplices are V[j][cells()]."""
+        return _pull(self.incidence, np.arange(self.V.shape[1]), self.A.shape[1], self.pulls)
 
     def body(self, j: int) -> HPolytope:
         """Member j as an HPolytope, the family's faces in its cache."""
@@ -349,13 +350,9 @@ def _bodies(A: np.ndarray, B: np.ndarray, rows: np.ndarray, V: np.ndarray) -> li
     GEOM_TOL) form one family, whose memo holds the pulled faces.
     """
     q, dim = V.shape[1:]
-    if q < dim + 1:
-        return []
     live = np.flatnonzero(np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim)
-    if live.size == 0:
-        return []
     inc = np.abs(np.matmul(V[live], A.T) - B[rows[live], None, :]) <= INCIDENCE_TOL
-    patterns, which = _distinct_rows(inc.reshape(live.size, -1))
+    patterns, which = _distinct_rows(inc.reshape(-1, q * A.shape[0]))
     families = []
     for p, pattern in enumerate(patterns):
         pinc = pattern.reshape(q, -1)
@@ -373,17 +370,16 @@ def _bodies(A: np.ndarray, B: np.ndarray, rows: np.ndarray, V: np.ndarray) -> li
             vols[:, i] = np.abs(np.linalg.det(edges)).sum(axis=1) / math.factorial(dim - 1)
         keeps, kind = _distinct_rows(vols > GEOM_TOL)
         for j, keep in enumerate(keeps):
-            k, kinc, pulls = at[kind == j], pinc[:, keep], dict(memo)
-            cells = _pull(kinc, np.arange(q), dim, pulls)
-            families.append(Family(rows[k], A[keep], B[rows[k]][:, keep], V[k], kinc, pulls, cells))
+            k = at[kind == j]
+            families.append(Family(rows[k], A[keep], B[rows[k]][:, keep], V[k], pinc[:, keep],
+                                   dict(memo)))
     return families
 
 
 def _distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the boolean matrix M in lexicographic order, and
-    the index of each row's among them. Each row is packed into bytes, most
-    significant bit first, so that its bytes compare as the row does, and
-    viewed as one key: one 1-D sort instead of np.unique's row sort."""
+    each row's index among them, by one 1-D sort: each row packed into bytes,
+    most significant bit first (which compare as the row does), is one key."""
     packed = np.packbits(M, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)

@@ -672,7 +672,7 @@ def test_family_members_equal_one_shift_translates(name, pentagon):
         F, j = member[k]
         assert not (Q.empty or Q.degenerate)
         assert (F.A.tobytes(), F.B[j].tobytes(), F.V[j].tobytes(), F.incidence.tobytes(),
-                F.V[j][F.cells].tobytes()) == (Q.A.tobytes(), Q.b.tobytes(),
+                F.V[j][F.cells()].tobytes()) == (Q.A.tobytes(), Q.b.tobytes(),
                                                 Q.vertex_array().tobytes(),
                                                 Q._incidence.tobytes(), triangulate(Q).tobytes())
         body = F.body(j)
