@@ -13,7 +13,8 @@ mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
 row has the same bits in any batch: the transforms of many bodies or facets
 (``_ft_indicators``, ``axis_sigmas``, ``_axis_residuals``,
-``_ball_cone_constant``) share one batch of node rows. An axis facet whose
+``_ball_cone_constant``, and the translate families of an orthogonality
+check) share one batch of node rows, ``_ft_simplices`` over stacked arrays. An axis facet whose
 tangent's first row is exactly zero (the framed normals +-e1) has chart rows
 that do not depend on lam_1, so ``axis_sigmas`` charts it at the distinct
 transverse rows lam[1:] only and gives every frequency its own phase: a

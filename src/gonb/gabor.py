@@ -215,8 +215,8 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
         for run in _runs(counts[g], fourier._BODY_ROWS):
             n = counts[g[run]]
             rows = np.repeat(ends[g[run]] - np.cumsum(n), n) + np.arange(n.sum())
-            cells = simp[first[run.start]:first[run.start] + m[run].sum()]
-            vals[rows] = _per_volume(fourier._ft_simplices(cells, m[run], lams[rows], n), vol)
+            part = simp[first[run.start]:first[run.start] + m[run].sum()]
+            vals[rows] = _per_volume(fourier._ft_simplices(part, m[run], lams[rows], n), vol)
     return vals
 
 

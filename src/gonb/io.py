@@ -175,10 +175,10 @@ def from_json(cls, data):
     values = {}
     for name, kind in _field_types(cls):
         value = data[name]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if kind is np.ndarray:
             values[name] = np.asarray(value, dtype=float)
         elif kind in (float, int, str):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (isinstance(value, str) if kind is str
                     else number and (kind is float or float(value).is_integer())):
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")

@@ -319,8 +319,9 @@ class Batch(NamedTuple):
 
 def _reduce(A: np.ndarray, B: np.ndarray, dim: int) -> Batch:
     """The bodies {x : A x <= B[k]} of distinct unit-normal rows A (n, dim),
-    one per offset row of B (s, n), as a Batch in canonical rows; a
-    full-dimensional body keeps a row iff its facet has (d-1)-volume >
+    one per offset row of B (s, n), as a Batch in canonical rows: which rows
+    have vertices, and the families of the full-dimensional bodies (_bodies).
+    A full-dimensional body keeps a row iff its facet has (d-1)-volume >
     GEOM_TOL. Never raises on empty/degenerate results. Only ``normalize``
     sees raw rows, and it merges duplicate normals first; translate and frame
     rows are a polytope's own rows, moved or rotated."""
@@ -342,12 +343,15 @@ def _reduce(A: np.ndarray, B: np.ndarray, dim: int) -> Batch:
 
 def _bodies(A: np.ndarray, B: np.ndarray, rows: np.ndarray, V: np.ndarray) -> list[Family]:
     """The families of the full-dimensional bodies among {x : A x <= B[k]}
-    for k in rows, with canonical rows and vertex sets V (len(rows), q, d).
+    for k in rows, with canonical rows and vertex sets V (len(rows), q, d):
+    one per incidence pattern and set of kept rows, holding its members'
+    rows of B, the kept rows and their offsets, the members' vertices, the
+    shared incidence and a memo of pulled faces.
 
     Bodies with one incidence share their face triangulations, which the
     incidence alone determines: their facet volumes are one stacked
-    determinant per row, and those that keep the same rows (volume above
-    GEOM_TOL) form one family, whose memo holds the pulled faces.
+    determinant per row, and a row is kept where its facet has volume above
+    GEOM_TOL.
     """
     q, dim = V.shape[1:]
     live = np.flatnonzero(np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim)
