@@ -678,8 +678,7 @@ def test_check_orthogonality_translate_batches(name, batches, unit_square, penta
 
 # check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):
 # 19,900 time shifts, 15,297 live translates. 2.5 x the slowest of ten
-# measured runs of this test (0.21-0.31 s by pytest --durations, with translate
-# families; 0.98-1.28 s when each translate was an HPolytope; 2-core VM,
+# measured runs of this test (0.21-0.31 s by pytest --durations; 2-core VM,
 # Python 3.11, numpy 2.4)
 FLOAT_200_BUDGET_S = 0.78
 
