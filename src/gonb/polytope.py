@@ -6,10 +6,11 @@ per-halfspace offset minimum (a batch of shifts shares one stacked vertex
 solve), Minkowski parallel-facet symmetry tests, and the exact Hausdorff
 metric for convex polytopes.
 
-Bodies that share their normals (a window's translates) are built as
-families: stacked vertices and offsets of the bodies with one incidence and
-the same kept rows, which share their faces; ``Family.body`` makes an
-``HPolytope`` of one member where facets or one body are read.
+Every polytope is a member of a family: bodies with the same kept rows and
+one incidence (a window's translates), held as stacked offsets and vertices.
+A family triangulates once and charts each facet row once for all members;
+a member's facets are views of those charts, and a polytope built from its
+own rows is the one member of its own family.
 
 Every face comes from one vertex-facet incidence matrix, |V A^T - b| <= 1e-8,
 computed once per polytope: the facets of a face with vertex set S are the
@@ -110,10 +111,10 @@ class HPolytope:
     both read-only copies.
 
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
-    with no interior (volume 0). Instances are immutable; the vertices,
-    incidence, pulled faces, facets, axis facet pair, triangulation and
-    volume are cached properties, computed on first use (``Family.body``
-    seeds the first three).
+    with no interior (volume 0). Instances are immutable. The vertices,
+    incidence, triangulation and facet charts live in the body's family
+    (``_member``, which ``Family.body`` seeds); the facets, axis facet pair,
+    triangulation and volume are cached on first use.
     """
 
     dim: int
@@ -139,7 +140,8 @@ class HPolytope:
 
     def vertex_array(self) -> np.ndarray:
         """All vertices, shape (m, d); empty array for an empty polytope."""
-        return self._vertices
+        F, j = self._member
+        return F.V[j]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertex_array()
@@ -149,29 +151,23 @@ class HPolytope:
 
     # -- cached faces -------------------------------------------------------
     @cached_property
-    def _vertices(self) -> np.ndarray:
-        """Feasible intersection points of all d-subsets of constraints, deduped."""
-        for _, V in _vertex_groups(self.A, self.b[None], self.dim):
-            return V[0]
-        return np.zeros((0, self.dim))
-
-    @cached_property
-    def _incidence(self) -> np.ndarray:
-        """Vertex-facet incidence |V A^T - b| <= INCIDENCE_TOL (m, n)."""
-        return np.abs(self._vertices @ self.A.T - self.b) <= INCIDENCE_TOL
-
-    @cached_property
-    def _pulls(self) -> dict:
-        """Memo of the pulled face triangulations, keyed by _pull, and of the
-        facet charts' tangent bases, keyed by row index."""
-        return {}
+    def _member(self) -> tuple[Family, int]:
+        """(family, j): member j of a family, here the body's own (one member)."""
+        V = next((V for _, V in _vertex_groups(self.A, self.b[None], self.dim)),
+                 np.zeros((1, 0, self.dim)))
+        inc = np.abs(V[0] @ self.A.T - self.b) <= INCIDENCE_TOL
+        return Family(np.zeros(1, np.intp), self.A, self.b[None], V, inc, {}), 0
 
     @cached_property
     def _facets(self) -> tuple[Facet, ...]:
+        """Views of the family's charts, but none for a row whose (d-1)-volume
+        in this member is at most GEOM_TOL."""
         if self.empty or self.degenerate:
             return ()
-        charts = [_facet_chart(self, i) for i in range(self.A.shape[0])]
-        return tuple(F for F in charts if F is not None)
+        F, j = self._member
+        return tuple(Facet(F.A[i], float(F.B[j, i]), on[j], float(vol[j]), float(ridge[j]),
+                           origin[j], T, simp[j])
+                     for i, T, on, origin, simp, vol, ridge in F.charts if vol[j] > GEOM_TOL)
 
     @cached_property
     def _axis_pair(self) -> tuple[Facet | None, Facet | None]:
@@ -185,8 +181,8 @@ class HPolytope:
         if self.empty or self.degenerate:
             simp = np.zeros((0, self.dim + 1, self.dim))
         else:
-            V = self._vertices
-            simp = V[_pull(self._incidence, np.arange(V.shape[0]), self.dim, self._pulls)]
+            F, j = self._member
+            simp = F.V[j][F.cells()]
         simp.setflags(write=False)
         return simp
 
@@ -273,11 +269,13 @@ def _affine_rank(pts: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-8))
 
 
-class Family(NamedTuple):
-    """Full-dimensional bodies {x : A x <= B[j]} with one incidence (q, n)
-    and the same kept rows A (n, d): ``members`` (s,) are their rows in the
-    batch, B (s, n) their offsets and V (s, q, d) their vertices. They share
-    one memo of pulled faces and facet tangents, and so one triangulation."""
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Bodies {x : A x <= B[j]} with one incidence (q, n) and the same kept
+    rows A (n, d): ``members`` (s,) are their rows in the batch, B (s, n)
+    their offsets and V (s, q, d) their vertices, all read-only. They share
+    one memo of pulled faces, and so one triangulation, and one chart per
+    facet row (``charts``), of which each member's facets are views."""
 
     members: np.ndarray
     A: np.ndarray
@@ -286,16 +284,50 @@ class Family(NamedTuple):
     incidence: np.ndarray
     pulls: dict
 
+    def __post_init__(self):
+        for x in (self.A, self.B, self.V, self.incidence):
+            x.setflags(write=False)
+
     def cells(self) -> np.ndarray:
         """The pulling triangulation as vertex-index rows (m, d + 1): member
         j's simplices are V[j][cells()]."""
         return _pull(self.incidence, np.arange(self.V.shape[1]), self.A.shape[1], self.pulls)
 
     def body(self, j: int) -> HPolytope:
-        """Member j as an HPolytope, the family's faces in its cache."""
+        """Member j as an HPolytope whose faces are the family's."""
         P = HPolytope(self.A.shape[1], self.A, self.B[j])
-        vars(P).update(_vertices=self.V[j], _incidence=self.incidence, _pulls=self.pulls)
+        vars(P)["_member"] = (self, j)
         return P
+
+    @cached_property
+    def charts(self) -> list[tuple]:
+        """One read-only chart per row i with at least d incident vertices S,
+        for all members: (i, tangent basis T (d, d-1), facet vertices V[:, S],
+        origins (s, d), chart simplices (s, m, d, d-1), (d-1)-volumes (s,),
+        ridge (d-2)-volumes (s,)). Origin j projects the mean of V[j, S] onto
+        the row's hyperplane, and each stacked product keeps the bits of its
+        one-member form."""
+        inc, memo = self.incidence, self.pulls
+        s, _, d = self.V.shape
+        charts = []
+        for i, a in enumerate(self.A):
+            S = np.flatnonzero(inc[:, i])
+            if S.size < d:
+                continue
+            on = self.V[:, S]
+            c = on.mean(axis=1)
+            origin = c - (np.matmul(c[:, None, :], a[:, None])[:, 0] - self.B[:, i, None]) * a
+            T = tangent_basis(a)
+            simp = np.matmul(self.V - origin[:, None], T)[:, _pull(inc, S, d - 1, memo)]
+            vol = _content(simp.reshape(s * simp.shape[1], d, d - 1)).reshape(s, -1).sum(axis=1)
+            ridge = np.zeros(s)
+            if d > 1:
+                R = np.concatenate([_pull(inc, G, d - 2, memo) for G in _face_facets(inc, S, d - 1)])
+                ridge = _content(self.V[:, R].reshape(s * len(R), d - 1, d)).reshape(s, -1).sum(axis=1)
+            for x in (T, on, origin, simp, vol, ridge):
+                x.setflags(write=False)
+            charts.append((i, T, on, origin, simp, vol, ridge))
+        return charts
 
 
 class Batch(NamedTuple):
@@ -344,15 +376,10 @@ def _reduce(A: np.ndarray, B: np.ndarray, dim: int) -> Batch:
 def _bodies(A: np.ndarray, B: np.ndarray, rows: np.ndarray, V: np.ndarray) -> list[Family]:
     """The families of the full-dimensional bodies among {x : A x <= B[k]}
     for k in rows, with canonical rows and vertex sets V (len(rows), q, d):
-    one per incidence pattern and set of kept rows, holding its members'
-    rows of B, the kept rows and their offsets, the members' vertices, the
-    shared incidence and a memo of pulled faces.
-
-    Bodies with one incidence share their face triangulations, which the
-    incidence alone determines: their facet volumes are one stacked
-    determinant per row, and a row is kept where its facet has volume above
-    GEOM_TOL.
-    """
+    one per incidence pattern and set of kept rows. Bodies with one incidence
+    share their face triangulations, which the incidence alone determines:
+    their facet volumes are one stacked determinant per row, and a row is
+    kept where its facet has volume above GEOM_TOL."""
     q, dim = V.shape[1:]
     live = np.flatnonzero(np.linalg.matrix_rank(V[:, 1:] - V[:, :1], tol=1e-8) == dim)
     inc = np.abs(np.matmul(V[live], A.T) - B[rows[live], None, :]) <= INCIDENCE_TOL
@@ -553,33 +580,6 @@ def _content(cells: np.ndarray) -> np.ndarray:
     if n > k:
         return np.sqrt(np.abs(np.linalg.det(E @ E.transpose(0, 2, 1)))) / math.factorial(k)
     return np.abs(np.linalg.det(E)) / math.factorial(k)
-
-
-def _facet_chart(P: HPolytope, i: int) -> Facet | None:
-    """Facet supported by row i of a full-dimensional P, or None when its
-    (d-1)-volume is at most GEOM_TOL."""
-    inc, memo = P._incidence, P._pulls
-    S = np.flatnonzero(inc[:, i])
-    dim = P.dim
-    if S.size < dim:
-        return None
-    a, bb = P.A[i], P.b[i]
-    verts = P.vertex_array()
-    on = verts[S]
-    c = on.mean(axis=0)
-    origin = c - (float(a @ c) - bb) * a  # exact projection onto the hyperplane
-    if i not in memo:  # one tangent basis per row of a family
-        memo[i] = tangent_basis(a)
-    T = memo[i]
-    simp = ((verts - origin) @ T)[_pull(inc, S, dim - 1, memo)]
-    vol = float(_content(simp).sum())
-    if vol <= GEOM_TOL:
-        return None
-    boundary = 0.0
-    if dim > 1:
-        ridges = [_pull(inc, R, dim - 2, memo) for R in _face_facets(inc, S, dim - 1)]
-        boundary = float(_content(verts[np.concatenate(ridges)]).sum())
-    return Facet(a, float(bb), on, vol, boundary, origin, T, simp)
 
 
 def facets(P: HPolytope) -> list[Facet]:

@@ -422,7 +422,7 @@ def test_thin_translates_keep_their_volume(width, unit_square, unit_cube):
 def f_vector(P):
     """Face counts f_0..f_{d-1} of P, each face level the union of the facets
     of the level above, derived from the incidence alone."""
-    inc = P._incidence
+    inc = P._member[0].incidence
     level, counts = [np.arange(P.vertex_array().shape[0])], []
     for k in range(P.dim, 0, -1):
         level = list({G.tobytes(): G for S in level for G in _face_facets(inc, S, k)}.values())
@@ -674,10 +674,10 @@ def test_family_members_equal_one_shift_translates(name, pentagon):
         assert (F.A.tobytes(), F.B[j].tobytes(), F.V[j].tobytes(), F.incidence.tobytes(),
                 F.V[j][F.cells()].tobytes()) == (Q.A.tobytes(), Q.b.tobytes(),
                                                 Q.vertex_array().tobytes(),
-                                                Q._incidence.tobytes(), triangulate(Q).tobytes())
+                                                Q._member[0].incidence.tobytes(), triangulate(Q).tobytes())
         body = F.body(j)
         assert _translate_bits(body) == _translate_bits(Q)
-        assert body._incidence.tobytes() == Q._incidence.tobytes()
+        assert body._member[0].incidence.tobytes() == Q._member[0].incidence.tobytes()
     assert flagged == {True, False} and len(member) >= 15
 
 
@@ -701,9 +701,9 @@ def test_lazy_faces_equal_seeded_faces(name, pentagon):
          "pentagon translate": translate_intersection(pentagon, (0.3, -0.2))}[name]
     seeded, lazy = _reduce(P.A, P.b[None], P.dim).polytopes()[0], HPolytope(P.dim, P.A, P.b)
     assert np.array_equal(seeded.A, P.A) and np.array_equal(seeded.b, P.b)
-    assert "_incidence" in vars(seeded) and "_incidence" not in vars(lazy)
+    assert "_member" in vars(seeded) and "_member" not in vars(lazy)
     assert _face_bits(lazy) == _face_bits(seeded)
-    assert "_incidence" in vars(lazy)
+    assert "_member" in vars(lazy)
 
 
 def test_facet_convergence_along_shrinking_translates(pentagon):
