@@ -1,5 +1,6 @@
 """STFT, set diagnostics, certificates, and violation searches."""
 
+import functools
 import json
 import math
 import time
@@ -692,6 +693,21 @@ def test_check_orthogonality_200_float_points_within_budget(pentagon):
     assert elapsed < FLOAT_200_BUDGET_S, f"{elapsed:.2f} s"
 
 
+def test_check_orthogonality_reports_the_largest_values(pentagon):
+    """With at most m reports, check_orthogonality keeps m of the largest |V|
+    over all nonzero differences, on float points and on Z^4, where many
+    values tie."""
+    z4 = lattice_points(np.eye(4), np.zeros(4), -2 * np.ones(4), 2 * np.ones(4))
+    for pts in (np.random.default_rng(0).uniform(-1.5, 1.5, (200, 4)), z4):
+        L = TimeFrequencySet(pts)
+        every = check_orthogonality(pentagon, L, max_reports=10_000, confirm=False)
+        ranked = sorted((abs(r.value) for r in every), reverse=True)
+        assert len(ranked) > 64
+        for m in (1, 6, 64):
+            out = check_orthogonality(pentagon, L, max_reports=m, confirm=False)
+            assert sorted((abs(r.value) for r in out), reverse=True) == ranked[:m]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -2e6])
 def test_tf_set_rejects_bad_coordinates(bad):
     pts = np.zeros((3, 4))
@@ -736,21 +752,49 @@ def test_build_certificate_intersects_each_ball_shift_once(pentagon, monkeypatch
     assert calls == [cert.provenance.n_t] == [17]
 
 
-def test_certificate_charts_one_tangent_basis_per_family_row(pentagon, monkeypatch):
-    """The pentagon certificate's 17 ball translates form one family with 5
-    kept rows, whose facet charts share one tangent basis per row: 10
-    tangent_basis calls with the window's own 5 (90 when every translate
-    charted its facets alone)."""
-    calls = []
-    basis = polytope.tangent_basis
+def _count_charting(monkeypatch):
+    """Lists that record each Family.charts evaluation as (members, rows)
+    and each tangent_basis call."""
+    passes, bases = [], []
+    charts, basis = polytope.Family.charts.func, polytope.tangent_basis
 
-    def counted(a):
-        calls.append(a)
+    def counted_charts(F):
+        passes.append((F.V.shape[0], F.A.shape[0]))
+        return charts(F)
+
+    def counted_basis(a):
+        bases.append(a)
         return basis(a)
 
-    monkeypatch.setattr(polytope, "tangent_basis", counted)
+    prop = functools.cached_property(counted_charts)
+    prop.__set_name__(polytope.Family, "charts")
+    monkeypatch.setattr(polytope.Family, "charts", prop)
+    monkeypatch.setattr(polytope, "tangent_basis", counted_basis)
+    return passes, bases
+
+
+def test_certificate_charts_one_tangent_basis_per_family_row(pentagon, monkeypatch):
+    """The pentagon certificate's 17 ball translates form one family with 5
+    kept rows, whose facet charts share one tangent basis per row: two
+    chart passes over 10 rows, the window's own 5 and the family's 5, with
+    10 tangent_basis calls (90 per-body charts when every translate charted
+    its facets alone)."""
+    passes, bases = _count_charting(monkeypatch)
     build_certificate(pentagon, 0.2, 0.2)
-    assert len(calls) == 10
+    assert passes == [(1, 5), (17, 5)] and len(bases) == 10
+
+
+def test_cut_cube_certificate_charts_each_row_once(monkeypatch):
+    """The cut cube's certificate charts in two passes over 14 rows, the
+    window's 7 and its ball family's 7 (at the default grids 714 per-body
+    charts for the 101 translates when each charted alone)."""
+    cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
+    P = normalize(cube + [((1, 1, 0), 1.5)], 3)
+    params = CertificateScanParams(n_lambda1=12, n_cross=7, n_t_angles=4, n_t_radii=1,
+                                   cone_n_radial=16, cone_n_cross=6)
+    passes, bases = _count_charting(monkeypatch)
+    cert = build_certificate(P, 0.1, 0.2, params)
+    assert passes == [(1, 7), (cert.provenance.n_t, 7)] and len(bases) == 14
 
 
 def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):

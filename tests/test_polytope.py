@@ -646,13 +646,29 @@ def test_batched_translates_keep_touching_and_thin_shifts(unit_square, unit_cube
             [_translate_bits(translate_intersection(P, t)) for t in T]
 
 
+def _facet_bits(F):
+    """Every field of a Facet, arrays as bytes."""
+    values = (getattr(F, f.name) for f in dataclasses.fields(F))
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+
+def _face_bits(P):
+    """Vertices, triangulation, every field of every facet, the axis facet
+    pair and the volume of P, as bytes and floats."""
+    return (P.vertex_array().tobytes(), triangulate(P).tobytes(),
+            [_facet_bits(F) for F in facets(P)],
+            [None if F is None else _facet_bits(F) for F in P._axis_pair], volume(P))
+
+
 @pytest.mark.parametrize("name", ["pentagon", "cut cube", "cut 4-cube"])
 def test_family_members_equal_one_shift_translates(name, pentagon):
     """Each live translate of a batch is one family member whose arrays (kept
     rows, offsets, vertices, incidence, V[j][cells]) and body are those of
-    its one-shift translate_intersection, bit for bit; every other shift's
-    one-shift translate is flagged degenerate, and empty exactly where the
-    batch found no vertex. The shifts include empty and touching ones."""
+    its one-shift translate_intersection, bit for bit, down to every facet
+    field and the axis facet pair; the member's facets are views of the
+    family's charts. Every other shift's one-shift translate is flagged
+    degenerate, and empty exactly where the batch found no vertex. The
+    shifts include empty and touching ones."""
     P = {"pentagon": pentagon, "cut cube": cut_cube(),
          "cut 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)) + [((1, 1, 0, 0), 1.5)], 4)}[name]
     d = P.dim
@@ -672,30 +688,27 @@ def test_family_members_equal_one_shift_translates(name, pentagon):
         F, j = member[k]
         assert not (Q.empty or Q.degenerate)
         assert (F.A.tobytes(), F.B[j].tobytes(), F.V[j].tobytes(), F.incidence.tobytes(),
-                F.V[j][F.cells()].tobytes()) == (Q.A.tobytes(), Q.b.tobytes(),
-                                                Q.vertex_array().tobytes(),
-                                                Q._member[0].incidence.tobytes(), triangulate(Q).tobytes())
+                F.V[j][F.cells()].tobytes()) == (
+            Q.A.tobytes(), Q.b.tobytes(), Q.vertex_array().tobytes(),
+            Q._member[0].incidence.tobytes(), triangulate(Q).tobytes())
         body = F.body(j)
         assert _translate_bits(body) == _translate_bits(Q)
         assert body._member[0].incidence.tobytes() == Q._member[0].incidence.tobytes()
+        assert _face_bits(body) == _face_bits(Q)
+        charted = [simp for *_, simp, _, _ in F.charts]
+        assert all(any(np.shares_memory(G.simplices, simp) for simp in charted)
+                   for G in facets(body))
     assert flagged == {True, False} and len(member) >= 15
-
-
-def _face_bits(P):
-    """Vertices, triangulation, facets (normal, volume, simplices) and volume
-    of P, as bytes and floats."""
-    return (P.vertex_array().tobytes(), triangulate(P).tobytes(),
-            [(F.normal.tobytes(), F.volume_dm1, F.simplices.tobytes()) for F in facets(P)],
-            volume(P))
 
 
 @pytest.mark.parametrize("name", ["pentagon", "cut cube", "unit 4-cube", "pentagon translate"])
 def test_lazy_faces_equal_seeded_faces(name, pentagon):
-    """A body built directly from canonical rows computes its vertices,
-    incidence and pulled faces on first use; its faces equal those of the
-    _reduce-built body of the same rows, which comes with vertices, incidence
-    and memo seeded. (A body that normalize built from raw rows solved its
-    vertices from those rows, so their last bits may differ.)"""
+    """A body built directly from canonical rows is member 0 of its own
+    one-member family, whose vertices, incidence and charts it computes on
+    first use; its faces equal those of the _reduce-built body of the same
+    rows, which comes with its family seeded. (A body that normalize built
+    from raw rows solved its vertices from those rows, so their last bits
+    may differ.)"""
     P = {"pentagon": pentagon, "cut cube": cut_cube(),
          "unit 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)), 4),
          "pentagon translate": translate_intersection(pentagon, (0.3, -0.2))}[name]
@@ -704,6 +717,48 @@ def test_lazy_faces_equal_seeded_faces(name, pentagon):
     assert "_member" in vars(seeded) and "_member" not in vars(lazy)
     assert _face_bits(lazy) == _face_bits(seeded)
     assert "_member" in vars(lazy)
+    family, j = lazy._member
+    assert j == 0 and family.members.tolist() == [0] and family.V.shape[0] == 1
+
+
+def test_shared_face_arrays_are_read_only(pentagon):
+    """Two translates of one family share its arrays, all read-only: an
+    in-place write into one body's vertices, triangulation or any facet
+    array raises and leaves the other body as it was."""
+    Q, R = _translate_intersections(pentagon, [(0.1, 0.0), (0.05, 0.02)]).polytopes()
+    assert Q._member[0] is R._member[0]
+    before = _face_bits(R)
+    F = facets(Q)[0]
+    for x in (Q.vertex_array(), triangulate(Q), F.normal, F.vertices, F.origin, F.tangent,
+              F.simplices):
+        with pytest.raises(ValueError):
+            x[...] = 7.0
+    assert _face_bits(R) == before
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_chart_products_keep_one_body_bits(d):
+    """The stacked products that Family.charts takes over all members at
+    once give each member the bits of its one-body form, on random stacks:
+    the means V[:, S].mean(axis=1), <a, c> as np.matmul(c[:, None, :],
+    a[:, None]) against a @ c, and (V - origin) @ T. A plain c @ a, an
+    einsum or (c * a).sum(axis=1) would not; a numpy or BLAS change that
+    broke one of these would move the facets of batched translates away
+    from their one-shift bits."""
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        s, k, q = int(rng.integers(1, 30)), int(rng.integers(d, 9)), int(rng.integers(d + 1, 13))
+        V = rng.uniform(-2.0, 2.0, (s, q, d))
+        a = rng.normal(size=d)
+        a /= np.linalg.norm(a)
+        c = V[:, :k].mean(axis=1)
+        assert c.tobytes() == np.array([v[:k].mean(axis=0) for v in V]).tobytes()
+        ac = np.matmul(c[:, None, :], a[:, None])[:, 0, 0]
+        assert ac.tobytes() == np.array([float(a @ x) for x in c]).tobytes()
+        origin = c - (ac - rng.uniform(-1.0, 1.0, s))[:, None] * a
+        T = polytope.tangent_basis(a)
+        assert np.matmul(V - origin[:, None], T).tobytes() == \
+            np.array([(v - o) @ T for v, o in zip(V, origin)]).tobytes()
 
 
 def test_facet_convergence_along_shrinking_translates(pentagon):
