@@ -485,15 +485,12 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     order = np.argsort(inverse, kind="stable")
     values = np.empty(W.shape[0], dtype=complex)
     values[order] = _stfts(P, shifts, W[order, d:], counts)
+    # only values near the max_reports-th largest |V| can be reported: the
+    # margin covers np.abs's last-bit difference from the complex abs they sort by
     mags = np.abs(values)
-    keep = np.flatnonzero(mags > tol_zero)
-    if keep.size > max_reports:
-        # only values near the max_reports-th largest |V| can rank: the margin
-        # covers np.abs's last-bit difference from the complex abs they sort by
-        floor = np.partition(mags[keep], -max_reports)[-max_reports]
-        keep = keep[mags[keep] >= floor * (1 - 1e-15)]
-    hits = sorted(((k, complex(values[k])) for k in keep), key=lambda h: -abs(h[1]))
-    hits = hits[:max_reports]
+    floor = np.partition(mags, -max_reports)[-max_reports] if mags.size > max_reports else 0.0
+    keep = np.flatnonzero((mags > tol_zero) & (mags >= floor * (1 - 1e-15)))
+    hits = sorted(((k, complex(values[k])) for k in keep), key=lambda h: -abs(h[1]))[:max_reports]
     oks = _confirm_violations(P, W, hits) if confirm else [None] * len(hits)
     reports = [ViolationReport(L.points[first[k]], L.points[second[k]], val, ok)
                for (k, val), ok in zip(hits, oks)]
