@@ -152,7 +152,7 @@ class HPolytope:
     # -- cached faces -------------------------------------------------------
     @cached_property
     def _member(self) -> tuple[Family, int]:
-        """(family, j): member j of a family, here the body's own (one member)."""
+        """(family, j) as Family.body seeds it; else the body's own family, j = 0."""
         V = next((V for _, V in _vertex_groups(self.A, self.b[None], self.dim)),
                  np.zeros((1, 0, self.dim)))
         inc = np.abs(V[0] @ self.A.T - self.b) <= INCIDENCE_TOL
