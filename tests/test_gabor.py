@@ -413,10 +413,21 @@ def _prune_window(d: int):
             3: _cut_cube()}[d]
 
 
+def _near_times():
+    """Z^4 in [-1,1]^4 with 3e-10 added to the first time coordinate of the
+    points whose second is -1: the time group (3e-10, -1) follows (0, 0),
+    yet the time key of its class with (0, 0) is (0, -1), negative."""
+    pts = lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4)
+    pts[pts[:, 1] == -1, 0] += 3e-10
+    return pts
+
+
 def _prune_cases():
     """(window, points): every dedup case with the window of its dimension,
     the three workload lattices with their windows, random non-symmetric
-    polygons on Z^4 in [-2,2]^4, and the cut cube on Z^6 in [-1,1]^6."""
+    polygons on Z^4 in [-2,2]^4, the cut cube on Z^6 in [-1,1]^6, and the
+    unit square, whose time groups meet distinct groups, on a lattice with
+    time groups 3e-10 apart."""
     cases = {f"dedup_{name}": (_prune_window(pts.shape[1] // 2), pts)
              for name, pts in _dedup_cases().items()}
     sets = _benchmark_sets()
@@ -428,6 +439,7 @@ def _prune_cases():
     for n in range(3):
         cases[f"polygon_{n}"] = (random_polygon(rng, scale=0.8), grid)
     cases["cut_cube_6"] = (_cut_cube(), lattice_points(np.eye(6), np.zeros(6), [-1] * 6, [1] * 6))
+    cases["near_times"] = (make_unit_square(), _near_times())
     return cases
 
 
@@ -436,13 +448,29 @@ def _visits(monkeypatch) -> list:
     visits = []
     live_blocks = gabor._live_blocks
 
-    def counted(window, cols, m):
-        blocks = live_blocks(window, cols, m)
-        visits.append(sum(rows.size * live.size for rows, live in blocks))
+    def counted(window, cols, m, tables):
+        blocks = live_blocks(window, cols, m, tables)
+        visits.append(sum(rows.size * live.size for rows, live, _ in blocks))
         return blocks
 
     monkeypatch.setattr(gabor, "_live_blocks", counted)
     return visits
+
+
+def _every_sign(monkeypatch) -> None:
+    """Make gabor._live_blocks visit the mirror image of each of its pairs
+    too, in blocks of one row point that gather every column: every live
+    time class in both signs."""
+    live_blocks = gabor._live_blocks
+
+    def both(window, cols, m, tables):
+        seen = np.zeros((m, m), dtype=bool)
+        for rows, live, _ in live_blocks(window, cols, m, tables):
+            seen[np.ix_(rows, live)] = True
+        seen |= seen.T
+        return [(np.array([i]), np.flatnonzero(row), None) for i, row in enumerate(seen)]
+
+    monkeypatch.setattr(gabor, "_live_blocks", both)
 
 
 @pytest.mark.parametrize("name", list(_prune_cases()))
@@ -471,15 +499,24 @@ def test_prune_drops_only_surely_empty_translates(name):
 def test_prune_visits_the_pairs_of_the_live_classes(unit_square, monkeypatch):
     """Z^4 in [-3,3]^4 with the unit square: of the 13^2 time shifts only
     those with both |t_c| <= 1 can meet, so a time group meets at most 9 of
-    the 49 groups: 19^2 group pairs of 49^2 pairs each, 760 differences of
-    14,280 and 5 distinct time shifts instead of 85."""
+    the 49 groups, 19^2 = 361 group pairs of 49^2 = 2,401 pairs each. No two
+    groups meet the same groups, so each block holds one group and visits
+    its 49 zero-class and 156 positive group pairs, not the 156 negative
+    ones: (49 + 156) x 2,401 = 492,205 pairs, 361 x 2,401 = 866,761 in both
+    signs. 760 differences of 14,280 and 5 distinct time shifts instead of
+    85 are kept."""
     pts = _benchmark_sets()["integer"]
     visits = _visits(monkeypatch)
     diffs, _, _ = _dedup(pts, unit_square)
     everything, _, _ = _dedup(pts)
-    assert visits == [866_761, 2401 ** 2]
+    assert visits == [492_205, 2401 ** 2]
     assert diffs.shape[0] == 760 and everything.shape[0] == 14_280
     assert np.unique(diffs[:, :2], axis=0).shape[0] == 5
+    with monkeypatch.context() as mp:
+        _every_sign(mp)
+        both = _visits(mp)
+        assert np.array_equal(_dedup(pts, unit_square)[0], diffs)
+    assert both == [866_761]
 
 
 def _report_rows(reports):
@@ -496,10 +533,51 @@ def test_prune_keeps_check_orthogonality_reports(tol_zero, monkeypatch):
         L = TimeFrequencySet(pts)
         pruned = check_orthogonality(P, L, tol_zero, max_reports=10_000, confirm=False)
         with monkeypatch.context() as mp:
-            mp.setattr(gabor, "_live_blocks", lambda window, cols, m: live_blocks(None, cols, m))
+            mp.setattr(gabor, "_live_blocks",
+                       lambda window, cols, m, tables: live_blocks(None, cols, m, tables))
             every = check_orthogonality(P, L, tol_zero, max_reports=10_000, confirm=False)
         assert _report_rows(pruned) == _report_rows(every)
         assert (len(pruned) > 0) == (name != "integer")
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+@pytest.mark.parametrize("name", list(_prune_cases()))
+def test_sign_skip_keeps_the_dedup(name, windowed, monkeypatch):
+    """The dedup, whose one-group blocks skip their negative time classes,
+    returns the arrays of one that visits every live class in both signs."""
+    P, pts = _prune_cases()[name]
+    window = P if windowed else None
+    skipped = _unique_signed_diffs(pts, window)
+    _every_sign(monkeypatch)
+    for a, b in zip(skipped, _unique_signed_diffs(pts, window)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("width", [200.0, 1.0])
+def test_sign_skip_keeps_the_dedup_on_a_time_line(width, monkeypatch):
+    """300 points (k/10, (k mod 2)/2): the window [0, 200] meets every time
+    class, so the 300 time groups share one block that visits both signs,
+    while [0, 1] gives each group a block of its own; either way the dedup
+    equals the one that visits every live class in both signs."""
+    pts = np.array([(k / 10, (k % 2) / 2) for k in range(300)])
+    window = normalize([((1,), width), ((-1,), 0.0)], 1)
+    blocks = []
+    live_blocks = gabor._live_blocks
+
+    def recorded(*args):
+        blocks.extend(live_blocks(*args))
+        return blocks
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gabor, "_live_blocks", recorded)
+        skipped = _unique_signed_diffs(pts, window)
+    if width > 1:
+        assert len(blocks) == 1 and blocks[0][2] is None
+    else:
+        assert len(blocks) == 300 and all(t is not None for _, _, t in blocks)
+    _every_sign(monkeypatch)
+    for a, b in zip(skipped, _unique_signed_diffs(pts, window)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_prune_still_refuses_near_coincident_points(unit_square, monkeypatch):
