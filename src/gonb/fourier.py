@@ -637,7 +637,9 @@ class ScanGrid:
             for key in sorted(config):
                 fh.write(f"# {key} = {config[key]}\n")
         fh.write(",".join([*self.columns, "re", "im", "abs"]) + "\n")
-        for row, val in zip(self.points, self.values):
-            cells = [f"{x:.17g}" for x in row]
-            cells += [f"{val.real:.17g}", f"{val.imag:.17g}", f"{abs(val):.17g}"]
-            fh.write(",".join(cells) + "\n")
+        line = ",".join(["%.17g"] * (self.points.shape[1] + 3)) + "\n"
+        for lo in range(0, len(self.values), 4096):
+            rows = zip(self.points[lo:lo + 4096].tolist(), self.values[lo:lo + 4096].tolist())
+            # Python's complex abs, as a numpy scalar's: np.abs of an array
+            # differs from it in the last bit
+            fh.write("".join(line % (*row, val.real, val.imag, abs(val)) for row, val in rows))

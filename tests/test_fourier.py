@@ -739,3 +739,21 @@ def test_scan_grid_csv_deterministic():
     assert lines[0].startswith("# ")
     assert lines[2] == "t_1,t_2,lambda_1,lambda_2,re,im,abs"
     assert len(lines) == 3 + 2
+
+
+def test_scan_grid_csv_rows_are_per_cell_formats():
+    """Every row is the per-cell f-strings of the numpy scalars, |value|
+    included, on -0.0, a subnormal, +-1e+-300 and values of random scale."""
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 0.1])
+    scaled = rng.normal(size=(5000, 6)) * 10.0 ** rng.integers(-8, 8, (5000, 6))
+    cells = np.concatenate([rng.choice(special, (200, 6)), scaled])
+    grid = ScanGrid(("t_1", "t_2", "lambda_1", "lambda_2"), cells[:, :4],
+                    cells[:, 4] + 1j * cells[:, 5])
+    out = io.StringIO()
+    grid.write_csv(out)
+    rows = []
+    for row, val in zip(grid.points, grid.values):
+        rows.append(",".join([f"{x:.17g}" for x in row]
+                             + [f"{val.real:.17g}", f"{val.imag:.17g}", f"{abs(val):.17g}"]))
+    assert out.getvalue().splitlines()[1:] == rows
