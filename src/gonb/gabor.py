@@ -353,26 +353,26 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int, tables: list):
     heads = np.flatnonzero(np.r_[True, np.any(live[1:] != live[:-1], axis=1)])
     starts = np.cumsum(sizes) - sizes
     bounds = np.append(starts[heads], m)
-    # the kept (one-group block b, live group h) pairs, in block order
-    one = heads[bounds[1:] - bounds[:-1] == sizes[heads]]
-    b, h = np.nonzero(live[one])
-    code = sum(t[times[one[b], c], times[h, c]] for c, t in enumerate(tables[:d]))
-    ahead = code >= sum(t[0, 0] for t in tables[:d])  # a table's diagonal holds the zero key
-    b, h, code = b[ahead], h[ahead], code[ahead]
-    # the points of the kept groups h, end to end, and their time codes
-    lens = sizes[h]
-    ends = np.cumsum(lens)
-    points = order[np.repeat(starts[h] - ends + lens, lens) + np.arange(lens.sum())]
-    time = np.repeat(code, lens)
-    cuts = np.r_[0, ends][np.searchsorted(b, np.arange(one.size + 1))]
-    singles = zip(cuts[:-1], cuts[1:])
-    blocks = []
-    for g, lo, hi in zip(heads, bounds[:-1], bounds[1:]):
-        if hi - lo > sizes[g]:
-            blocks.append((order[lo:hi], order[np.repeat(live[g], sizes)], None))
-        else:
-            a, z = next(singles)
-            blocks.append((order[lo:hi], points[a:z], time[a:z]))
+    one = bounds[1:] - bounds[:-1] == sizes[heads]
+    blocks = [(order[lo:hi], order[np.repeat(live[g], sizes)], None)
+              for g, lo, hi in zip(heads[~one], bounds[:-1][~one], bounds[1:][~one])]
+    zero = sum(t[0, 0] for t in tables[:d])  # a table's diagonal holds the zero key
+    one = heads[one]
+    for lo in range(0, one.size, step):  # as many groups as a slab of keys
+        g = one[lo:lo + step]
+        # the (block b, live group h) pairs whose time code is not below zero's
+        b, h = np.nonzero(live[g])
+        code = sum(t[times[g[b], c], times[h, c]] for c, t in enumerate(tables[:d]))
+        ahead = code >= zero
+        b, h, code = b[ahead], h[ahead], code[ahead]
+        # the points of the kept groups h, end to end, and their time codes
+        lens = sizes[h]
+        ends = np.cumsum(lens)
+        points = order[np.repeat(starts[h] - ends + lens, lens) + np.arange(lens.sum())]
+        time = np.repeat(code, lens)
+        cuts = np.r_[0, ends][np.searchsorted(b, np.arange(g.size + 1))]
+        blocks += [(order[starts[j]:starts[j] + sizes[j]], points[a:z], time[a:z])
+                   for j, a, z in zip(g, cuts[:-1], cuts[1:])]
     return blocks
 
 
@@ -498,11 +498,11 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     and reports the differences with |V| > tol_zero, each with its generating
     pair of smallest first index and the value at that pair's difference.
     Differences whose time class cannot meet P (see _live_blocks) are never
-    formed: V is identically zero there. Nor are most pairs whose difference
-    is the negative of another's, since |V| is symmetric. An empty list means mutual
-    orthogonality holds on the truncation. At most ``max_reports`` (at least
-    1) violations are returned, largest |V| first selection, sorted
-    lexicographically by (t, lam); each is re-confirmed against the
+    formed: V is identically zero there. The dedup also skips most pairs
+    whose difference is the negative of a kept one. An empty list means
+    mutual orthogonality holds on the truncation. At most ``max_reports``
+    (at least 1) violations are returned, largest |V| first selection,
+    sorted lexicographically by (t, lam); each is re-confirmed against the
     quadrature oracle when it is large enough for the oracle to resolve.
     """
     if max_reports < 1:

@@ -331,12 +331,15 @@ def test_unique_signed_diffs_refuses_points_closer_than_the_resolution():
 
 
 def test_unique_signed_diffs_chunking_is_invisible(monkeypatch):
-    # the straddling points take the sort path, the integer lattice the table
-    for pts in (_dedup_cases()[name] for name in ("straddling", "integer")):
+    # the straddling points take the sort path, the integer lattice the
+    # table; with the pentagon its blocks hold one or several time groups
+    cases = _dedup_cases()
+    for pts, window in ((cases["straddling"], None), (cases["integer"], None),
+                        (cases["sheared"], make_pentagon())):
         monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", pts.shape[0] ** 2)
-        whole = _dedup(pts)
+        whole = _dedup(pts, window)
         monkeypatch.setattr(gabor, "PAIRS_PER_CHUNK", 1)
-        pieces = _dedup(pts)
+        pieces = _dedup(pts, window)
         for a, b in zip(whole, pieces):
             assert np.array_equal(a, b)
 
