@@ -353,11 +353,11 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int, tables: list):
     heads = np.flatnonzero(np.r_[True, np.any(live[1:] != live[:-1], axis=1)])
     starts = np.cumsum(sizes) - sizes
     bounds = np.append(starts[heads], m)
-    one = bounds[1:] - bounds[:-1] == sizes[heads]
+    single = bounds[1:] - bounds[:-1] == sizes[heads]
     blocks = [(order[lo:hi], order[np.repeat(live[g], sizes)], None)
-              for g, lo, hi in zip(heads[~one], bounds[:-1][~one], bounds[1:][~one])]
+              for g, lo, hi in zip(heads[~single], bounds[:-1][~single], bounds[1:][~single])]
     zero = sum(t[0, 0] for t in tables[:d])  # a table's diagonal holds the zero key
-    one = heads[one]
+    one = heads[single]
     for lo in range(0, one.size, step):  # as many groups as a slab of keys
         g = one[lo:lo + step]
         # the (block b, live group h) pairs whose time code is not below zero's
