@@ -251,7 +251,11 @@ def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
     row along the last axis. On a convex body the midpoints of a row that pass
     the inside test A x <= b + 1e-12 form an index interval, and the exp sum
     over an interval is a closed geometric series, so each frequency costs
-    n^(d-1) row terms, at most _QUAD_CHUNK rows times frequencies at once.
+    n^(d-1) row terms. The rows go in runs of _QUAD_CHUNK, and a run's
+    intervals serve every frequency. Each frequency then takes its own pass
+    over the run: its phases are one matrix-vector product and its terms one
+    contiguous array, summed pairwise, so a value has the same bits in any
+    batch (a (row, frequency) matrix product and a sum down its rows do not).
     """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
@@ -269,9 +273,8 @@ def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
     theta = lams[:, -1] * h[-1]
     phi = theta - np.rint(theta)
     n_rows = n ** (d - 1)
-    step = max(1, _QUAD_CHUNK // max(1, lams.shape[0]))
-    for start in range(0, n_rows, step):
-        rows = np.arange(start, min(start + step, n_rows))
+    for start in range(0, n_rows, _QUAD_CHUNK):
+        rows = np.arange(start, min(start + _QUAD_CHUNK, n_rows))
         idx = np.unravel_index(rows, (n,) * (d - 1)) if d > 1 else ()
         idx = np.array(idx, dtype=np.int64).T.reshape(rows.size, d - 1)
         X = lo[:-1] + (idx + 0.5) * h[:-1]
@@ -280,10 +283,11 @@ def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
         if count.size == 0:
             continue
         x0 = lo[-1] + (first + 0.5) * h[-1]
-        phase = X @ lams[:, :-1].T + x0[:, None] * lams[:, -1]
-        series = count[:, None] * np.sinc(phi * count[:, None]) / np.sinc(phi)
-        out += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi * (count[:, None] - 1))
-                * series).sum(axis=0)
+        for f, (lam_f, phi_f) in enumerate(zip(lams, phi)):
+            phase = X @ lam_f[:-1] + x0 * lam_f[-1]
+            series = count * np.sinc(phi_f * count) / np.sinc(phi_f)
+            out[f] += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi_f * (count - 1))
+                       * series).sum()
     out *= cellvol
     return complex(out[0]) if one else out
 
@@ -294,20 +298,21 @@ def _midpoint_intervals(A, b, lo, h, n, X):
 
     The ends come from the row's linear bounds and are then moved until the
     inside test itself holds at both ends and fails just beyond them, so the
-    interval holds exactly the points the test admits.
+    interval holds exactly the points the test admits. Arrays run
+    (halfspace, row), so every reduction is over the leading axis.
     """
+    front = A[:, :-1] @ X.T  # (halfspaces, rows)
+    a, lim = A[:, -1:], b[:, None] + 1e-12
 
     def inside(m):
-        pts = np.concatenate([X, (lo[-1] + (m + 0.5) * h[-1])[:, None]], axis=1)
-        return np.all(A @ pts.T <= b[:, None] + 1e-12, axis=0)
+        return np.all(front + a * (lo[-1] + (m + 0.5) * h[-1]) <= lim, axis=0)
 
-    a = A[:, -1]
-    slack = b + 1e-12 - X @ A[:, :-1].T  # (rows, halfspaces)
+    slack = lim - front
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = (slack / a - lo[-1]) / h[-1] - 0.5
-    up = np.where(a > 0, bound, np.inf).min(axis=1)
-    down = np.where(a < 0, bound, -np.inf).max(axis=1)
-    blocked = np.any((a == 0) & (slack < 0), axis=1)
+    up = np.where(a > 0, bound, np.inf).min(axis=0)
+    down = np.where(a < 0, bound, -np.inf).max(axis=0)
+    blocked = np.any((a == 0) & (slack < 0), axis=0)
     first = np.clip(np.ceil(down), 0, n).astype(np.int64)
     last = np.where(blocked, -1, np.clip(np.floor(up), -1, n - 1)).astype(np.int64)
     # rounding leaves the ends at most a step or two off; the cap only

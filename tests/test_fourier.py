@@ -351,6 +351,63 @@ def test_quadrature_rows_match_masked_sum(name):
     assert np.abs(got - ref).max() <= 1e-12 * volume(P)
 
 
+@pytest.mark.parametrize("name", list(_quadrature_cases()))
+def test_quadrature_batch_rows_are_the_single_values(name):
+    """Row i of a batch has the bits of the call at lams[i] alone: each
+    frequency's row terms are one contiguous pairwise sum."""
+    P, n = _quadrature_cases()[name]
+    lams = np.random.default_rng(9).uniform(-6, 6, (7, P.dim))
+    got = ft_indicator_quadrature(P, lams, n)
+    assert got.tolist() == [ft_indicator_quadrature(P, lam, n) for lam in lams]
+
+
+def _grid_rows(lo, h, n, d):
+    """Front coordinates (n^(d-1), d-1) of the grid rows, as the oracle
+    forms them."""
+    rows = np.arange(n ** (d - 1))
+    idx = np.unravel_index(rows, (n,) * (d - 1)) if d > 1 else ()
+    idx = np.array(idx, dtype=np.int64).T.reshape(rows.size, d - 1)
+    return lo[:-1] + (idx + 0.5) * h[:-1]
+
+
+def _interval_cases():
+    """(body, lo, h, n): the quadrature cases on their bounding-box grids;
+    unit boxes on grids whose midpoints fall on the facets (ties at the
+    1e-12 slack) and whose rows partly miss the box; the pentagon on a grid
+    reaching 0.5 beyond its bounding box."""
+    cases = {}
+    for name, (P, n) in _quadrature_cases().items():
+        lo, hi = P.bounding_box()
+        cases[name] = (P, lo, (hi - lo) / min(n, 40), min(n, 40))
+    for d in (1, 2, 3):
+        box = normalize([(tuple(s * e), 1.0 if s > 0 else 0.0)
+                         for e in np.eye(d) for s in (1, -1)], d)
+        # midpoints at 0.25 k, k = 0..7: the facets x_c = 0 and 1 hold k = 0 and 4
+        cases[f"box_{d}d"] = (box, np.full(d, -0.125), np.full(d, 0.25), 8)
+    P = make_pentagon()
+    lo, hi = P.bounding_box()
+    cases["pentagon_margin"] = (P, lo - 0.5, (hi - lo + 1) / 30, 30)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_interval_cases()))
+def test_midpoint_intervals_match_a_brute_force_count(name):
+    """(first, count) of each row marks exactly the n^d grid midpoints that
+    pass A x <= b + 1e-12."""
+    P, lo, h, n = _interval_cases()[name]
+    d = P.dim
+    idx = np.stack(np.unravel_index(np.arange(n ** d), (n,) * d), axis=1)
+    pts = lo + (idx + 0.5) * h
+    want = np.all(P.A @ pts.T <= P.b[:, None] + 1e-12, axis=0).reshape(-1, n)
+    first, count = fourier._midpoint_intervals(P.A, P.b, lo, h, n, _grid_rows(lo, h, n, d))
+    k = np.arange(n)
+    got = (k >= first[:, None]) & (k < (first + count)[:, None])
+    assert np.array_equal(got, want)
+    assert want.any()
+    if d > 1 and name.startswith(("box", "pentagon_margin")):
+        assert not want.any(axis=1).all()  # some rows miss the body
+
+
 # -- facet surface measures -------------------------------------------------------
 
 

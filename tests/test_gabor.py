@@ -597,16 +597,24 @@ def test_prune_still_refuses_near_coincident_points(unit_square, monkeypatch):
 
 
 def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
-    """The midpoint-rule values of one translate batch, one shift per row,
-    equal stft_indicator_quadrature bit for bit, and the confirmations of a
-    check come from one batch."""
+    """The midpoint-rule values of one translate batch, one shift per row or
+    several rows per shift, equal stft_indicator_quadrature at each row bit
+    for bit, and the confirmations of a check come from one batch over the
+    distinct time shifts of its hits."""
     rng = np.random.default_rng(3)
     W = np.concatenate([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-2, 2, (5, 2))], axis=1)
     W[0, :2] = [3.0, 0.0]  # an empty translate
     for n in (40, gabor.QUAD_N):
-        got = gabor._midpoint_stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, n)
         want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W]
+        got = gabor._midpoint_stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, n)
         assert got.dtype == complex and got.tolist() == want
+        # rows 1-3 share row 1's shift, row 4 keeps its own
+        W2 = W.copy()
+        W2[2:4, :2] = W[1, :2]
+        want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W2]
+        got = gabor._midpoint_stfts(pentagon, W2[[0, 1, 4], :2], W2[[0, 1, 2, 3, 4], 2:],
+                                    [1, 3, 1], n)
+        assert got.tolist() == want
     batches = []
 
     def counted(P, T):
@@ -616,11 +624,23 @@ def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
     monkeypatch.setattr(gabor, "_translate_intersections", counted)
     L = TimeFrequencySet(lattice_points(np.eye(4), np.zeros(4), [-1] * 4, [1] * 4))
     out = check_orthogonality(pentagon, L, 1e-9, max_reports=6)
-    assert len(batches) == 2 and batches[1] == 6
+    shifts = {tuple(rep.v[:2] - rep.v_prime[:2]) for rep in out}
+    assert len(out) == 6 and len(batches) == 2 and batches[1] == len(shifts)
     for rep in out:
         w = rep.v - rep.v_prime
         q = stft_indicator_quadrature(pentagon, w[:2], w[2:], gabor.QUAD_N)
         assert rep.confirmed == (abs(q - rep.value) <= 0.3 * abs(rep.value) + 1e-3)
+
+
+def test_stft_quadrature_batch_rows_are_the_single_values(pentagon):
+    """On 7 pentagon translates, every row of a 7-frequency
+    stft_indicator_quadrature call has the bits of its frequency alone."""
+    rng = np.random.default_rng(24)
+    for t in rng.uniform(-1.5, 1.5, (7, 2)):
+        lams = rng.uniform(-3, 3, (7, 2))
+        got = stft_indicator_quadrature(pentagon, t, lams, gabor.QUAD_N)
+        assert got.tolist() == [stft_indicator_quadrature(pentagon, t, lam, gabor.QUAD_N)
+                                for lam in lams]
 
 
 @pytest.mark.parametrize("max_reports", [0, -1])
@@ -732,7 +752,7 @@ def _perturbed_grid(seed):
 
 
 @pytest.mark.parametrize("name, batches", [
-    ("integer", [5]), ("sheared", [12, 6]), ("scaled", [7, 6]),
+    ("integer", [5]), ("sheared", [12, 4]), ("scaled", [7, 2]),
     ("perturbed 0", [474, 6]), ("perturbed 1", [436, 6]), ("perturbed 2", [428, 6]),
     ("perturbed 3", [433, 6]), ("perturbed 4", [513, 6]),
 ])
@@ -741,8 +761,10 @@ def test_check_orthogonality_translate_batches(name, batches, unit_square, penta
     """The translate batches of a check, as the workloads run it (the
     integer lattice on the square with 64 reports, the others on the
     pentagon with 6): one batch over the distinct exact time shifts of the
-    kept differences, then one over the confirmed hits. Grouping by exact
-    shift keeps the perturbed grids at 428-513 translates."""
+    kept differences, then one over those of the confirmed hits (the six
+    hits have 4 shifts on the sheared lattice, 2 on the scaled one and 6 on
+    a perturbed grid). Grouping by exact shift keeps the perturbed grids at
+    428-513 translates."""
     sizes = []
 
     def counted(P, T):
@@ -756,6 +778,40 @@ def test_check_orthogonality_translate_batches(name, batches, unit_square, penta
         P, pts = (unit_square if name == "integer" else pentagon), _benchmark_sets()[name]
     check_orthogonality(P, TimeFrequencySet(pts), 1e-9, max_reports=64 if name == "integer" else 6)
     assert sizes == batches
+
+
+@pytest.mark.parametrize("name, shifts", [("sheared", 4), ("scaled", 2)])
+def test_confirmations_grid_once_per_distinct_shift(name, shifts, pentagon, monkeypatch):
+    """The six hits of each orth-pentagon lattice have 4 (sheared) and 2
+    (scaled) distinct time shifts, so the oracle finds the midpoint
+    intervals of 4 and 2 translates, on QUAD_N = 2,000 grid rows each."""
+    rows = []
+    intervals = fourier._midpoint_intervals
+
+    def counted(A, b, lo, h, n, X):
+        rows.append(X.shape[0])
+        return intervals(A, b, lo, h, n, X)
+
+    monkeypatch.setattr(fourier, "_midpoint_intervals", counted)
+    out = check_orthogonality(pentagon, TimeFrequencySet(_benchmark_sets()[name]), 1e-9,
+                              max_reports=6)
+    assert len(out) == 6 and all(rep.confirmed for rep in out)
+    assert rows == [gabor.QUAD_N] * shifts
+
+
+def test_oracle_error_on_the_benchmark_hits(pentagon):
+    """The measurement behind the oracle's thresholds: on the 12 hits of the
+    orth-pentagon lattices, |q - V| of the QUAD_N = 2,000 midpoint rule is at
+    most 9.1e-5 (1.6e-3 of |V|), far inside the acceptance rule |q - V| <=
+    0.3 |V| + 1e-3 and below its 1e-3 resolution."""
+    for name in ("sheared", "scaled"):
+        out = check_orthogonality(pentagon, TimeFrequencySet(_benchmark_sets()[name]), 1e-9,
+                                  max_reports=6)
+        for rep in out:
+            w = rep.v - rep.v_prime
+            q = stft_indicator_quadrature(pentagon, w[:2], w[2:], gabor.QUAD_N)
+            assert abs(rep.value) >= 1e-3 and rep.confirmed
+            assert abs(q - rep.value) <= 2e-4
 
 
 # check_orthogonality(pentagon, 200 uniform float points in 4-d, confirm=False):
