@@ -27,7 +27,7 @@ of an orthogonality check, costs one batch per run.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
-in closed form.
+in closed form, and an oracle value, too, has the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -251,11 +251,9 @@ def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
     row along the last axis. On a convex body the midpoints of a row that pass
     the inside test A x <= b + 1e-12 form an index interval, and the exp sum
     over an interval is a closed geometric series, so each frequency costs
-    n^(d-1) row terms. The rows go in runs of _QUAD_CHUNK, and a run's
-    intervals serve every frequency. Each frequency then takes its own pass
-    over the run: its phases are one matrix-vector product and its terms one
-    contiguous array, summed pairwise, so a value has the same bits in any
-    batch (a (row, frequency) matrix product and a sum down its rows do not).
+    n^(d-1) row terms. A run of _QUAD_CHUNK rows finds its intervals once for
+    all frequencies; each frequency then sums its terms alone, one pairwise
+    sum of a contiguous array, so a value has the same bits in any batch.
     """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
@@ -298,10 +296,9 @@ def _midpoint_intervals(A, b, lo, h, n, X):
 
     The ends come from the row's linear bounds and are then moved until the
     inside test itself holds at both ends and fails just beyond them, so the
-    interval holds exactly the points the test admits. Arrays run
-    (halfspace, row), so every reduction is over the leading axis.
+    interval holds exactly the points the test admits.
     """
-    front = A[:, :-1] @ X.T  # (halfspaces, rows)
+    front = A[:, :-1] @ X.T  # (halfspace, row): reductions run over axis 0
     a, lim = A[:, -1:], b[:, None] + 1e-12
 
     def inside(m):

@@ -223,9 +223,8 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
 def _midpoint_stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
                     n_per_axis: int) -> np.ndarray:
     """The values of _stfts by the midpoint-rule oracle, n_per_axis points
-    per axis: one translate body per shift, SHIFT_BLOCK shifts at a time, and
-    one ft_indicator_quadrature call over each body's frequencies. A value
-    has the same bits whatever the rows and shifts around it."""
+    per axis: one translate body per shift, SHIFT_BLOCK shifts at a time,
+    and one ft_indicator_quadrature call, bits as in any batch, per body."""
     vol = _window_volume(P)
     rows = iter(np.split(lams, np.cumsum(counts)[:-1]))
     vals = [ft_indicator_quadrature(Q, next(rows), n_per_axis)
@@ -515,12 +514,9 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
         raise ValueError("time-frequency set dimension mismatch")
     first, second = _unique_signed_diffs(L.points, P)
     # each distinct difference is evaluated at the exact difference of its
-    # generating pair. Sorted by time shift (order), every shift group is a
-    # run of rows
+    # generating pair
     W = L.points[first] - L.points[second]
-    shifts, counts, order = _by_shift(W, d)
-    values = np.empty(W.shape[0], dtype=complex)
-    values[order] = _stfts(P, shifts, W[order, d:], counts)
+    values = _by_shift(_stfts, P, W)
     # only values near the max_reports-th largest |V| can be reported: the
     # margin covers np.abs's last-bit difference from the complex abs they sort by
     mags = np.abs(values)
@@ -534,28 +530,27 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     return reports
 
 
-def _by_shift(W: np.ndarray, d: int):
-    """(shifts, counts, order) of the rows (t, lam) of W: the distinct time
-    shifts, sorted, and how many rows each has; W[order] holds every shift's
-    rows as one run, in their order in W."""
+def _by_shift(evaluate, P: HPolytope, W: np.ndarray, *args) -> np.ndarray:
+    """evaluate(P, shifts, lams, counts, *args), _stfts or _midpoint_stfts,
+    at the rows (t, lam) of W, in W's order: the rows go stably sorted by
+    exact time shift, so each distinct shift is one run of rows."""
+    d = P.dim
     shifts, inverse, counts = np.unique(W[:, :d], axis=0, return_inverse=True,
                                         return_counts=True)
-    return shifts, counts, np.argsort(inverse, kind="stable")
+    order = np.argsort(inverse, kind="stable")
+    vals = np.empty(W.shape[0], dtype=complex)
+    vals[order] = evaluate(P, shifts, W[order, d:], counts, *args)
+    return vals
 
 
 def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
     """Two-evaluator agreement of each hit (k, value at row k of W) with the
-    quadrature oracle; None when below the oracle's resolution. The oracle
-    builds one translate per distinct time shift of the hits and sums its
-    grid once for all of that shift's frequencies."""
+    quadrature oracle, one translate per distinct time shift of the hits;
+    None when below the oracle's resolution."""
     big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3]
     oks: list[bool | None] = [None] * len(hits)
     if big:
-        d = P.dim
-        rows = W[[hits[n][0] for n in big]]
-        shifts, counts, order = _by_shift(rows, d)
-        qs = np.empty(len(big), dtype=complex)
-        qs[order] = _midpoint_stfts(P, shifts, rows[order, d:], counts, QUAD_N)
+        qs = _by_shift(_midpoint_stfts, P, W[[hits[n][0] for n in big]], QUAD_N)
         for n, q in zip(big, qs):
             val = hits[n][1]
             oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
