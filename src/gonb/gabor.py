@@ -223,8 +223,8 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
 def _midpoint_stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
                     n_per_axis: int) -> np.ndarray:
     """The values of _stfts by the midpoint-rule oracle, n_per_axis points
-    per axis: one translate body per shift, SHIFT_BLOCK shifts at a time,
-    and one ft_indicator_quadrature call, bits as in any batch, per body."""
+    per axis: one body per shift, SHIFT_BLOCK shifts at a time, and one
+    ft_indicator_quadrature call (same bits in any batch) per body."""
     vol = _window_volume(P)
     rows = iter(np.split(lams, np.cumsum(counts)[:-1]))
     vals = [ft_indicator_quadrature(Q, next(rows), n_per_axis)
