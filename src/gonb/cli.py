@@ -87,15 +87,6 @@ def _ranges(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def _certificate(path, P):
-    """Certificate whose frame has the window's dimension."""
-    cert = gio.load_certificate(path)
-    if cert.frame.basis.shape != (P.dim, P.dim):
-        raise ParseError(f"certificate frame has dimension {cert.frame.basis.shape[0]}, "
-                         f"the window {P.dim}")
-    return cert
-
-
 def _open_out(path):
     return open(path, "w", newline="") if path else sys.stdout
 
@@ -190,7 +181,7 @@ def cmd_check_orth(args) -> int:
 def cmd_find_violation(args) -> int:
     P = gio.load_polytope(args.infile)
     L = _tf_set(args.lattice, P)
-    cert = _certificate(args.certificate, P)
+    cert = gio.load_certificate(args.certificate, P.dim)
     result = find_violation_pair(P, L, cert)
     if isinstance(result, NotFound):
         _emit(args, {"found": False, **gio.to_json(result)})
@@ -227,7 +218,7 @@ def cmd_scan(args) -> int:
         if not args.certificate:
             from .errors import RegionFrameMissing
             raise RegionFrameMissing("gt_abs scans need --certificate for the frame")
-        cert = _certificate(args.certificate, P)
+        cert = gio.load_certificate(args.certificate, P.dim)
         lo, hi = _ranges(args.lambda1)[0] if args.lambda1 else (10.0, 200.0)
         if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")

@@ -11,19 +11,19 @@ kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
 (Math. Comp. 43, 1984) do: windows of nodes spread at most 1 take a
 mean-shifted series, the others the recurrence. Against 60-digit mpmath the
 worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
-row has the same bits in any batch: the transforms of many bodies or facets
-(``_ft_indicators``, ``axis_sigmas``, ``_axis_residuals``,
-``_ball_cone_constant``, and the translate families of an orthogonality
-check) share one batch of node rows, ``_ft_simplices`` over stacked arrays. An axis facet whose
-tangent's first row is exactly zero (the framed normals +-e1) has chart rows
-that do not depend on lam_1, so ``axis_sigmas`` charts it at the distinct
-transverse rows lam[1:] only and gives every frequency its own phase: a
-certificate scan over a lam_1 x lam' grid charts each such facet at |lam'|
-rows, with the bits of every row. One cutter, ``_runs``, splits consecutive
-items by a row budget: node rows reach the kernel in runs of at most
-_CHUNK_ROWS rows, and bodies reach a batch in runs of at most _BODY_ROWS
-(body x frequency) rows, so a certificate stage, or a block of shift groups
-of an orthogonality check, costs one batch per run.
+row has the same bits in any batch, and the transforms of many bodies or
+facets share one batch of node rows, ``_ft_simplices`` over stacked arrays.
+
+The evaluators read translate families (polytope.Family) at member indices:
+indicator transforms take the members' simplices from one family gather,
+``_simplices``, which the translate batches of an orthogonality check use
+too, and facet transforms (``axis_sigmas``, ``_boundary_residuals``) take a
+family's chart rows, each applying its tangent once for all members.
+``ft_indicator``, ``ft_facet_measure`` and ``divergence_residual`` are their
+one-member cases. One cutter, ``_runs``, splits consecutive items by a row
+budget: node rows reach the kernel in runs of at most _CHUNK_ROWS rows, and
+members reach a batch in runs of at most _BODY_ROWS (member x frequency)
+rows, so a certificate stage costs one batch per run.
 
 A deterministic midpoint-rule quadrature over the bounding box serves as the
 independent oracle for everything in this module; it sums the grid row by row
@@ -46,11 +46,10 @@ from .errors import (
 from .polytope import (
     GEOM_TOL,
     Facet,
+    Family,
     HPolytope,
     _reduce,
     ball_grid,
-    facets,
-    triangulate,
 )
 
 _SERIES_TERMS = 20
@@ -225,21 +224,38 @@ def _ft_simplices(simp: np.ndarray, m, lams: np.ndarray, n) -> np.ndarray:
     return vals
 
 
-def _ft_indicators(bodies, lams: np.ndarray) -> np.ndarray:
-    """ft_indicator of each body at the frequency rows lams (n, d), as a
-    (len(bodies), n) array, all node rows through one divided-difference
-    batch; an empty or degenerate body has no simplices and gives zeros."""
-    simps = [triangulate(P) for P in bodies]
-    vals = _ft_simplices(np.concatenate(simps), [len(sp) for sp in simps],
-                         np.tile(lams, (len(bodies), 1)), [lams.shape[0]] * len(bodies))
-    return vals.reshape(len(bodies), lams.shape[0])
+def _simplices(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The family gather: the pulled simplices V[j][cells()] of the members
+    js of each (family, js) of parts, member by member, as one (M, d+1, d)
+    array, and each member's count of them."""
+    simps = [F.V[js][:, F.cells()] for F, js in parts]
+    return (np.concatenate([sp.reshape(-1, *sp.shape[2:]) for sp in simps]),
+            np.concatenate([np.full(sp.shape[0], sp.shape[1]) for sp in simps]))
+
+
+def _ft_indicators(F: Family, js, lams: np.ndarray) -> np.ndarray:
+    """ft_indicator of the members js of the family F at the frequency rows
+    lams (n, d), as a (len(js), n) array, all node rows through one
+    divided-difference batch."""
+    simp, m = _simplices([(F, js)])
+    vals = _ft_simplices(simp, m, np.tile(lams, (m.size, 1)), [lams.shape[0]] * m.size)
+    return vals.reshape(m.size, lams.shape[0])
+
+
+def _one_member(evaluate, P: HPolytope, lams: np.ndarray) -> np.ndarray:
+    """evaluate(F, [j], lams) of the body P, member j of its family F, as
+    one row; zeros for an empty or degenerate P, which has no family."""
+    if P.empty or P.degenerate:
+        return np.zeros(lams.shape[0], dtype=complex)
+    F, j = P._member
+    return evaluate(F, [j], lams)[0]
 
 
 def ft_indicator(P: HPolytope, lam):
     """Fourier transform of the indicator of P at each row of lam (n, d); a
-    1-D lam returns a complex."""
+    1-D lam returns a complex: the one-member case of _ft_indicators."""
     lams, one = _freqs(lam, P.dim)
-    vals = _ft_indicators([P], lams)[0]
+    vals = _one_member(_ft_indicators, P, lams)
     return complex(vals[0]) if one else vals
 
 
@@ -403,25 +419,29 @@ def apply_frame(P: HPolytope, frame: AxisFrame) -> HPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _ft_facets(fs: list[Facet], lams: np.ndarray, charts=None) -> list[np.ndarray]:
-    """ft_facet_measure of each facet at the frequency rows lams (n, d), all
-    node rows through one divided-difference batch. charts[k] = (rows, back)
-    charts facet k at the frequency rows ``rows`` and gathers the result
-    back to lams by [back] (default (lams, :)); each row takes its own phase."""
-    if any(F.volume_dm1 <= 0 for F in fs):
-        raise DegenerateFacet("facet has zero surface volume")
-    # the phases of every facet in one array, elementwise as for one alone
-    origins = np.array([F.origin for F in fs]).reshape(-1, lams.shape[1])
-    phases = np.exp(-2j * np.pi * _dot(lams, origins.T)).T
-    if lams.shape[1] == 1 or not fs:
-        return list(phases)
-    charts = charts or [(lams, slice(None))] * len(fs)
-    sizes = [rows.shape[0] for rows, _ in charts]
-    vals = _ft_simplices(np.concatenate([F.simplices for F in fs]), [len(F.simplices) for F in fs],
-                         np.concatenate([_dot(rows, F.tangent) for F, (rows, _) in zip(fs, charts)]),
-                         sizes)
-    vals = np.split(vals, np.cumsum(sizes)[:-1])
-    return [p * v[back] for p, v, (_, back) in zip(phases, vals, charts)]
+def _ft_charts(charts, lams: np.ndarray) -> list[np.ndarray]:
+    """ft_facet_measure of stacked facets at the frequency rows lams (n, d),
+    one (s, n) array per chart (T, origins (s, d), simplices (s, m, d, d-1))
+    of s facets whose hyperplanes share the tangent basis T, which is applied
+    to lams once for all of them; one divided-difference batch. The
+    fixed-order sum <lam, T> of _dot starts with lam_1 * T[0], which adds +-0
+    to +0 when T's first row is exactly zero (the framed normals +-e1): such
+    a chart is applied at the distinct rows of lams[:, 1:] only, with the
+    bits of every row, and each row takes its own phase."""
+    phases = [np.exp(-2j * np.pi * _dot(lams, origins.T)).T for _, origins, _ in charts]
+    if lams.shape[1] == 1 or not charts:
+        return phases
+    if not all(T[0].any() for T, _, _ in charts):
+        _, first, back = np.unique(lams[:, 1:], axis=0, return_index=True, return_inverse=True)
+    rows = [(lams, slice(None)) if T[0].any() else (lams[first], back) for T, _, _ in charts]
+    ys = [_dot(r, T) for (r, _), (T, _, _) in zip(rows, charts)]
+    s = [origins.shape[0] for _, origins, _ in charts]
+    vals = _ft_simplices(np.concatenate([simp.reshape(-1, *simp.shape[2:]) for *_, simp in charts]),
+                         np.repeat([simp.shape[1] for *_, simp in charts], s),
+                         np.concatenate([np.tile(y, (k, 1)) for y, k in zip(ys, s)]),
+                         np.repeat([y.shape[0] for y in ys], s))
+    vals = np.split(vals, np.cumsum([y.shape[0] * k for y, k in zip(ys, s)])[:-1])
+    return [p * v.reshape(k, -1)[:, back] for p, v, k, (_, back) in zip(phases, vals, s, rows)]
 
 
 def ft_facet_measure(F: Facet, lams):
@@ -430,10 +450,12 @@ def ft_facet_measure(F: Facet, lams):
 
     Parameterizes the facet isometrically by its tangent chart and reduces to
     the (d-1)-dimensional transform of its simplices times the hyperplane
-    phase.
+    phase: the one-facet case of _ft_charts.
     """
     lams, one = _freqs(lams, F.dim)
-    vals = _ft_facets([F], lams)[0]
+    if F.volume_dm1 <= 0:
+        raise DegenerateFacet("facet has zero surface volume")
+    vals = _ft_charts([(F.tangent, F.origin[None], F.simplices[None])], lams)[0][0]
     return complex(vals[0]) if one else vals
 
 
@@ -465,58 +487,55 @@ def sigma_bound(F: Facet, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _axis_facets(Q: HPolytope) -> tuple[Facet | None, Facet | None, list[Facet]]:
-    """The facets of the divergence identity: those with unit normals -e1 (A)
-    and +e1 (B), None where absent, and those G sums, off the pair with
-    <e1, n_F> nonzero, in facet order. An empty or degenerate Q has none;
-    FrameMismatch when a full-dimensional Q has neither A nor B."""
-    fa, fb = Q._axis_pair
-    fs = facets(Q)
-    if fa is None and fb is None and fs:
+def _axis_rows(F: Family) -> tuple[int | None, int | None, list[int]]:
+    """Family.axis_rows (A, B, G); FrameMismatch when neither A nor B is."""
+    if F.axis_rows[:2] == (None, None):
         raise FrameMismatch("no facet pair normalized to the frame axis")
-    return fa, fb, [F for F in fs if F is not fa and F is not fb and abs(F.normal[0]) > 1e-14]
+    return F.axis_rows
 
 
-def axis_sigmas(bodies, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_A, sigma_B) of each body: ft_facet_measure of its facets with
-    unit normals -e1 and +e1 at the rows of lams (n, d), as two
-    (len(bodies), n) arrays, zeros where a facet is absent; FrameMismatch
-    when a full-dimensional body has neither.
-
-    The fixed-order sum <lam, tangent> of _dot starts with lam_1 * tangent[0],
-    which adds +-0 to +0 when the tangent's first row is exactly zero (the
-    framed normals +-e1): such a facet is charted at the distinct rows of
-    lams[:, 1:] only, with the bits of every row; any other at every row."""
-    pairs = [_axis_facets(Q)[:2] for Q in bodies]
-    present = [(i, side, F) for i, pair in enumerate(pairs) for side, F in enumerate(pair)
-               if F is not None]
-    _, first, back = np.unique(lams[:, 1:], axis=0, return_index=True, return_inverse=True)
-    distinct = (lams[first], back)
-    charts = [(lams, slice(None)) if F.tangent[0].any() else distinct for *_, F in present]
-    vals = _ft_facets([F for *_, F in present], lams, charts)
-    out = np.zeros((2, len(pairs), lams.shape[0]), dtype=complex)
-    for (i, side, _), v in zip(present, vals):
-        out[side, i] = v
-    return out[0], out[1]
+def _ft_rows(F: Family, js, rows, lams: np.ndarray) -> list[np.ndarray]:
+    """ft_facet_measure of the facets of the members js of F on each chart
+    row of rows at lams (n, d), one (len(js), n) array a row, zeros for a
+    row None; the charts go to one _ft_charts batch."""
+    vals = iter(_ft_charts([(T, origin[js], simp[js]) for _, T, _, origin, simp, _, _
+                            in (F.charts[r] for r in rows if r is not None)], lams))
+    return [np.zeros((F.members[js].size, lams.shape[0]), dtype=complex) if r is None
+            else next(vals) for r in rows]
 
 
-def _boundary_residuals(bodies, lams: np.ndarray) -> list[np.ndarray]:
-    """G of each body at the rows of lams (n, d) by the boundary route: the
-    sum over its G facets F (_axis_facets) of <e1, n_F> ft_facet_measure(F),
-    in facet order; zeros for an empty or degenerate body."""
-    rests = [_axis_facets(Q)[2] for Q in bodies]
-    vals = iter(_ft_facets([F for rest in rests for F in rest], lams))
-    return [sum((F.normal[0] * next(vals) for F in rest), np.zeros(lams.shape[0], dtype=complex))
-            for rest in rests]
+def _member_runs(fams, rows: int) -> list[tuple[Family, slice]]:
+    """(family, members) runs through the families fams: consecutive members
+    of one family, at most _BODY_ROWS rows a run at rows rows a member."""
+    return [(F, run) for F in fams for run in _runs([rows] * F.members.size, _BODY_ROWS)]
 
 
-def _axis_residuals(bodies, lams: np.ndarray):
-    """(ft, sigma_A, sigma_B, G) of each body at the rows of lams (n, d), as
-    (len(bodies), n) arrays: the indicator transform, the axis facet
-    transforms and the axis-route residual G = -2*pi*i*lam_1*ft + sigma_A -
-    sigma_B."""
-    sa, sb = axis_sigmas(bodies, lams)
-    ft = _ft_indicators(bodies, lams)
+def axis_sigmas(F: Family, js, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_A, sigma_B) of the members js of the family F:
+    ft_facet_measure of their facets on the axis rows (normals -e1 and +e1)
+    at the rows of lams (n, d), as two (len(js), n) arrays, zeros where a
+    row is absent; FrameMismatch when the family has neither."""
+    return tuple(_ft_rows(F, js, _axis_rows(F)[:2], lams))
+
+
+def _boundary_residuals(F: Family, js, lams: np.ndarray) -> np.ndarray:
+    """G of the members js of the family F at the rows of lams (n, d) by the
+    boundary route, a (len(js), n) array: the sum over its G rows
+    (_axis_rows), in row order, of <e1, n> ft_facet_measure."""
+    g = _axis_rows(F)[2]
+    out = np.zeros((F.members[js].size, lams.shape[0]), dtype=complex)
+    for r, v in zip(g, _ft_rows(F, js, g, lams)):
+        out = out + F.A[F.charts[r][0], 0] * v
+    return out
+
+
+def _axis_residuals(F: Family, js, lams: np.ndarray):
+    """(ft, sigma_A, sigma_B, G) of the members js of the family F at the
+    rows of lams (n, d), as (len(js), n) arrays: the indicator transform,
+    the axis facet transforms and the axis-route residual G =
+    -2*pi*i*lam_1*ft + sigma_A - sigma_B."""
+    sa, sb = axis_sigmas(F, js, lams)
+    ft = _ft_indicators(F, js, lams)
     return ft, sa, sb, -2j * np.pi * lams[:, 0] * ft + sa - sb
 
 
@@ -532,14 +551,13 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
 
     so G_t = -2*pi*i*lam_1*ft_indicator + sigma_A - sigma_B, which equals the
     boundary sum over the remaining facets sum_{F not in {A,B}} <e1, n_F> *
-    ft_facet_measure(F). ``via_boundary`` selects that equivalent route.
+    ft_facet_measure(F). ``via_boundary`` selects that equivalent route: the
+    one-member case of _boundary_residuals, else of _axis_residuals.
     """
     Q = apply_frame(P_t, frame)
     lams, one = _freqs(lams, Q.dim)
-    if via_boundary:
-        vals = _boundary_residuals([Q], lams)[0]
-    else:
-        vals = _axis_residuals([Q], lams)[3][0]
+    vals = _one_member(_boundary_residuals if via_boundary
+                       else lambda *args: _axis_residuals(*args)[3], Q, lams)
     return complex(vals[0]) if one else vals
 
 
@@ -583,24 +601,28 @@ def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarr
     return np.concatenate([r, r * np.tile(cross, (lam1.size, 1))], axis=1)
 
 
-def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
+def _ball_cone_constant(fams, shifts: np.ndarray, omega: float,
                         params: ConeScanParams = ConeScanParams()) -> ConeBound:
     """Numeric constant C with |G(lam)| <= C / |lam_1| on the scanned cone
-    for every body, the translates (in frame coordinates) at the rows of
-    shifts.
+    for every translate (in frame coordinates) at the rows of shifts, whose
+    families fams hold the translates; a shift in no family (an empty or
+    degenerate translate) has G = 0.
 
     Takes the first maximum of |lam_1| * |G(lam)| in (shift, lam) order from
-    boundary-route residual batches over blocks of bodies, with the smallest
-    angle seen between a scanned direction and a normal of the G facets
-    (_axis_facets), whose rows the batches hold. Raises ConeTooWide when a
-    scanned direction is within GEOM_TOL of such a normal.
+    boundary-route residual batches over runs of family members, with the
+    smallest angle seen between a scanned direction and the normal of a G
+    row (_axis_rows), whose rows the batches hold. Raises ConeTooWide when a
+    scanned direction is within GEOM_TOL of such a normal, for the first
+    such translate in shift order.
     """
     d = shifts.shape[1]
     lam_grid = cone_lambda_grid(d, omega, params)
     min_sin = 1.0
-    rows = []  # (facet x frequency) rows of each body's residual
-    for Q in bodies:
-        normals = np.array([F.normal for F in _axis_facets(Q)[2]]).reshape(-1, d)
+    # each shift's first maximum over the grid, 0 at lam index 0 for G = 0
+    best, arg = np.zeros(shifts.shape[0]), np.zeros(shifts.shape[0], dtype=np.intp)
+    for F in sorted(fams, key=lambda F: F.members[0]):
+        g = _axis_rows(F)[2]
+        normals = F.A[[F.charts[r][0] for r in g]].reshape(-1, d)
         along = (lam_grid @ normals.T)[:, :, None] * normals
         sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
                 / np.linalg.norm(lam_grid, axis=1)[:, None])
@@ -609,16 +631,12 @@ def _ball_cone_constant(bodies, shifts: np.ndarray, omega: float,
             raise ConeTooWide(f"scanned direction parallel to a facet normal "
                               f"(min sin theta = {low:.3e})")
         min_sin = min(min_sin, low)
-        rows.append(normals.shape[0] * lam_grid.shape[0])
-    best = (-1.0, 0, 0)
-    for blk in _runs(rows, _BODY_ROWS):
-        g = np.array(_boundary_residuals(bodies[blk], lam_grid)).reshape(-1, lam_grid.shape[0])
-        vals = np.abs(lam_grid[:, 0]) * np.abs(g)
-        i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, k] > best[0]:
-            best = (float(vals[i, k]), blk.start + int(i), int(k))
-    value, i, k = best
-    return ConeBound(value, shifts[i].copy(), lam_grid[k].copy(), min_sin)
+        for run in _runs([len(g) * lam_grid.shape[0]] * F.members.size, _BODY_ROWS):
+            vals = np.abs(lam_grid[:, 0]) * np.abs(_boundary_residuals(F, run, lam_grid))
+            k = np.argmax(vals, axis=1)
+            best[F.members[run]], arg[F.members[run]] = vals[np.arange(k.size), k], k
+    i = int(np.argmax(best))
+    return ConeBound(float(best[i]), shifts[i].copy(), lam_grid[arg[i]].copy(), min_sin)
 
 
 # ---------------------------------------------------------------------------

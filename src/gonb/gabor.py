@@ -37,6 +37,7 @@ from .fourier import (
     _axis_residuals,
     _ball_cone_constant,
     _freqs,
+    _member_runs,
     _runs,
     apply_frame,
     axis_sigmas,
@@ -190,15 +191,14 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
     of lams (n, d), whose rows come grouped by shift: counts[g] consecutive
     rows belong to the row shifts[g] of shifts (s, d).
 
-    One translate batch per SHIFT_BLOCK shifts: the simplices V[j][cells] of
-    its live translates, family by family, go to fourier._ft_simplices in
-    runs that hold at most fourier._BODY_ROWS rows, one division by vol(P)
-    per run. An empty or degenerate translate is in no family and gives
-    zeros. The transform is elementwise, so a row has the same bits in any
-    batch.
+    One translate batch per SHIFT_BLOCK shifts: the simplices of its live
+    translates, family by family (the family gather fourier._simplices), go
+    to fourier._ft_simplices in runs that hold at most fourier._BODY_ROWS
+    rows, one division by vol(P) per run. An empty or degenerate translate
+    is in no family and gives zeros. The transform is elementwise, so a row
+    has the same bits in any batch.
     """
     vol = _window_volume(P)
-    d = P.dim
     counts = np.asarray(counts)
     ends = np.cumsum(counts)
     vals = np.zeros(lams.shape[0], dtype=complex)
@@ -207,9 +207,7 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
         if not fams:
             continue
         # every live translate's simplices, and its count of them and shift
-        cells = [F.cells() for F in fams]
-        simp = np.concatenate([F.V[:, c].reshape(-1, d + 1, d) for F, c in zip(fams, cells)])
-        m = np.repeat([len(c) for c in cells], [F.members.size for F in fams])
+        simp, m = fourier._simplices([(F, slice(None)) for F in fams])
         first = np.cumsum(m) - m
         g = lo + np.concatenate([F.members for F in fams])
         for run in _runs(counts[g], fourier._BODY_ROWS):
@@ -546,8 +544,11 @@ def _by_shift(evaluate, P: HPolytope, W: np.ndarray, *args) -> np.ndarray:
 def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
     """Two-evaluator agreement of each hit (k, value at row k of W) with the
     quadrature oracle, one translate per distinct time shift of the hits;
-    None when below the oracle's resolution."""
-    big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3]
+    None when below the oracle's resolution, and for every hit when the
+    QUAD_N^(d-1) grid rows of a translate exceed QUAD_N^2 (d >= 4): the
+    oracle's error is measured at QUAD_N points per axis only."""
+    grid_ok = QUAD_N ** (P.dim - 1) <= QUAD_N ** 2
+    big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3 and grid_ok]
     oks: list[bool | None] = [None] * len(hits)
     if big:
         qs = _by_shift(_midpoint_stfts, P, W[[hits[n][0] for n in big]], QUAD_N)
@@ -646,39 +647,41 @@ def build_axis_frame(P: HPolytope, F: Facet, G: Facet | None) -> AxisFrame:
     return AxisFrame(F.origin, U, float(s))
 
 
-def _axis_gap(Qts: list[HPolytope], transverse: np.ndarray) -> float:
+def _axis_gap(fams, transverse: np.ndarray) -> float:
     """Least phase-robust lower bound | |sigma_A| - |sigma_B| | over the
-    translates on the cylinder cross-section (independent of the axial
-    frequency)."""
+    members of the translate families fams on the cylinder cross-section
+    (independent of the axial frequency)."""
     lams = np.concatenate([np.zeros((transverse.shape[0], 1)), transverse], axis=1)
-    worst = np.inf
-    for blk in _runs([lams.shape[0]] * len(Qts), fourier._BODY_ROWS):
-        sa, sb = axis_sigmas(Qts[blk], lams)
-        worst = min(worst, float(np.abs(np.abs(sa) - np.abs(sb)).min()))
-    return worst
+    runs = _member_runs(fams, lams.shape[0])
+    return min(float(np.abs(np.abs(sa) - np.abs(sb)).min())
+               for sa, sb in (axis_sigmas(F, run, lams) for F, run in runs))
 
 
-def _verify_scan(Qts: list[HPolytope], lams: np.ndarray, vol_q: float):
-    """The verify scan of the translates Qts at the rows of lams, block by
-    block of translates: the least sigma gap, the largest |lam_1| * |G|, the
-    least |V| of each translate with its first frequency index, and the
-    least |V| at each frequency over the translates."""
-    gaps, l1gs, mins, ks = [], [], [], []
+def _verify_scan(fams, lams: np.ndarray, vol_q: float):
+    """The verify scan of the translate families fams, which hold every shift
+    of the ball, at the rows of lams, run by run of family members: the
+    least sigma gap, the largest |lam_1| * |G|, the least |V| with the first
+    shift and its first frequency index where it is taken, and the least |V|
+    at each frequency over the shifts."""
+    gaps, l1gs = [], []
+    mins = np.zeros(sum(F.members.size for F in fams))
+    ks = np.zeros(mins.size, dtype=np.intp)
     low = np.full(lams.shape[0], np.inf)
-    for blk in _runs([lams.shape[0]] * len(Qts), fourier._BODY_ROWS):
-        # rows are translates, columns frequencies
-        ft, sa, sb, g = _axis_residuals(Qts[blk], lams)
+    for F, run in _member_runs(fams, lams.shape[0]):
+        # rows are members, columns frequencies
+        ft, sa, sb, g = _axis_residuals(F, run, lams)
         V = _per_volume(ft, vol_q)
         abs_v = np.abs(V)
         gaps.append(float(np.abs(np.abs(sa) - np.abs(sb)).min()))
         l1gs.append(float((np.abs(lams[:, 0]) * np.abs(g)).max()))
-        # each translate's first minimum as a complex abs (which can differ
+        # each member's first minimum as a complex abs (which can differ
         # from np.abs in the last bit), the value gonb stft reports there
         k = np.argmin(abs_v, axis=1)
-        mins += [abs(complex(v)) for v in V[np.arange(k.size), k]]
-        ks += k.tolist()
+        mins[F.members[run]] = [abs(complex(v)) for v in V[np.arange(k.size), k]]
+        ks[F.members[run]] = k
         low = np.minimum(low, abs_v.min(axis=0))
-    return min(gaps), max(l1gs), mins, ks, low
+    i = int(np.argmin(mins))
+    return min(gaps), max(l1gs), mins[i], i, ks[i], low
 
 
 def _transverse_grid(d: int, radius: float, n_cross: int) -> np.ndarray:
@@ -713,10 +716,12 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     eps_f = float(eps) / frame.scale
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
-    Qts = _translate_intersections(Q, tgrid).polytopes()
-    # the least |vol A - vol B| of a translate's axis pair, an absent facet counting 0
-    vols = [[0.0 if F is None else F.volume_dm1 for F in Qt._axis_pair] for Qt in Qts]
-    eta = min(abs(a - b) for a, b in vols)
+    fams = _translate_intersections(Q, tgrid).families
+    # the least |vol A - vol B| of a translate's axis pair (Family.axis_rows),
+    # an absent facet counting 0; a shift in no family has neither
+    vols = [[0.0 if r is None else F.charts[r][5] for r in F.axis_rows[:2]] for F in fams]
+    live = sum(F.members.size for F in fams) == len(tgrid)
+    eta = min(float(np.abs(a - b).min()) for a, b in vols) if live else 0.0
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
 
@@ -727,7 +732,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     delta = 0.5
     for _ in range(14):
         tr = _transverse_grid(d, 2 * delta * (1 - 1e-9), params.n_cross)
-        worst = _axis_gap(Qts, tr)
+        worst = _axis_gap(fams, tr)
         if worst >= 0.9 * eta:
             break
         delta *= 0.5
@@ -742,7 +747,7 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
     cone_params = ConeScanParams(r0=max(0.95 * 2 * delta / omega, 1e-3),
                                  r1=params.lambda_max, n_radial=params.cone_n_radial,
                                  n_cross=params.cone_n_cross)
-    cone = _ball_cone_constant(Qts, tgrid, omega, cone_params)
+    cone = _ball_cone_constant(fams, tgrid, omega, cone_params)
     C = cone.value
     R = max(2.0 * C / eta, entry)
 
@@ -754,11 +759,8 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
         lams = np.concatenate(
             [np.repeat(lam1, tr.shape[0])[:, None],
              np.tile(tr, (lam1.shape[0], 1))], axis=1)
-        min_gap, max_l1g, mins, ks, low = _verify_scan(Qts, lams, vol_q)
-        # the first translate whose minimum is least
-        i = int(np.argmin(mins))
-        min_abs = mins[i]
-        min_abs_at = ScanPoint(tgrid[i].copy(), lams[ks[i]].copy())
+        min_gap, max_l1g, min_abs, i, k, low = _verify_scan(fams, lams, vol_q)
+        min_abs_at = ScanPoint(tgrid[i].copy(), lams[k].copy())
         eta_new = min(eta, min_gap)
         C_new = max(C, max_l1g)
         if eta_new <= 1e-12:

@@ -166,17 +166,27 @@ def _field_types(cls) -> tuple:
     return tuple(typing.get_type_hints(cls).items())
 
 
+def _finite_numbers(value) -> bool:
+    """Whether value is a finite number that is not a bool, or nested lists of such."""
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def from_json(cls, data):
     """The record cls read from the object ``data`` of its fields, by each
     field's annotated type: a str from a string, a float from a number that
     is not a bool, an int from such a number with an integral value (17.0
-    reads as 17), an np.ndarray as a float array, and a nested record by
-    recursion; ValueError for any other value. Unknown keys are ignored."""
+    reads as 17), an np.ndarray as a float array from nested lists of finite
+    numbers that are not bools, and a nested record by recursion; ValueError
+    for any other value. Unknown keys are ignored."""
     values = {}
     for name, kind in _field_types(cls):
         value = data[name]
         if kind is np.ndarray:
-            values[name] = np.asarray(value, dtype=float)
+            if not _finite_numbers(value):
+                raise ValueError(f"{name} must be nested lists of finite numbers, got {value!r}")
+            values[name] = np.array(value, dtype=float)
         elif kind in (float, int, str):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (isinstance(value, str) if kind is str
@@ -192,11 +202,24 @@ def certificate_to_dict(cert: NonZeroCertificate) -> dict:
     return to_json(cert)
 
 
-def certificate_from_dict(data: dict) -> NonZeroCertificate:
+def certificate_from_dict(data: dict, dim: int | None = None) -> NonZeroCertificate:
+    """The certificate of the JSON object data (from_json), whose frame has
+    the dimension dim of its window, if given, and whose points (frame
+    origin, cone and min_abs_point rows) have the frame's."""
     try:
         cert = from_json(NonZeroCertificate, data)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad certificate JSON: {exc}") from exc
+    d = cert.frame.basis.shape[0]
+    if dim is not None and d != dim:
+        raise ParseError(f"certificate frame has dimension {d}, the window {dim}")
+    pv = cert.provenance
+    for name, x in (("frame.origin", cert.frame.origin), ("cone.arg_t", pv.cone.arg_t),
+                    ("cone.arg_lam", pv.cone.arg_lam), ("min_abs_point.t", pv.min_abs_point.t),
+                    ("min_abs_point.lam", pv.min_abs_point.lam)):
+        if x.shape != (d,):
+            raise ParseError(f"certificate {name} needs the frame's {d} entries, "
+                             f"got shape {x.shape}")
     # the bounds of the CLI flags, which keep frame coordinates and
     # frequencies finite
     check_coordinates(cert.frame.origin, "certificate frame origin")
@@ -205,8 +228,8 @@ def certificate_from_dict(data: dict) -> NonZeroCertificate:
     return cert
 
 
-def load_certificate(source) -> NonZeroCertificate:
-    return certificate_from_dict(_load(source))
+def load_certificate(source, dim: int | None = None) -> NonZeroCertificate:
+    return certificate_from_dict(_load(source), dim)
 
 
 def _load(source) -> dict:

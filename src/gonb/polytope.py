@@ -113,8 +113,8 @@ class HPolytope:
     ``empty`` flags an infeasible intersection, ``degenerate`` a feasible one
     with no interior (volume 0). Instances are immutable. The vertices,
     incidence, triangulation and facet charts live in the body's family
-    (``_member``, which ``Family.body`` seeds); the facets, axis facet pair,
-    triangulation and volume are cached on first use.
+    (``_member``, which ``Family.body`` seeds); the facets, triangulation
+    and volume are cached on first use.
     """
 
     dim: int
@@ -160,21 +160,14 @@ class HPolytope:
 
     @cached_property
     def _facets(self) -> tuple[Facet, ...]:
-        """Views of the family's charts, but none for a row whose (d-1)-volume
-        in this member is at most GEOM_TOL."""
+        """Views of the family's charts: a family keeps exactly the rows whose
+        facets have (d-1)-volume above GEOM_TOL in every member."""
         if self.empty or self.degenerate:
             return ()
         F, j = self._member
         return tuple(Facet(F.A[i], float(F.B[j, i]), on[j], float(vol[j]), float(ridge[j]),
                            origin[j], T, simp[j])
-                     for i, T, on, origin, simp, vol, ridge in F.charts if vol[j] > GEOM_TOL)
-
-    @cached_property
-    def _axis_pair(self) -> tuple[Facet | None, Facet | None]:
-        """The facets with unit normals -e1 and +e1 (the pair a certificate
-        frame puts on {y_1 = 0} and {y_1 = 1}), None where absent."""
-        e1 = np.eye(self.dim)[0]
-        return facet_by_normal(self, -e1), facet_by_normal(self, e1)
+                     for i, T, on, origin, simp, vol, ridge in F.charts)
 
     @cached_property
     def _simplices(self) -> np.ndarray:
@@ -274,8 +267,9 @@ class Family:
     """Bodies {x : A x <= B[j]} with one incidence (q, n) and the same kept
     rows A (n, d): ``members`` (s,) are their rows in the batch, B (s, n)
     their offsets and V (s, q, d) their vertices, all read-only. They share
-    one memo of pulled faces, and so one triangulation, and one chart per
-    facet row (``charts``), of which each member's facets are views."""
+    one memo of pulled faces, and so one triangulation, one chart per facet
+    row (``charts``), of which each member's facets are views, and the rows
+    of the divergence identity (``axis_rows``)."""
 
     members: np.ndarray
     A: np.ndarray
@@ -328,6 +322,17 @@ class Family:
                 x.setflags(write=False)
             charts.append((i, T, on, origin, simp, vol, ridge))
         return charts
+
+    @cached_property
+    def axis_rows(self) -> tuple[int | None, int | None, list[int]]:
+        """Positions in ``charts`` of the divergence identity's rows along e1:
+        the first with unit normal within 1e-7 of -e1 (A) and of +e1 (B), the
+        pair a certificate frame puts on {y_1 = 0} and {y_1 = 1}, None where
+        absent, and the others with |n_1| > 1e-14 (G), in row order."""
+        normals = [self.A[c[0]] for c in self.charts]
+        a, b = (next((r for r, n in enumerate(normals) if np.linalg.norm(n - e) <= 1e-7), None)
+                for e in np.eye(self.A.shape[1])[0] * [[-1.0], [1.0]])
+        return a, b, [r for r, n in enumerate(normals) if r not in (a, b) and abs(n[0]) > 1e-14]
 
 
 class Batch(NamedTuple):

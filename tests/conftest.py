@@ -11,7 +11,7 @@ from gonb import (
     volume,
 )
 from gonb.fourier import _ball_cone_constant
-from gonb.polytope import ball_grid
+from gonb.polytope import _translate_intersections, ball_grid
 
 PENTAGON_VERTICES = np.array([(0, 0), (2, 0), (2, 2), (1, 2), (0, 1)], dtype=float)
 
@@ -115,5 +115,6 @@ def ball_cone_bounds(P, frame, omega, params, radius, n_angles=8, n_radii=2):
     order; each bound is that of the one translate, with arg_t zero."""
     Q = apply_frame(P, frame)
     zero = np.zeros((1, P.dim))
-    return [(t, _ball_cone_constant([translate_intersection(Q, t)], zero, omega, params))
+    return [(t, _ball_cone_constant(_translate_intersections(Q, [t]).families, zero, omega,
+                                    params))
             for t in ball_grid(P.dim, radius, n_angles, n_radii)]

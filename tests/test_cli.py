@@ -18,6 +18,7 @@ from gonb.cli import main
 from gonb import ConeScanParams, apply_frame, stft_indicator
 from gonb.fourier import _ball_cone_constant
 from gonb.io import load_certificate, load_polytope, polytope_to_dict
+from gonb.polytope import _translate_intersections
 
 from conftest import make_pentagon, sphere_points
 
@@ -132,7 +133,9 @@ def test_scan_gt_abs_matches_cone_constant(pentagon_file, tmp_path):
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
     sup = max(abs(float(c.split(",")[2])) * float(c.split(",")[6]) for c in rows)
     P = make_pentagon()
-    bound = _ball_cone_constant([apply_frame(P, cert.frame)], np.zeros((1, 2)), cert.omega,
+    zero = np.zeros((1, 2))
+    bound = _ball_cone_constant(_translate_intersections(apply_frame(P, cert.frame), zero).families,
+                                zero, cert.omega,
                                 ConeScanParams(r0=10, r1=200, n_radial=24, n_cross=5))
     assert sup == pytest.approx(bound.value, rel=1e-12)
 
@@ -556,6 +559,15 @@ def test_time_frequency_contract(spec, message, square_file, tmp_path, capsys):
     ("provenance.n_t", True, "n_t must be of type int, got True"),
     ("min_abs_scanned", "0.5", "min_abs_scanned must be of type float, got '0.5'"),
     ("provenance.window_hash", 12, "window_hash must be of type str, got 12"),
+    # array fields read nested lists of finite numbers, of the frame's dimension
+    ("provenance.cone.arg_t", ["0.1", "-0.2"], "arg_t must be nested lists of finite numbers"),
+    ("provenance.cone.arg_t", [True, False], "arg_t must be nested lists of finite numbers"),
+    ("provenance.cone.arg_lam", None, "arg_lam must be nested lists of finite numbers"),
+    ("provenance.min_abs_point.t", "nan", "t must be nested lists of finite numbers"),
+    ("provenance.min_abs_point.lam", "1e400", "lam must be nested lists of finite numbers"),
+    ("provenance.min_abs_point.lam", None, "lam must be nested lists of finite numbers"),
+    ("provenance.cone.arg_t", [[[1.0]]], "cone.arg_t needs the frame's 2 entries"),
+    ("provenance.min_abs_point.t", [0.0], "min_abs_point.t needs the frame's 2 entries"),
 ])
 def test_certificate_contract(field, value, message, tmp_path, capsys):
     window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
@@ -566,6 +578,8 @@ def test_certificate_contract(field, value, message, tmp_path, capsys):
     *path, key = field.split(".")
     functools.reduce(dict.__getitem__, path, cert)[key] = value
     bad = _write(tmp_path, "bad.json", cert)
+    # the string "1e400" stands for that JSON number, beyond the float range
+    Path(bad).write_text(Path(bad).read_text().replace('"1e400"', "1e400"))
     for argv in (["scan", "--field", "gt_abs", "--certificate", bad],
                  ["find-violation", "--lattice", _write(tmp_path, "l.json", {"points": [[0] * 4]}),
                   "--certificate", bad]):

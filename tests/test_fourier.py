@@ -26,8 +26,8 @@ from gonb import (
 )
 from gonb import fourier, from_vertices
 from gonb.fourier import (
-    _axis_facets,
     _axis_residuals,
+    _boundary_residuals,
     _ball_cone_constant,
     _ft_simplices,
     apply_frame,
@@ -38,7 +38,7 @@ from gonb.fourier import (
     divdiff_exp_series,
 )
 from gonb.gabor import _transverse_grid, build_axis_frame
-from gonb.polytope import ball_grid, is_symmetric
+from gonb.polytope import _translate_intersections, ball_grid, facet_by_normal, is_symmetric
 
 from conftest import (
     PENTAGON_VERTICES,
@@ -464,10 +464,9 @@ def test_divergence_residual_at_zero_frequency(pentagon):
     frame = build_axis_frame(pentagon, *rep.witness)
     g0 = divergence_residual(pentagon, frame, np.zeros(2))
     from gonb import apply_frame
-    from gonb.fourier import _axis_facets
 
     Q = apply_frame(pentagon, frame)
-    fa, fb, _ = _axis_facets(Q)
+    fa, fb = _axis_pair(Q)
     assert g0 == pytest.approx(fa.volume_dm1 - fb.volume_dm1, abs=1e-12)
 
 
@@ -518,10 +517,22 @@ def test_batched_residual_and_facet_measure_match_single_rows(pentagon):
             assert isinstance(one, complex) and one == val
 
 
+def _axis_pair(Q):
+    """The facets of Q with unit normals -e1 and +e1, None where absent."""
+    e1 = np.eye(Q.dim)[0]
+    return facet_by_normal(Q, -e1), facet_by_normal(Q, e1)
+
+
+def _member(Q):
+    """A full-dimensional body as the one-member call (family, [j])."""
+    F, j = Q._member
+    return F, [j]
+
+
 def _axis_sigma_reference(Qt, lams):
     """(sigma_A, sigma_B) arrays over rows of lams for the axis facet pair,
     as the certificate scan computed them before fourier.axis_sigmas."""
-    fa, fb, _ = _axis_facets(Qt)
+    fa, fb = _axis_pair(Qt)
     n = lams.shape[0]
     sa = np.zeros(n, dtype=complex)
     sb = np.zeros(n, dtype=complex)
@@ -537,15 +548,15 @@ def _axis_sigma_reference(Qt, lams):
 
 
 def _certificate_translates(P, eps, n_angles, n_radii):
-    """Translates of the witness-frame window over a certificate translate
-    grid, and frequencies like those of its scan and cylinder."""
+    """The witness-frame window, a certificate translate grid, and
+    frequencies like those of its scan and cylinder."""
     Q = apply_frame(P, build_axis_frame(P, *is_symmetric(P, 1e-9).witness))
     grid = ball_grid(P.dim, eps, n_angles, n_radii)
     tr = ball_grid(P.dim - 1, 0.5, 8, 2)
     lam1 = np.concatenate([[0.0], np.geomspace(10.0, 200.0, 12)])
     lams = np.concatenate([np.repeat(lam1, tr.shape[0])[:, None],
                            np.tile(tr, (lam1.size, 1))], axis=1)
-    return [translate_intersection(Q, t) for t in grid], lams
+    return Q, grid, lams
 
 
 def test_axis_sigmas_match_the_scan_formula(pentagon):
@@ -554,17 +565,19 @@ def test_axis_sigmas_match_the_scan_formula(pentagon):
     cube = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(3) for s in (1, -1)]
     # the default translate grid in 2-d, the reduced one of the 3-d certificate test
     for P, grid in ((pentagon, (8, 2)), (normalize(cube + [((1, 1, 0), 1.5)], 3), (4, 1))):
-        Qts, lams = _certificate_translates(P, 0.1, *grid)
+        Q, shifts, lams = _certificate_translates(P, 0.1, *grid)
         # the reference's matmuls and ft_facet_measure's fixed-order sums can
         # round <lam, origin> and the tangent coordinates an ulp apart; with
         # frame coordinates below 2 a phase moves by a few ulps of 4*pi*|lam|_1
         rel = 4 * np.finfo(float).eps * 4 * np.pi * np.abs(lams).sum(axis=1)
-        sa, sb = axis_sigmas(Qts, lams)
-        for Qt, got_a, got_b in zip(Qts, sa, sb):
-            one = [s[0] for s in axis_sigmas([Qt], lams)]
-            assert np.array_equal(got_a, one[0]) and np.array_equal(got_b, one[1])
-            for got, ref in zip(one, _axis_sigma_reference(Qt, lams)):
-                assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
+        for F in _translate_intersections(Q, shifts).families:
+            sa, sb = axis_sigmas(F, slice(None), lams)
+            for k, got_a, got_b in zip(F.members, sa, sb):
+                Qt = translate_intersection(Q, shifts[k])
+                one = [s[0] for s in axis_sigmas(*_member(Qt), lams)]
+                assert np.array_equal(got_a, one[0]) and np.array_equal(got_b, one[1])
+                for got, ref in zip(one, _axis_sigma_reference(Qt, lams)):
+                    assert np.all(np.abs(got - ref) <= rel * np.abs(ref))
 
 
 def _cut_box(d):
@@ -591,7 +604,8 @@ def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
          "rotated pentagon": lambda: _rotated_pentagon(0.3)}[case]()
     d = P.dim
     Q = apply_frame(P, build_axis_frame(P, *is_symmetric(P, 1e-9).witness))
-    Qts = [translate_intersection(Q, t) for t in ball_grid(d, 0.1, 4, 1)]
+    shifts = ball_grid(d, 0.1, 4, 1)
+    fams = _translate_intersections(Q, shifts).families
     tr = _transverse_grid(d, 0.5, 7)
     lam1 = np.concatenate([[0.0], np.geomspace(10.0, 200.0, 6)])
     lams = np.concatenate([np.repeat(lam1, tr.shape[0])[:, None],
@@ -604,22 +618,69 @@ def test_axis_sigmas_keep_every_bit_on_a_product_grid(case, monkeypatch):
         return batch(simp, m, rows, n)
 
     monkeypatch.setattr(fourier, "_ft_simplices", counted)
-    sa, sb = axis_sigmas(Qts, lams)
-    ft, sa_r, sb_r, g = _axis_residuals(Qts, lams)
+    out = [(F, axis_sigmas(F, slice(None), lams), _axis_residuals(F, slice(None), lams))
+           for F in fams]
     monkeypatch.undo()
     full = case == "rotated pentagon"
-    # the facet batches of both calls (the residual's indicator batch is last)
-    assert charted[0] == charted[1] == [lams.shape[0] if full else tr.shape[0]] * len(charted[0])
-    for i, Qt in enumerate(Qts):
-        fa, fb, _ = _axis_facets(Qt)
-        assert all(F is None or bool(F.tangent[0].any()) == full for F in (fa, fb))
-        ref_a, ref_b = (np.zeros(lams.shape[0], dtype=complex) if F is None
-                        else ft_facet_measure(F, lams) for F in (fa, fb))
-        for got_a, got_b in ((sa[i], sb[i]), (sa_r[i], sb_r[i])):
-            assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
-        ref_ft = ft_indicator(Qt, lams)
-        assert np.array_equal(ft[i], ref_ft)
-        assert np.array_equal(g[i], -2j * np.pi * lams[:, 0] * ref_ft + ref_a - ref_b)
+    # the facet batches of both calls of each family (the residual's
+    # indicator batch is last)
+    for facet_a, facet_b, _ in zip(charted[::3], charted[1::3], charted[2::3]):
+        assert facet_a == facet_b == [lams.shape[0] if full else tr.shape[0]] * len(facet_a)
+    for F, (sa, sb), (ft, sa_r, sb_r, g) in out:
+        for i, k in enumerate(F.members):
+            Qt = translate_intersection(Q, shifts[k])
+            fa, fb = _axis_pair(Qt)
+            assert all(G is None or bool(G.tangent[0].any()) == full for G in (fa, fb))
+            ref_a, ref_b = (np.zeros(lams.shape[0], dtype=complex) if G is None
+                            else ft_facet_measure(G, lams) for G in (fa, fb))
+            for got_a, got_b in ((sa[i], sb[i]), (sa_r[i], sb_r[i])):
+                assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+            ref_ft = ft_indicator(Qt, lams)
+            assert np.array_equal(ft[i], ref_ft)
+            assert np.array_equal(g[i], -2j * np.pi * lams[:, 0] * ref_ft + ref_a - ref_b)
+
+
+@pytest.mark.parametrize("case", ["pentagon", "cut cube", "cut 4-cube"])
+def test_family_evaluators_equal_the_one_body_transforms(case):
+    """For every translate of a certificate ball (the pentagon at eps 0.2 on
+    the default translate grid, the cut cube and the cut 4-cube at eps 0.1 on
+    the reduced one), the family evaluators' sigma_A, sigma_B, G by both
+    routes and ft equal (==) ft_facet_measure and ft_indicator on its
+    translate_intersection view: its axis facets, its G facets summed in
+    facet order, and the axis-route identity. The frequencies are a
+    lam_1 x lam' grid plus rows off it."""
+    P, eps, grid = {"pentagon": (make_pentagon(), 0.2, (8, 2)),
+                    "cut cube": (_cut_box(3), 0.1, (4, 1)),
+                    "cut 4-cube": (_cut_box(4), 0.1, (4, 1))}[case]
+    d = P.dim
+    frame = build_axis_frame(P, *is_symmetric(P, 1e-9).witness)
+    Q = apply_frame(P, frame)
+    shifts = ball_grid(d, eps / frame.scale, *grid)
+    tr = _transverse_grid(d, 0.5, 5)
+    lam1 = np.array([0.0, 10.0, 60.0, 200.0])
+    lams = np.concatenate([np.concatenate([np.repeat(lam1, tr.shape[0])[:, None],
+                                           np.tile(tr, (lam1.size, 1))], axis=1),
+                           np.random.default_rng(2).uniform(-40, 40, (5, d))])
+    fams = _translate_intersections(Q, shifts).families
+    assert sum(F.members.size for F in fams) == len(shifts)
+    zero = np.zeros(lams.shape[0], dtype=complex)
+    for F in fams:
+        sa, sb = axis_sigmas(F, slice(None), lams)
+        g_boundary = _boundary_residuals(F, slice(None), lams)
+        ft, sa_r, sb_r, g_axis = _axis_residuals(F, slice(None), lams)
+        for i, k in enumerate(F.members):
+            Qt = translate_intersection(Q, shifts[k])
+            fa, fb = _axis_pair(Qt)
+            ref_a, ref_b = (zero if G is None else ft_facet_measure(G, lams) for G in (fa, fb))
+            ref_g = zero
+            for G in facets(Qt):
+                if G is not fa and G is not fb and abs(G.normal[0]) > 1e-14:
+                    ref_g = ref_g + G.normal[0] * ft_facet_measure(G, lams)
+            ref_ft = ft_indicator(Qt, lams)
+            for got, ref in ((sa[i], ref_a), (sb[i], ref_b), (sa_r[i], ref_a), (sb_r[i], ref_b),
+                             (g_boundary[i], ref_g), (ft[i], ref_ft),
+                             (g_axis[i], -2j * np.pi * lams[:, 0] * ref_ft + ref_a - ref_b)):
+                assert np.array_equal(got, ref)
 
 
 # -- sigma bound ----------------------------------------------------------------
@@ -675,7 +736,8 @@ def test_sigma_bound_parallel_direction_raises(unit_square):
 
 
 def test_cone_constant_square_is_zero(unit_square):
-    bound = _ball_cone_constant([unit_square], np.zeros((1, 2)), 0.2,
+    zero = np.zeros((1, 2))
+    bound = _ball_cone_constant(_translate_intersections(unit_square, zero).families, zero, 0.2,
                                 ConeScanParams(n_radial=16, n_cross=5))
     assert bound.value <= 1e-12
 
@@ -699,9 +761,10 @@ def test_cone_constant_monotone_in_omega(pentagon):
     frame = _pentagon_frame(pentagon)
     # nested cross grids: fractions {0, +-1/2, +-1} at omega vs 2*omega
     p = ConeScanParams(r0=10, r1=100, n_radial=24, n_cross=5)
-    Q = [apply_frame(pentagon, frame)]
-    c_small = _ball_cone_constant(Q, np.zeros((1, 2)), 0.1, p)
-    c_big = _ball_cone_constant(Q, np.zeros((1, 2)), 0.2, p)
+    zero = np.zeros((1, 2))
+    Q = _translate_intersections(apply_frame(pentagon, frame), zero).families
+    c_small = _ball_cone_constant(Q, zero, 0.1, p)
+    c_big = _ball_cone_constant(Q, zero, 0.2, p)
     assert c_small.value <= c_big.value * (1 + 1e-9)
 
 
@@ -745,29 +808,29 @@ def test_cone_row_budget_is_the_rows_the_residuals_form(pentagon, monkeypatch):
     frame = _pentagon_frame(pentagon)
     Q = apply_frame(pentagon, frame)
     shifts = ball_grid(2, 0.2 / frame.scale, 8, 2)
-    Qts = [translate_intersection(Q, t) for t in shifts]
+    fams = _translate_intersections(Q, shifts).families
     budgets, formed, batches = [], [], []
-    runs, ft_facets, residuals = fourier._runs, fourier._ft_facets, fourier._boundary_residuals
+    runs, ft_charts, residuals = fourier._runs, fourier._ft_charts, fourier._boundary_residuals
 
     def counted_runs(sizes, limit):
         if limit == fourier._BODY_ROWS:
             budgets.append(list(sizes))
         return runs(sizes, limit)
 
-    def counted_facets(fs, lams, charts=None):
-        formed.append(len(fs) * lams.shape[0])
-        return ft_facets(fs, lams, charts)
+    def counted_charts(charts, lams):
+        formed.append(sum(origins.shape[0] for _, origins, _ in charts) * lams.shape[0])
+        return ft_charts(charts, lams)
 
-    def counted_residuals(bodies, lams):
-        batches.append(len(bodies))
-        return residuals(bodies, lams)
+    def counted_residuals(F, js, lams):
+        batches.append(F.members[js].size)
+        return residuals(F, js, lams)
 
     monkeypatch.setattr(fourier, "_runs", counted_runs)
-    monkeypatch.setattr(fourier, "_ft_facets", counted_facets)
+    monkeypatch.setattr(fourier, "_ft_charts", counted_charts)
     monkeypatch.setattr(fourier, "_boundary_residuals", counted_residuals)
-    bound = _ball_cone_constant(Qts, shifts, 0.2, ConeScanParams())
+    bound = _ball_cone_constant(fams, shifts, 0.2, ConeScanParams())
     assert budgets == [[1024] * 17] and formed == [17 * 1024] and batches == [17]
-    assert all(len(_axis_facets(Qt)[2]) == 1 for Qt in Qts)
+    assert all(len(F.axis_rows[2]) == 1 for F in fams)
     # the slant facet's normal (1, -1) / sqrt(2) against directions (1, u), |u| <= 0.2
     assert bound.min_sin_theta == pytest.approx(0.8 / math.sqrt(2 * 1.04), rel=1e-12)
 
@@ -777,8 +840,9 @@ def test_cone_too_wide_detects_parallel_normal(pentagon):
     # omega = 1 puts the direction (1, -1) in the scanned cone, parallel to the
     # mapped slant normal
     with pytest.raises(ConeTooWide):
-        _ball_cone_constant([apply_frame(pentagon, frame)], np.zeros((1, 2)), 1.0,
-                            ConeScanParams(r0=10, r1=20, n_radial=4, n_cross=5))
+        zero = np.zeros((1, 2))
+        _ball_cone_constant(_translate_intersections(apply_frame(pentagon, frame), zero).families,
+                            zero, 1.0, ConeScanParams(r0=10, r1=20, n_radial=4, n_cross=5))
 
 
 # -- scan grid / CSV ---------------------------------------------------------------

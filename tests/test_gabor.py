@@ -951,6 +951,64 @@ def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
     assert len(calls) <= 12
 
 
+def test_certificate_reads_translate_families(pentagon, monkeypatch):
+    """The pentagon certificate reads its 17 ball translates from their
+    family: it makes one HPolytope, the framed window (18 when each
+    translate had a view), calls facet_by_normal 5 times, all inside
+    is_symmetric (39 when each translate's axis pair was found by facet
+    scans), and its kernel makes 32 calls over 56,678 node rows, as then."""
+    made, scans, inside = [], [], []
+    init, scan, symmetric = polytope.HPolytope.__post_init__, polytope.facet_by_normal, \
+        gabor.is_symmetric
+
+    def counted_init(self):
+        made.append(self)
+        init(self)
+
+    def counted_scan(P, normal):
+        scans.append(bool(inside))
+        return scan(P, normal)
+
+    def tagged(*args):
+        inside.append(True)
+        try:
+            return symmetric(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(polytope.HPolytope, "__post_init__", counted_init)
+    monkeypatch.setattr(polytope, "facet_by_normal", counted_scan)
+    monkeypatch.setattr(gabor, "is_symmetric", tagged)
+    calls = _counted_kernel(monkeypatch)
+    build_certificate(pentagon, 0.2, 0.2)
+    assert len(made) == 1 and scans == [True] * 5
+    assert len(calls) == 32 and sum(rows for rows, _ in calls) == 56_678
+
+
+def test_4d_hit_abstains_before_any_oracle_grid(monkeypatch):
+    """The oracle grids QUAD_N^(d-1) rows a translate, 8e9 in 4-d: on the
+    unit 4-cube cut by x_1 + x_2 <= 1.5 with the points 0 and
+    (0.1, 0, 0, 0, 0.3, 0, 0, 0), the one hit (|V| = 0.79) is reported
+    unconfirmed and no grid row is formed (the check ran past 30 s when it
+    gridded)."""
+    grids = []
+    intervals = fourier._midpoint_intervals
+
+    def counted(*args):
+        grids.append(args)
+        return intervals(*args)
+
+    monkeypatch.setattr(fourier, "_midpoint_intervals", counted)
+    box = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(4) for s in (1, -1)]
+    P = normalize(box + [((1, 1, 0, 0), 1.5)], 4)
+    L = TimeFrequencySet(np.array([[0.0] * 8, [0.1, 0, 0, 0, 0.3, 0, 0, 0]]))
+    (rep,) = check_orthogonality(P, L)
+    assert rep.confirmed is None and grids == []
+    assert abs(rep.value) == pytest.approx(0.79, abs=5e-3)
+    w = rep.v - rep.v_prime
+    assert rep.value == stft_indicator(P, w[:4], w[4:])
+
+
 def test_verify_scan_charts_axis_facets_at_distinct_transverse_rows(pentagon, monkeypatch):
     """The default-grid pentagon certificate's verify scan charts the 34
     axis facets of its 17 translates at the 15 distinct transverse rows, not

@@ -27,6 +27,7 @@ from gonb import (
 )
 from gonb import polytope
 from gonb.polytope import (
+    GEOM_TOL,
     HPolytope,
     _check_bounded,
     _face_facets,
@@ -657,7 +658,7 @@ def _face_bits(P):
     pair and the volume of P, as bytes and floats."""
     return (P.vertex_array().tobytes(), triangulate(P).tobytes(),
             [_facet_bits(F) for F in facets(P)],
-            [None if F is None else _facet_bits(F) for F in P._axis_pair], volume(P))
+            [None if F is None else _facet_bits(F) for F in _axis_pair(P)], volume(P))
 
 
 @pytest.mark.parametrize("name", ["pentagon", "cut cube", "cut 4-cube"])
@@ -889,10 +890,16 @@ def test_minkowski_agrees_with_centroid_reflection_oracle():
 # -- axis-pair margins ---------------------------------------------------
 
 
+def _axis_pair(P):
+    """The facets of P with unit normals -e1 and +e1, None where absent."""
+    e1 = np.eye(P.dim)[0]
+    return facet_by_normal(P, -e1), facet_by_normal(P, e1)
+
+
 def _axis_gap(Q):
     """|vol A - vol B| of Q's facets with unit normals -e1 and +e1, an absent
     facet counting 0, as the certificate reads its margin."""
-    a, b = (0.0 if F is None else F.volume_dm1 for F in Q._axis_pair)
+    a, b = (0.0 if F is None else F.volume_dm1 for F in _axis_pair(Q))
     return abs(a - b)
 
 
@@ -906,7 +913,32 @@ def test_axis_pair_gives_the_margins(pentagon):
     assert 0.0 < margin(0.25) <= 1.0
     assert margin(math.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
     empty = translate_intersection(pentagon, (5.0, 0.0))
-    assert empty.empty and empty._axis_pair == (None, None) and _axis_gap(empty) == 0.0
+    assert empty.empty and _axis_pair(empty) == (None, None) and _axis_gap(empty) == 0.0
+
+
+@pytest.mark.parametrize("name", ["pentagon", "cut cube", "cut 4-cube"])
+def test_family_rows_are_every_member_facet(name, pentagon):
+    """A family keeps exactly the rows whose facets have (d-1)-volume above
+    GEOM_TOL in every member, so a member's facets are all its family's
+    chart rows; Family.axis_rows are the charts of the facets that
+    facet_by_normal finds at -e1 and +e1, and the G rows the others with
+    |n_1| > 1e-14, in facet order."""
+    P = {"pentagon": pentagon, "cut cube": cut_cube(),
+         "cut 4-cube": normalize(box_rows(np.zeros(4), np.ones(4)) + [((1, 1, 0, 0), 1.5)], 4)}[name]
+    T = np.random.default_rng(3).uniform(-1.2, 1.2, (40, P.dim))
+    fams = _translate_intersections(P, T).families
+    assert len(fams) >= 2
+    for F in fams:
+        assert len(F.charts) == F.A.shape[0]
+        assert all((vol > GEOM_TOL).all() for *_, vol, _ in F.charts)
+        a, b, g = F.axis_rows
+        for j in range(F.members.size):
+            body = F.body(j)
+            fs = facets(body)
+            assert [G.normal.tobytes() for G in fs] == [row.tobytes() for row in F.A]
+            pair = [None if r is None else fs[r] for r in (a, b)]
+            assert pair == list(_axis_pair(body))
+            assert [fs[r] for r in g] == [G for G in fs if G not in pair and abs(G.normal[0]) > 1e-14]
 
 
 def test_unpaired_witness_ties_go_to_the_first_facet():
