@@ -717,10 +717,11 @@ def build_certificate(P: HPolytope, eps: float, omega: float,
 
     tgrid = ball_grid(d, eps_f, params.n_t_angles, params.n_t_radii)
     fams = _translate_intersections(Q, tgrid).families
-    # the least |vol A - vol B| of a translate's axis pair (Family.axis_rows),
-    # an absent facet counting 0; a shift in no family has neither
-    vols = [[0.0 if r is None else F.charts[r][5] for r in F.axis_rows[:2]] for F in fams]
-    live = sum(F.members.size for F in fams) == len(tgrid)
+    # the least |vol A - vol B| of a translate's axis pair (Family.axis_rows;
+    # a chart's sixth entry holds its members' volumes), an absent facet
+    # counting 0; a shift in no family has neither
+    vols = [[0.0 if r is None else fam.charts[r][5] for r in fam.axis_rows[:2]] for fam in fams]
+    live = sum(fam.members.size for fam in fams) == len(tgrid)
     eta = min(float(np.abs(a - b).min()) for a, b in vols) if live else 0.0
     if eta <= 1e-12:
         raise MarginVanished(f"facet-volume margin vanished inside |t| <= {eps}")
