@@ -525,7 +525,7 @@ def _boundary_residuals(F: Family, js, lams: np.ndarray) -> np.ndarray:
     g = _axis_rows(F)[2]
     out = np.zeros((F.members[js].size, lams.shape[0]), dtype=complex)
     for r, v in zip(g, _ft_rows(F, js, g, lams)):
-        out = out + F.A[F.charts[r][0], 0] * v
+        out += F.A[F.charts[r][0], 0] * v
     return out
 
 
