@@ -3,16 +3,16 @@
 The indicator transform uses the exact simplex formula
 
     integral over T of exp(-2*pi*i*<lam, x>) dx
-        = d! * vol(T) * divdiff(exp; z_0, ..., z_d),   z_j = -2*pi*i*<lam, v_j>,
+        = d! * vol(T) * divdiff(exp; i*y_0, ..., i*y_d),   y_j = -2*pi*<lam, v_j>,
 
 where divdiff is the divided difference of exp over the nodes. Every exact
-transform passes its node rows, one per (frequency, simplex) pair, to the
-kernel ``divdiff_exp``, which splits regimes as McCurdy, Ng and Parlett
-(Math. Comp. 43, 1984) do: windows of nodes spread at most 1 take a
-mean-shifted series, the others the recurrence. Against 60-digit mpmath the
-worst relative error measured is 2.3e-15. Rows are computed elementwise, so a
-row has the same bits in any batch, and the transforms of many bodies or
-facets share one batch of node rows, ``_ft_simplices`` over stacked arrays.
+transform passes its real phase rows y, one per (frequency, simplex) pair, to
+the kernel ``divdiff_exp``, which checks them once a call and splits regimes
+as McCurdy, Ng and Parlett (Math. Comp. 43, 1984) do: windows of nodes spread
+at most 1 take a mean-shifted series, the others the recurrence. Against
+60-digit mpmath the worst relative error measured is 2.3e-15. A row is computed
+elementwise, so it has the same bits in any batch, and the transforms of many
+bodies or facets share one batch of rows, ``_ft_simplices`` on stacked arrays.
 
 The evaluators read translate families (polytope.Family) at member indices:
 indicator transforms take the members' simplices from one family gather,
@@ -72,32 +72,33 @@ _QUAD_CHUNK = 500_000  # (grid row x frequency) terms the quadrature holds at on
 # ---------------------------------------------------------------------------
 
 
-def _node_rows(z) -> tuple[np.ndarray, bool]:
-    """Nodes as complex rows (n, k+1), and whether one 1-D row was given."""
-    z = np.asarray(z, dtype=complex)
-    one = z.ndim == 1
-    z = z.reshape(1, -1) if one else z.reshape(-1, z.shape[-1])
-    if not np.isfinite(z).all():
-        raise ValueError("divided-difference nodes must be finite")
-    if np.any(z.real != z.real[:, :1]):
-        raise ValueError("the nodes of a row must share their real part")
-    return z, one
+def _phase_rows(y) -> tuple[np.ndarray, bool]:
+    """Finite real phase rows (n, k+1), and whether one 1-D row was given."""
+    if np.iscomplexobj(y) or not np.isfinite(y := np.asarray(y, dtype=float)).all():
+        raise ValueError("divided-difference phases must be real and finite")
+    one = y.ndim == 1
+    return y.reshape(1 if one else -1, y.shape[-1]), one
 
 
-def divdiff_exp_series(z):
-    """Divided difference of exp over each row of nodes c + i*y (n, k+1) by
-    the mean-shifted series; a 1-D row returns a complex. With m the mean of
-    y and h_j the complete homogeneous polynomials (in real arithmetic),
+def divdiff_exp_series(y):
+    """Divided difference of exp over each row of nodes i*y, y real (n, k+1),
+    by the mean-shifted series; a 1-D row returns a complex. With m the mean
+    of y and h_j the complete homogeneous polynomials (in real arithmetic),
 
-        divdiff = exp(c + i*m) * sum_j i^j h_j(y - m) / (j + k)!.
+        divdiff = exp(i*m) * sum_j i^j h_j(y - m) / (j + k)!.
 
     For nodes within r <= 1 of their mean term j is at most r^j / (j! k!)
-    while |divdiff| >= |exp(c)| cos(1) / k!, so _SERIES_TERMS = 20 terms
-    leave a relative tail below 1e-18; against 60-digit mpmath the worst
-    relative error measured for 2-5 nodes is 2.3e-15.
+    while |divdiff| >= cos(1) / k!, so _SERIES_TERMS = 20 terms leave a
+    relative tail below 1e-18; against 60-digit mpmath the worst relative
+    error measured for 2-5 nodes is 2.3e-15.
     """
-    z, one = _node_rows(z)
-    y = z.imag
+    y, one = _phase_rows(y)
+    out = _series(y)
+    return complex(out[0]) if one else out
+
+
+def _series(y: np.ndarray) -> np.ndarray:
+    """divdiff_exp_series of checked phase rows y (n, k+1)."""
     k = y.shape[1] - 1
     mean = y[:, 0]
     for a in range(1, k + 1):
@@ -112,8 +113,7 @@ def divdiff_exp_series(z):
             h[a] += h[a - 1]
         # i^j = (-1)^(j // 2) times 1 for even j and i for odd j
         part[j % 2] = part[j % 2] + h[-1] * ((-1) ** (j // 2) / math.factorial(j + k))
-    out = np.exp(z.real[:, 0] + 1j * mean) * (part[0] + 1j * part[1])
-    return complex(out[0]) if one else out
+    return np.exp(1j * mean) * (part[0] + 1j * part[1])
 
 
 def divdiff_exp_direct(z: np.ndarray) -> complex:
@@ -126,22 +126,21 @@ def divdiff_exp_direct(z: np.ndarray) -> complex:
     return complex(table[0])
 
 
-def divdiff_exp(z):
-    """Divided differences of exp over each row of nodes (n, k+1), which lie
-    on a line parallel to the imaginary axis; a 1-D row returns a complex.
-    The table is filled level by level over windows of the row sorted by
-    imaginary part: a window of spread at most 1 takes divdiff_exp_series,
-    any other the recurrence, which then divides by a gap above 1."""
-    z, one = _node_rows(z)
-    z = np.sort(z, axis=1)  # one real part per row: sorted by imaginary part
-    table = np.exp(z)
-    for lv in range(1, z.shape[1]):
-        gap = z.imag[:, lv:] - z.imag[:, :-lv]
+def divdiff_exp(y):
+    """Divided differences of exp over each row of nodes i*y, y real phases
+    (n, k+1) checked once a call; a 1-D row returns a complex. The table is
+    filled level by level over windows of the sorted row: a window of spread
+    at most 1 takes the series of divdiff_exp_series, any other the
+    recurrence, which then divides by a gap above 1."""
+    y, one = _phase_rows(y)
+    y = np.sort(y, axis=1)
+    table = np.exp(1j * y)
+    for lv in range(1, y.shape[1]):
+        gap = y[:, lv:] - y[:, :-lv]
         small = gap <= 1.0
         table = (table[:, 1:] - table[:, :-1]) / (1j * np.where(small, 1.0, gap))
-        r, i = np.nonzero(small)
-        if r.size:
-            table[small] = divdiff_exp_series(z[r[:, None], i[:, None] + np.arange(lv + 1)])
+        if small.any():
+            table[small] = _series(np.lib.stride_tricks.sliding_window_view(y, lv + 1, axis=1)[small])
     return complex(table[0, 0]) if one else table[:, 0]
 
 
@@ -217,7 +216,7 @@ def _ft_simplices(simp: np.ndarray, m, lams: np.ndarray, n) -> np.ndarray:
         # terms by (frequency, simplex), zero-padded: a sum that starts at
         # +0 is never -0, so adding a padding zero leaves its bits alone
         terms = np.zeros((rows.size, int(rows.max())), dtype=complex)
-        terms[lam - run.start, k] = vols[cell] * divdiff_exp(-2j * np.pi * y)
+        terms[lam - run.start, k] = vols[cell] * divdiff_exp(-2 * np.pi * y)
         acc = vals[run]
         for j in range(terms.shape[1]):
             acc += terms[:, j]

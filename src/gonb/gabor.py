@@ -496,9 +496,10 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     difference vector rounded to 9 decimals; |V| is symmetric under sign flip)
     and reports the differences with |V| > tol_zero, each with its generating
     pair of smallest first index and the value at that pair's difference.
-    Differences whose time class cannot meet P (see _live_blocks) are never
-    formed: V is identically zero there. The dedup also skips most pairs
-    whose difference is the negative of a kept one. An empty list means
+    On the table path of _unique_signed_diffs, differences whose time class
+    cannot meet P (see _live_blocks) are never formed: V is identically zero
+    there; the sort path forms every pair. The table path also skips most
+    pairs whose difference is the negative of a kept one. An empty list means
     mutual orthogonality holds on the truncation. At most ``max_reports``
     (at least 1) violations are returned, largest |V| first selection,
     sorted lexicographically by (t, lam); each is re-confirmed against the

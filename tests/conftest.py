@@ -109,6 +109,13 @@ def _mp_divdiff_exp(y, mpmath):
     return complex(table[0])
 
 
+def certificate_hex(cert):
+    """float.hex of a certificate's eta, C, R, min_abs_scanned and
+    min_sigma_gap, the values that bit pins compare."""
+    return [float(x).hex() for x in (cert.eta, cert.C, cert.R, cert.min_abs_scanned,
+                                     cert.provenance.min_sigma_gap)]
+
+
 def ball_cone_bounds(P, frame, omega, params, radius, n_angles=8, n_radii=2):
     """(t, cone bound) of each translate Q intersect (Q + t), Q =
     apply_frame(P, frame), at the ball_grid shifts |t| <= radius, in grid

@@ -35,6 +35,7 @@ from gonb.polytope import from_vertices
 
 from conftest import (
     ball_cone_bounds,
+    certificate_hex,
     make_pentagon,
     make_unit_square,
     random_polygon,
@@ -101,9 +102,9 @@ def test_criterion_2_ft_oracle_equivalence():
         for s in np.geomspace(lo, hi, 12):
             for base in (-15.0, 0.0, 7.3):
                 for f in shapes:
-                    z = 1j * (base + s * f)
-                    d = divdiff_exp_direct(z)
-                    t = divdiff_exp_series(z)
+                    y = base + s * f
+                    d = divdiff_exp_direct(1j * y)
+                    t = divdiff_exp_series(y)
                     gap = abs(d - t) / max(1.0, abs(t))
                     assert gap <= 1e-10
                     worst_band = max(worst_band, gap)
@@ -159,6 +160,11 @@ def test_criterion_5_nonvanishing_certificate():
     assert cert.min_abs_scanned > 0
     assert cert.provenance.n_scan_points >= 10_000
     assert cert.provenance.min_chain_slack >= -1e-12
+    # float.hex bits of numpy 2.4.6 with Python 3.11.7 on x86-64 Linux; another
+    # numpy, BLAS or CPU may move the last bit
+    assert certificate_hex(cert) == ["0x1.a5e5088673b47p-2", "0x1.976d476e685d6p-2",
+                                     "0x1.ee71393a9e909p+0", "0x1.c9cd8624648fbp-12",
+                                     "0x1.a5e50ad337ef3p-2"]
     _report(5, t0, 300.0,
             f"eta = {cert.eta:.4f}, C = {cert.C:.4f}, R = {cert.R:.3f}, "
             f"min |V| = {cert.min_abs_scanned:.2e} over "
@@ -186,6 +192,36 @@ def _confirm_by_oracle(P, w, value) -> float:
     return abs(rich - value) / abs(value)
 
 
+# float.hex (re, im) of each value criterion 7 reports, numpy 2.4.6 with
+# Python 3.11.7 on x86-64 Linux; another numpy, BLAS or CPU may move the last bit
+CRITERION_7_BITS = {
+    "integer": [
+        ("0x1.b6db6db6db6dap-2", "0x0.0p+0"),
+        ("0x1.b6db6db6db6dap-2", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.7483758e69c05p-5"),
+        ("0x1.2492492492492p-3", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x1.7483758e69c05p-5"),
+        ("0x1.2492492492492p-2", "0x0.0p+0"),
+    ],
+    "sheared": [
+        ("0x1.b6db6db6db6dap-2", "0x0.0p+0"),
+        ("0x1.da4c87027bef8p-5", "0x1.1762982acf502p-2"),
+        ("0x1.da4c87027bef8p-5", "-0x1.1762982acf502p-2"),
+        ("0x1.da4c87027befdp-5", "-0x1.7483758e69c03p-4"),
+        ("-0x1.2492492492492p-56", "0x1.7483758e69c02p-3"),
+        ("-0x1.2492492492492p-56", "-0x1.7483758e69c02p-3"),
+    ],
+    "scaled": [
+        ("-0x1.da4c87027bf05p-5", "0x1.7483758e69c07p-4"),
+        ("0x1.da4c87027befep-5", "-0x1.3ac499ecdc123p-55"),
+        ("0x1.b6db6db6db6dap-2", "0x0.0p+0"),
+        ("-0x1.da4c87027bf00p-5", "-0x1.7483758e69c03p-4"),
+        ("0x1.da4c87027befbp-5", "0x1.2492492492492p-54"),
+        ("-0x1.da4c87027bf00p-5", "0x1.7483758e69c03p-4"),
+    ],
+}
+
+
 def test_criterion_7_main_theorem_witnesses():
     t0 = time.perf_counter()
     pent = make_pentagon()
@@ -202,6 +238,8 @@ def test_criterion_7_main_theorem_witnesses():
         L = TimeFrequencySet(pts)
         out = check_orthogonality(pent, L, 1e-9, max_reports=6, confirm=False)
         assert len(out) >= 1, f"lattice {name} produced no violation"
+        assert [(r.value.real.hex(), r.value.imag.hex()) for r in out] \
+            == CRITERION_7_BITS[name]
         worst = 0.0
         for repv in out:
             w = repv.v - repv.v_prime

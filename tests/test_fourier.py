@@ -56,27 +56,27 @@ I2PI = 1j / (2 * math.pi)
 
 
 def test_divdiff_single_node_is_exp():
-    assert divdiff_exp(np.array([0.7j])) == pytest.approx(np.exp(0.7j))
+    assert divdiff_exp(np.array([0.7])) == pytest.approx(np.exp(0.7j))
 
 
 def test_divdiff_two_node_closed_form():
-    z = np.array([0.0j, 2.0j])
+    y = np.array([0.0, 2.0])
     expected = (np.exp(2.0j) - 1.0) / 2.0j
-    assert divdiff_exp(z) == pytest.approx(expected, abs=1e-14)
+    assert divdiff_exp(y) == pytest.approx(expected, abs=1e-14)
 
 
 def test_divdiff_confluent_repeated_nodes():
     # divdiff(exp; a, a) = exp(a)
-    z = np.array([1.3j, 1.3j])
-    assert divdiff_exp(z) == pytest.approx(np.exp(1.3j), abs=1e-14)
+    y = np.array([1.3, 1.3])
+    assert divdiff_exp(y) == pytest.approx(np.exp(1.3j), abs=1e-14)
 
 
 def test_divdiff_production_matches_series_on_tight_clusters():
     rng = np.random.default_rng(5)
     for k in (2, 3, 4, 5):
         for s in (1e-8, 1e-6, 1e-5):
-            z = 1j * (3.0 + s * np.sort(rng.uniform(0, 1, k)))
-            assert divdiff_exp(z) == pytest.approx(divdiff_exp_series(z), abs=1e-14)
+            y = 3.0 + s * np.sort(rng.uniform(0, 1, k))
+            assert divdiff_exp(y) == pytest.approx(divdiff_exp_series(y), abs=1e-14)
 
 
 def test_divdiff_production_matches_direct_when_separated():
@@ -86,8 +86,7 @@ def test_divdiff_production_matches_direct_when_separated():
             y = np.sort(rng.uniform(-5, 5, k))
             if np.min(np.diff(y)) < 5e-2:
                 continue
-            z = 1j * y
-            a, b = divdiff_exp(z), divdiff_exp_direct(z)
+            a, b = divdiff_exp(y), divdiff_exp_direct(1j * y)
             assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
 
@@ -103,19 +102,19 @@ def test_divdiff_branch_agreement_in_overlap_band():
         for s in np.geomspace(lo, hi, 12):
             for base in (-15.0, 0.0, 7.3):
                 for f in shapes:
-                    z = 1j * (base + s * f)
-                    d = divdiff_exp_direct(z)
-                    t = divdiff_exp_series(z)
+                    y = base + s * f
+                    d = divdiff_exp_direct(1j * y)
+                    t = divdiff_exp_series(y)
                     assert abs(d - t) <= 1e-10 * max(1.0, abs(t))
 
 
 def test_divdiff_two_far_clusters():
     # forces the subset split: tight pairs at both ends of a wide gap
-    z = 1j * np.array([0.0, 1e-7, 2.5, 2.5 + 3e-8])
-    direct_wide = divdiff_exp(z)
+    y = np.array([0.0, 1e-7, 2.5, 2.5 + 3e-8])
+    direct_wide = divdiff_exp(y)
     # reference by perturbing the clusters apart slightly and Richardson-like check
-    z2 = 1j * np.array([0.0, 1e-3, 2.5, 2.5 + 1e-3])
-    assert abs(divdiff_exp(z2) - direct_wide) < 2e-3
+    y2 = np.array([0.0, 1e-3, 2.5, 2.5 + 1e-3])
+    assert abs(divdiff_exp(y2) - direct_wide) < 2e-3
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -129,18 +128,33 @@ def test_divdiff_matches_mpmath_across_the_regime_split(k):
             y = rng.uniform(-20, 20) + np.cumsum(gap * rng.uniform(0.5, 1.5, k))
             rows.append(rng.permutation(y))
     rows = np.array(rows)
-    batch = divdiff_exp(1j * rows)
+    batch = divdiff_exp(rows)
     with mpmath.workdps(60):
         for y, got in zip(rows, batch):
             ref = _mp_divdiff_exp(y, mpmath)
             assert abs(got - ref) <= 1e-13 * abs(ref)
-            assert divdiff_exp(1j * y) == got  # a row has the same bits alone
+            assert divdiff_exp(y) == got  # a row has the same bits alone
 
 
 def test_divdiff_rejects_bad_nodes():
-    for z in ([0.0, np.nan * 1j], [0.0, np.inf], [0.0, 1.0 + 2.0j]):
+    for y in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0 + 2.0j]):
         with pytest.raises(ValueError):
-            divdiff_exp(np.array(z, dtype=complex))
+            divdiff_exp(np.array(y))
+
+
+def test_divdiff_checks_phases_once_per_call(monkeypatch):
+    """The kernel checks its phase rows once per public call, however many
+    levels take the series: on 5-node rows of spread below 1 all four do."""
+    calls = []
+    check = fourier._phase_rows
+    monkeypatch.setattr(fourier, "_phase_rows", lambda y: calls.append(1) or check(y))
+    rows = np.random.default_rng(26).uniform(0.0, 0.9, (7, 5))
+    divdiff_exp(rows)
+    assert len(calls) == 1
+    assert isinstance(divdiff_exp(rows[0]), complex)
+    for y in (1j * rows, [0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            divdiff_exp(y)
 
 
 # -- the transform of a simplex (one pulled simplex) ---------------------------
@@ -255,6 +269,43 @@ def test_box_transform_matches_sinc_product(d, scale):
                                    rng.uniform(-3, 3, (7, d))])
     exact = np.prod(np.exp(-1j * np.pi * lams) * np.sinc(lams), axis=1)
     assert np.abs(ft_indicator(_box(d), lams) - exact).max() <= 1e-13
+
+
+# float.hex (re, im) of ft_indicator, numpy 2.4.6 with Python 3.11.7 on x86-64
+# Linux; another numpy, BLAS or CPU may move the last bit
+FT_BITS = {
+    1: [
+        ("0x1.1763ff045efc2p-2", "0x1.cee8d644435dap-4"),
+        ("0x1.bfffffa9c37b5p+0", "-0x1.b05d12fc489a3p-13"),
+        ("-0x1.c16db99c34145p-55", "0x1.45f306dc9c883p-3"),
+    ],
+    2: [
+        ("0x1.0f185979eca00p-13", "0x1.bf2831071c1bap-4"),
+        ("0x1.bfffff856c5f2p+1", "-0x1.12843cc791159p-11"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+    3: [
+        ("0x1.2cc85ca19a760p-9", "-0x1.ef0a6690c7fbep-9"),
+        ("0x1.bfffffb88e49dp-1", "-0x1.b739faf71ac09p-14"),
+        ("0x1.ffffffffffffep-61", "0x0.0p+0"),
+    ],
+    4: [
+        ("-0x1.1dfa6317630dap-9", "-0x1.4c4670114b6f7p-9"),
+        ("0x1.bfffffa930880p-1", "-0x1.f0dffd7b478f3p-14"),
+        ("-0x1.4000000000000p-61", "0x1.1319d7c4be5e8p-62"),
+    ],
+}
+
+
+def test_ft_indicator_keeps_its_bits(pentagon):
+    """One body per dimension (an interval, the pentagon, the cut cube and
+    the cut 4-cube) at a generic, a tiny and an integer frequency."""
+    bodies = {1: normalize([((1,), 1.5), ((-1,), 0.25)], 1), 2: pentagon,
+              3: _cut_box(3), 4: _cut_box(4)}
+    for d, P in bodies.items():
+        lams = np.array([[0.7, -1.3, 2.1, 0.4][:d], [3e-5, -1e-5, 2e-5, 5e-6][:d],
+                         [2.0, -1.0, 3.0, 1.0][:d]])
+        assert [(v.real.hex(), v.imag.hex()) for v in ft_indicator(P, lams)] == FT_BITS[d]
 
 
 def test_thin_simplex_4d_at_small_frequency():

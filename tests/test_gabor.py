@@ -43,6 +43,7 @@ from conftest import (
     PENTAGON_VERTICES,
     _mp_divdiff_exp,
     ball_cone_bounds,
+    certificate_hex,
     make_pentagon,
     make_unit_square,
     random_polygon,
@@ -1121,6 +1122,11 @@ def test_build_certificate_cut_cube_3d():
     assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
     assert cert.min_abs_scanned > 0
     assert cert.provenance.min_chain_slack >= -1e-12
+    # float.hex bits of numpy 2.4.6 with Python 3.11.7 on x86-64 Linux; another
+    # numpy, BLAS or CPU may move the last bit
+    assert certificate_hex(cert) == ["0x1.bb7cb20ca8a44p-2", "0x1.976d476e685d2p-2",
+                                     "0x1.d65e738eaf160p+0", "0x1.a28fffa976dcbp-12",
+                                     "0x1.bb7cb44cd95b0p-2"]
 
 
 def test_build_certificate_cut_4cube_4d():
@@ -1138,6 +1144,11 @@ def test_build_certificate_cut_4cube_4d():
     assert cert.eta - cert.C / cert.R >= cert.eta / 2 - 1e-12
     assert cert.min_abs_scanned > 0
     assert cert.provenance.min_chain_slack >= -1e-12
+    # float.hex bits of numpy 2.4.6 with Python 3.11.7 on x86-64 Linux; another
+    # numpy, BLAS or CPU may move the last bit
+    assert certificate_hex(cert) == ["0x1.9e746b9c968c9p-2", "0x1.976d476e685d5p-2",
+                                     "0x1.f7516a9a5a0c9p+0", "0x1.880206b29c6aap-12",
+                                     "0x1.9e746df784737p-2"]
     t, lam = cert.provenance.min_abs_point
     Q = fourier.apply_frame(P, cert.frame)
     assert abs(stft_indicator(Q, t, lam)) == cert.min_abs_scanned
