@@ -73,7 +73,7 @@ def _tf_set(path, P):
     return L
 
 
-def _ranges(text: str) -> list[tuple[float, float]]:
+def _ranges(text: str, count: int, flag: str) -> list[tuple[float, float]]:
     out = []
     for part in text.split(","):
         try:
@@ -84,6 +84,8 @@ def _ranges(text: str) -> list[tuple[float, float]]:
     if not np.all(np.isfinite(out)):
         raise ParseError(f"range {text!r} has a non-finite end")
     check_coordinates(np.array(out), f"range {text!r}")
+    if len(out) != count:
+        raise ParseError(f"{flag} needs {count} range{'s' * (count > 1)} lo:hi, got {len(out)}")
     return out
 
 
@@ -200,9 +202,7 @@ def cmd_scan(args) -> int:
     if args.field in ("ft", "stft_abs"):
         if not args.lambda_box:
             raise ParseError("box scans need --lambda-box")
-        ranges = _ranges(args.lambda_box)
-        if len(ranges) != d:
-            raise ParseError(f"--lambda-box needs {d} ranges")
+        ranges = _ranges(args.lambda_box, d, "--lambda-box")
         if args.grid < 2 or any(hi <= lo for lo, hi in ranges):
             raise ParseError("empty scan region")
         _grid_size(args.grid ** d, "--grid")
@@ -215,11 +215,11 @@ def cmd_scan(args) -> int:
             else ft_indicator(translate_intersection(P, t), mesh)
         pts = np.concatenate([np.broadcast_to(t, mesh.shape), mesh], axis=1)
     elif args.field == "gt_abs":
+        (lo, hi), = _ranges(args.lambda1, 1, "--lambda1") if args.lambda1 else [(10.0, 200.0)]
         if not args.certificate:
             from .errors import RegionFrameMissing
             raise RegionFrameMissing("gt_abs scans need --certificate for the frame")
         cert = gio.load_certificate(args.certificate, P.dim)
-        lo, hi = _ranges(args.lambda1)[0] if args.lambda1 else (10.0, 200.0)
         if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")
         _grid_size(args.grid * args.n_cross ** (d - 1), "--grid with --n-cross")

@@ -14,20 +14,21 @@ at most 1 take a mean-shifted series, the others the recurrence. Against
 elementwise, so it has the same bits in any batch, and the transforms of many
 bodies or facets share one batch of rows, ``_ft_simplices`` on stacked arrays.
 
-The evaluators read translate families (polytope.Family) at member indices:
-indicator transforms take the members' simplices from one family gather,
-``_simplices``, which the translate batches of an orthogonality check use
-too, and facet transforms (``axis_sigmas``, ``_boundary_residuals``) take a
-family's chart rows, each applying its tangent once for all members.
-``ft_indicator``, ``ft_facet_measure`` and ``divergence_residual`` are their
-one-member cases. One cutter, ``_runs``, splits consecutive items by a row
-budget: node rows reach the kernel in runs of at most _CHUNK_ROWS rows, and
-members reach a batch in runs of at most _BODY_ROWS (member x frequency)
-rows, so a certificate stage costs one batch per run.
+The evaluators read translate families (polytope.Family) at member indices.
+Indicator transforms are family transforms ``transform(parts, lams, n)`` of
+(family, members) parts, each member with its run of frequency rows: the exact
+``_ft_members`` and the oracle ``_quad_members``, both fed by gabor's one walk
+over time shifts. Facet transforms (``axis_sigmas``, ``_boundary_residuals``)
+take a family's chart rows, each applying its tangent once for all members.
+``ft_indicator``, ``ft_indicator_quadrature``, ``ft_facet_measure`` and
+``divergence_residual`` are one-member cases. One cutter, ``_runs``, splits
+consecutive items by a row budget: node rows reach the kernel in runs of at
+most _CHUNK_ROWS rows, and members reach a batch in runs of at most _BODY_ROWS
+(member x frequency) rows, so a certificate stage costs one batch per run.
 
-A deterministic midpoint-rule quadrature over the bounding box serves as the
-independent oracle for everything in this module; it sums the grid row by row
-in closed form, and an oracle value, too, has the same bits in any batch.
+The independent oracle is a deterministic midpoint rule over a member's
+bounding box that reads only its rows, offsets and vertices; it sums the grid
+row by row in closed form, and its values keep their bits in any batch.
 """
 
 from __future__ import annotations
@@ -223,22 +224,30 @@ def _ft_simplices(simp: np.ndarray, m, lams: np.ndarray, n) -> np.ndarray:
     return vals
 
 
-def _simplices(parts) -> tuple[np.ndarray, np.ndarray]:
-    """The family gather: the pulled simplices V[j][cells()] of the members
-    js of each (family, js) of parts, member by member, as one (M, d+1, d)
-    array, and each member's count of them."""
+def _ft_members(parts, lams: np.ndarray, n) -> np.ndarray:
+    """ft_indicator of the members js of each (family, js) of parts, member
+    by member, where member i has n[i] of the frequency rows lams (N, d) in
+    order: the exact family transform. The family gather V[j][cells()] of
+    every member goes to _ft_simplices in runs of at most _BODY_ROWS (member
+    x frequency) rows."""
     simps = [F.V[js][:, F.cells()] for F, js in parts]
-    return (np.concatenate([sp.reshape(-1, *sp.shape[2:]) for sp in simps]),
-            np.concatenate([np.full(sp.shape[0], sp.shape[1]) for sp in simps]))
+    simp = np.concatenate([sp.reshape(-1, *sp.shape[2:]) for sp in simps])
+    m = np.concatenate([np.full(sp.shape[0], sp.shape[1]) for sp in simps])
+    first, ends = np.cumsum(m) - m, np.cumsum(n)
+    vals = np.zeros(lams.shape[0], dtype=complex)
+    for run in _runs(n, _BODY_ROWS):
+        rows = slice(ends[run.start] - n[run.start], ends[run.stop - 1])
+        part = simp[first[run.start]:first[run.start] + m[run].sum()]
+        vals[rows] = _ft_simplices(part, m[run], lams[rows], n[run])
+    return vals
 
 
 def _ft_indicators(F: Family, js, lams: np.ndarray) -> np.ndarray:
     """ft_indicator of the members js of the family F at the frequency rows
-    lams (n, d), as a (len(js), n) array, all node rows through one
-    divided-difference batch."""
-    simp, m = _simplices([(F, js)])
-    vals = _ft_simplices(simp, m, np.tile(lams, (m.size, 1)), [lams.shape[0]] * m.size)
-    return vals.reshape(m.size, lams.shape[0])
+    lams (n, d), as a (len(js), n) array: the shared-frequency case of
+    _ft_members."""
+    k = F.members[js].size
+    return _ft_members([(F, js)], np.tile(lams, (k, 1)), np.full(k, lams.shape[0])).reshape(k, -1)
 
 
 def _one_member(evaluate, P: HPolytope, lams: np.ndarray) -> np.ndarray:
@@ -259,50 +268,56 @@ def ft_indicator(P: HPolytope, lam):
 
 
 def ft_indicator_quadrature(P: HPolytope, lam, n_per_axis: int):
-    """Midpoint-rule oracle for ft_indicator over the bounding box of P, at
-    each row of lam (n, d); a 1-D lam returns a complex.
-
-    The deterministic n^d midpoint grid over the bounding box is summed row by
-    row along the last axis. On a convex body the midpoints of a row that pass
-    the inside test A x <= b + 1e-12 form an index interval, and the exp sum
-    over an interval is a closed geometric series, so each frequency costs
-    n^(d-1) row terms. A run of _QUAD_CHUNK rows finds its intervals once for
-    all frequencies; each frequency then sums its terms alone, one pairwise
-    sum of a contiguous array, so a value has the same bits in any batch.
-    """
+    """Midpoint-rule oracle for ft_indicator at each row of lam (n, d); a 1-D
+    lam returns a complex: the one-member case of _quad_members."""
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be >= 2")
     lams, one = _freqs(lam, P.dim)
-    out = np.zeros(lams.shape[0], dtype=complex)
-    if P.empty or P.degenerate:
-        return complex(out[0]) if one else out
-    lo, hi = P.bounding_box()
-    d = P.dim
-    n = n_per_axis
-    h = (hi - lo) / n
-    cellvol = float(np.prod(h))
-    # the row sum over k = 0..L-1 of q^k with q = exp(-2 pi i theta) only
-    # depends on theta mod 1, so it is taken at phi = theta - rint(theta)
-    theta = lams[:, -1] * h[-1]
-    phi = theta - np.rint(theta)
-    n_rows = n ** (d - 1)
-    for start in range(0, n_rows, _QUAD_CHUNK):
-        rows = np.arange(start, min(start + _QUAD_CHUNK, n_rows))
-        idx = np.unravel_index(rows, (n,) * (d - 1)) if d > 1 else ()
-        idx = np.array(idx, dtype=np.int64).T.reshape(rows.size, d - 1)
-        X = lo[:-1] + (idx + 0.5) * h[:-1]
-        first, count = _midpoint_intervals(P.A, P.b, lo, h, n, X)
-        X, first, count = X[count > 0], first[count > 0], count[count > 0]
-        if count.size == 0:
-            continue
-        x0 = lo[-1] + (first + 0.5) * h[-1]
-        for f, (lam_f, phi_f) in enumerate(zip(lams, phi)):
-            phase = X @ lam_f[:-1] + x0 * lam_f[-1]
-            series = count * np.sinc(phi_f * count) / np.sinc(phi_f)
-            out[f] += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi_f * (count - 1))
-                       * series).sum()
-    out *= cellvol
-    return complex(out[0]) if one else out
+    vals = _one_member(lambda F, js, lams: _quad_members([(F, js)], lams, [lams.shape[0]],
+                                                         n_per_axis)[None], P, lams)
+    return complex(vals[0]) if one else vals
+
+
+def _quad_members(parts, lams: np.ndarray, n, n_per_axis: int) -> np.ndarray:
+    """The values of _ft_members by the midpoint-rule oracle, n_per_axis
+    points per axis, from each member j's arrays F.A, F.B[j] and F.V[j].
+
+    The deterministic grid of grid^d midpoints (grid = n_per_axis) over a
+    member's bounding box is summed row by row along the last axis. On a
+    convex body the midpoints of a row that pass the inside test A x <= b +
+    1e-12 form an index interval, and the exp sum over an interval is a
+    closed geometric series, so each frequency costs grid^(d-1) row terms. A run of _QUAD_CHUNK rows finds its
+    intervals once for all frequencies; each frequency then sums its terms
+    alone, one pairwise sum of a contiguous array, so a value has the same
+    bits in any batch.
+    """
+    vals = np.zeros(lams.shape[0], dtype=complex)
+    members = [(F, j) for F, js in parts for j in np.arange(F.members.size)[js]]
+    for (F, j), end, size in zip(members, np.cumsum(n), n):
+        out, lam = vals[end - size:end], lams[end - size:end]
+        lo, hi = F.V[j].min(axis=0), F.V[j].max(axis=0)
+        d, grid = F.A.shape[1], n_per_axis
+        h = (hi - lo) / grid
+        # the row sum over k = 0..L-1 of q^k with q = exp(-2 pi i theta) only
+        # depends on theta mod 1, so it is taken at phi = theta - rint(theta)
+        theta = lam[:, -1] * h[-1]
+        phi = theta - np.rint(theta)
+        n_rows = grid ** (d - 1)
+        for start in range(0, n_rows, _QUAD_CHUNK):
+            rows = np.arange(start, min(start + _QUAD_CHUNK, n_rows))
+            idx = np.unravel_index(rows, (grid,) * (d - 1)) if d > 1 else ()
+            idx = np.array(idx, dtype=np.int64).T.reshape(rows.size, d - 1)
+            X = lo[:-1] + (idx + 0.5) * h[:-1]
+            first, count = _midpoint_intervals(F.A, F.B[j], lo, h, grid, X)
+            X, first, count = X[count > 0], first[count > 0], count[count > 0]
+            x0 = lo[-1] + (first + 0.5) * h[-1]
+            for f, (lam_f, phi_f) in enumerate(zip(lam, phi)):
+                phase = X @ lam_f[:-1] + x0 * lam_f[-1]
+                series = count * np.sinc(phi_f * count) / np.sinc(phi_f)
+                out[f] += (np.exp(-2j * np.pi * phase - 1j * np.pi * phi_f * (count - 1))
+                           * series).sum()
+        out *= float(np.prod(h))
+    return vals
 
 
 def _midpoint_intervals(A, b, lo, h, n, X):

@@ -29,7 +29,6 @@ from .errors import (
     SymmetricInput,
     ZeroVolumeWindow,
 )
-from . import fourier
 from .fourier import (
     AxisFrame,
     ConeBound,
@@ -37,11 +36,11 @@ from .fourier import (
     _axis_residuals,
     _ball_cone_constant,
     _freqs,
+    _ft_members,
     _member_runs,
-    _runs,
+    _quad_members,
     apply_frame,
     axis_sigmas,
-    ft_indicator_quadrature,
 )
 from .polytope import (
     Facet,
@@ -186,17 +185,18 @@ def _per_volume(vals: np.ndarray, vol: float) -> np.ndarray:
     return (np.asarray(vals, dtype=complex).view(float) / vol).view(complex)
 
 
-def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.ndarray:
+def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
+           transform) -> np.ndarray:
     """V(t, lam) = ft_indicator(P intersect (P + t), lam) / vol(P) at each row
     of lams (n, d), whose rows come grouped by shift: counts[g] consecutive
     rows belong to the row shifts[g] of shifts (s, d).
 
-    One translate batch per SHIFT_BLOCK shifts: the simplices of its live
-    translates, family by family (the family gather fourier._simplices), go
-    to fourier._ft_simplices in runs that hold at most fourier._BODY_ROWS
-    rows, one division by vol(P) per run. An empty or degenerate translate
-    is in no family and gives zeros. The transform is elementwise, so a row
-    has the same bits in any batch.
+    One translate batch per SHIFT_BLOCK shifts: its live translates, family
+    by family, go with their frequency rows to the family transform
+    transform(parts, lams, n) (fourier._ft_members or _quad_members), one
+    division by vol(P) per batch. An empty or degenerate translate is in no
+    family and gives zeros. A transform is elementwise, so a row has the
+    same bits in any batch.
     """
     vol = _window_volume(P)
     counts = np.asarray(counts)
@@ -206,29 +206,11 @@ def _stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts) -> np.nda
         fams = _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK]).families
         if not fams:
             continue
-        # every live translate's simplices, and its count of them and shift
-        simp, m = fourier._simplices([(F, slice(None)) for F in fams])
-        first = np.cumsum(m) - m
         g = lo + np.concatenate([F.members for F in fams])
-        for run in _runs(counts[g], fourier._BODY_ROWS):
-            n = counts[g[run]]
-            rows = np.repeat(ends[g[run]] - np.cumsum(n), n) + np.arange(n.sum())
-            part = simp[first[run.start]:first[run.start] + m[run].sum()]
-            vals[rows] = _per_volume(fourier._ft_simplices(part, m[run], lams[rows], n), vol)
+        n = counts[g]
+        rows = np.repeat(ends[g] - np.cumsum(n), n) + np.arange(n.sum())
+        vals[rows] = _per_volume(transform([(F, slice(None)) for F in fams], lams[rows], n), vol)
     return vals
-
-
-def _midpoint_stfts(P: HPolytope, shifts: np.ndarray, lams: np.ndarray, counts,
-                    n_per_axis: int) -> np.ndarray:
-    """The values of _stfts by the midpoint-rule oracle, n_per_axis points
-    per axis: one body per shift, SHIFT_BLOCK shifts at a time, and one
-    ft_indicator_quadrature call (same bits in any batch) per body."""
-    vol = _window_volume(P)
-    rows = iter(np.split(lams, np.cumsum(counts)[:-1]))
-    vals = [ft_indicator_quadrature(Q, next(rows), n_per_axis)
-            for lo in range(0, shifts.shape[0], SHIFT_BLOCK)
-            for Q in _translate_intersections(P, shifts[lo:lo + SHIFT_BLOCK]).polytopes()]
-    return _per_volume(np.concatenate(vals), vol)
 
 
 def stft_indicator(P: HPolytope, t, lam):
@@ -236,7 +218,7 @@ def stft_indicator(P: HPolytope, t, lam):
     shift t at each row of lam (n, d); a 1-D lam returns a complex."""
     _window_volume(P)
     lams, one = _freqs(lam, P.dim)
-    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]])
+    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]], _ft_members)
     return complex(vals[0]) if one else vals
 
 
@@ -244,7 +226,10 @@ def stft_indicator_quadrature(P: HPolytope, t, lam, n_per_axis: int):
     """Independent midpoint-rule evaluation of the same STFT values."""
     _window_volume(P)
     lams, one = _freqs(lam, P.dim)
-    vals = _midpoint_stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]], n_per_axis)
+    if n_per_axis < 2:  # an empty translate never reaches the oracle
+        raise ValueError("n_per_axis must be >= 2")
+    vals = _stfts(P, np.reshape(t, (1, P.dim)), lams, [lams.shape[0]],
+                  lambda *batch: _quad_members(*batch, n_per_axis))
     return complex(vals[0]) if one else vals
 
 
@@ -503,7 +488,8 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     mutual orthogonality holds on the truncation. At most ``max_reports``
     (at least 1) violations are returned, largest |V| first selection,
     sorted lexicographically by (t, lam); each is re-confirmed against the
-    quadrature oracle when it is large enough for the oracle to resolve.
+    quadrature oracle when it is large enough for the oracle to resolve, by
+    the values' walk over time shifts (_stfts) with the oracle's transform.
     """
     if max_reports < 1:
         raise ValueError(f"max_reports must be at least 1, got {max_reports!r}")
@@ -515,7 +501,7 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     # each distinct difference is evaluated at the exact difference of its
     # generating pair
     W = L.points[first] - L.points[second]
-    values = _by_shift(_stfts, P, W)
+    values = _by_shift(_ft_members, P, W)
     # only values near the max_reports-th largest |V| can be reported: the
     # margin covers np.abs's last-bit difference from the complex abs they sort by
     mags = np.abs(values)
@@ -529,33 +515,32 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     return reports
 
 
-def _by_shift(evaluate, P: HPolytope, W: np.ndarray, *args) -> np.ndarray:
-    """evaluate(P, shifts, lams, counts, *args), _stfts or _midpoint_stfts,
-    at the rows (t, lam) of W, in W's order: the rows go stably sorted by
-    exact time shift, so each distinct shift is one run of rows."""
+def _by_shift(transform, P: HPolytope, W: np.ndarray) -> np.ndarray:
+    """_stfts by the family transform at the rows (t, lam) of W, in W's
+    order: the rows go stably sorted by exact time shift, so each distinct
+    shift is one run of rows."""
     d = P.dim
     shifts, inverse, counts = np.unique(W[:, :d], axis=0, return_inverse=True,
                                         return_counts=True)
     order = np.argsort(inverse, kind="stable")
     vals = np.empty(W.shape[0], dtype=complex)
-    vals[order] = evaluate(P, shifts, W[order, d:], counts, *args)
+    vals[order] = _stfts(P, shifts, W[order, d:], counts, transform)
     return vals
 
 
 def _confirm_violations(P: HPolytope, W: np.ndarray, hits) -> list[bool | None]:
     """Two-evaluator agreement of each hit (k, value at row k of W) with the
-    quadrature oracle, one translate per distinct time shift of the hits;
-    None when below the oracle's resolution, and for every hit when the
-    QUAD_N^(d-1) grid rows of a translate exceed QUAD_N^2 (d >= 4): the
+    midpoint oracle's family transform, one _stfts walk over the hits' time
+    shifts; None when below the oracle's resolution, and for every hit when
+    the QUAD_N^(d-1) grid rows of a translate exceed QUAD_N^2 (d >= 4): the
     oracle's error is measured at QUAD_N points per axis only."""
     grid_ok = QUAD_N ** (P.dim - 1) <= QUAD_N ** 2
     big = [n for n, (_, val) in enumerate(hits) if abs(val) >= 1e-3 and grid_ok]
     oks: list[bool | None] = [None] * len(hits)
-    if big:
-        qs = _by_shift(_midpoint_stfts, P, W[[hits[n][0] for n in big]], QUAD_N)
-        for n, q in zip(big, qs):
-            val = hits[n][1]
-            oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
+    qs = _by_shift(lambda *batch: _quad_members(*batch, QUAD_N), P, W[[hits[n][0] for n in big]])
+    for n, q in zip(big, qs):
+        val = hits[n][1]
+        oks[n] = abs(complex(q) - val) <= 0.3 * abs(val) + 1e-3
     return oks
 
 

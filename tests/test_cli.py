@@ -524,6 +524,9 @@ def test_vertex_input_is_accepted_up_to_dim_4(tmp_path, capsys):
     (["check-orth", "--lattice", "absent.json", "--tol-zero", "0"], "--tol-zero"),
     (["check-orth", "--lattice", "absent.json", "--tol-zero", "1"], "--tol-zero"),
     (["check-orth", "--lattice", "absent.json", "--max-reports", "-1"], "--max-reports"),
+    # checked before the (here absent) certificate is read
+    (["scan", "--field", "gt_abs", "--lambda1", "10:200,1:2", "--certificate", "absent.json"],
+     "--lambda1 needs 1 range lo:hi, got 2"),
 ])
 def test_flag_contract(argv, message, square_file, tmp_path, capsys):
     code = run(argv + ["--in", square_file, "--out", str(tmp_path / "o")])

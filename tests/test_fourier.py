@@ -297,15 +297,50 @@ FT_BITS = {
 }
 
 
-def test_ft_indicator_keeps_its_bits(pentagon):
-    """One body per dimension (an interval, the pentagon, the cut cube and
-    the cut 4-cube) at a generic, a tiny and an integer frequency."""
+def _bit_cases(pentagon):
+    """(d, body, frequencies): one body per dimension (an interval, the
+    pentagon, the cut cube and the cut 4-cube) at a generic, a tiny and an
+    integer frequency."""
     bodies = {1: normalize([((1,), 1.5), ((-1,), 0.25)], 1), 2: pentagon,
               3: _cut_box(3), 4: _cut_box(4)}
     for d, P in bodies.items():
-        lams = np.array([[0.7, -1.3, 2.1, 0.4][:d], [3e-5, -1e-5, 2e-5, 5e-6][:d],
-                         [2.0, -1.0, 3.0, 1.0][:d]])
+        yield d, P, np.array([[0.7, -1.3, 2.1, 0.4][:d], [3e-5, -1e-5, 2e-5, 5e-6][:d],
+                              [2.0, -1.0, 3.0, 1.0][:d]])
+
+
+def test_ft_indicator_keeps_its_bits(pentagon):
+    for d, P, lams in _bit_cases(pentagon):
         assert [(v.real.hex(), v.imag.hex()) for v in ft_indicator(P, lams)] == FT_BITS[d]
+
+
+# float.hex (re, im) of ft_indicator_quadrature at 40 points per axis, numpy
+# 2.4.6 with Python 3.11.7 on x86-64 Linux; another numpy, BLAS or CPU may
+# move the last bit
+QUAD_BITS = {
+    1: [
+        ("0x1.17d275dc43c4ep-2", "0x1.cf9fdc303b2a2p-4"),
+        ("0x1.bfffffa9c8ef1p+0", "-0x1.b05d12fc4ddd2p-13"),
+        ("-0x1.c723975f58097p-55", "0x1.4a173fd0e7a97p-3"),
+    ],
+    2: [
+        ("-0x1.310a4995afc54p-7", "0x1.a0602140ecebfp-4"),
+        ("0x1.c33332b89e76cp+1", "-0x1.127d35b53b7a0p-11"),
+        ("0x1.e6d94cc216328p-56", "-0x1.1637d8f2ee63ep-54"),
+    ],
+    3: [
+        ("0x1.2ed42fa49ea1cp-9", "-0x1.f268884d0e04cp-9"),
+        ("0x1.c33332eb0782fp-1", "-0x1.bb5ba340f608fp-14"),
+        ("-0x1.7abe34e423747p-59", "-0x1.dcec6bee8f6cbp-63"),
+    ],
+}
+
+
+def test_ft_indicator_quadrature_keeps_its_bits(pentagon):
+    """The oracle at the bodies and frequencies of the FT_BITS pins, d = 1-3."""
+    for d, P, lams in _bit_cases(pentagon):
+        if d in QUAD_BITS:
+            got = ft_indicator_quadrature(P, lams, 40)
+            assert [(v.real.hex(), v.imag.hex()) for v in got] == QUAD_BITS[d]
 
 
 def test_thin_simplex_4d_at_small_frequency():

@@ -74,10 +74,35 @@ def test_stft_pentagon_square_overlap(pentagon):
     assert abs(stft_indicator(pentagon, (-1.0, -1.0), (2.0, -1.0))) < 1e-12
 
 
-def test_stft_zero_volume_window_raises(unit_square):
+def test_stft_zero_volume_window_raises(unit_square, pentagon):
+    """Both STFT evaluators raise ZeroVolumeWindow on a degenerate window
+    before any other check, and the oracle raises ValueError below two
+    points per axis on a live translate and on an empty one (t = (5, 5))."""
     degenerate = translate_intersection(unit_square, (1.0, 0.0))
     with pytest.raises(ZeroVolumeWindow):
         stft_indicator(degenerate, (0, 0), (0, 0))
+    for n in (2, 1):
+        with pytest.raises(ZeroVolumeWindow):
+            stft_indicator_quadrature(degenerate, (0, 0), (0, 0), n)
+    for t in ((0.5, 0.5), (5.0, 5.0)):
+        with pytest.raises(ValueError, match="n_per_axis must be >= 2"):
+            stft_indicator_quadrature(pentagon, t, (1.0, 0.0), 1)
+
+
+# float.hex (re, im) of the pentagon's stft_indicator_quadrature at QUAD_N
+# points per axis, numpy 2.4.6 with Python 3.11.7 on x86-64 Linux; another
+# numpy, BLAS or CPU may move the last bit
+STFT_QUAD_BITS = [
+    ((-0.3, 0.2), (1.5, -0.5), ("0x1.1e029ce1ec582p-6", "0x1.7d47c8575530bp-7")),
+    ((1.0, -0.5), (0.25, 2.0), ("-0x1.a599f9fa5950ap-7", "0x1.a599ad3b274b7p-7")),
+    ((-1.2, -0.7), (-3.0, 0.75), ("0x1.001fdbce2b188p-8", "-0x1.552bc48328e27p-8")),
+]
+
+
+def test_stft_indicator_quadrature_keeps_its_bits(pentagon):
+    for t, lam, bits in STFT_QUAD_BITS:
+        v = stft_indicator_quadrature(pentagon, t, lam, gabor.QUAD_N)
+        assert (v.real.hex(), v.imag.hex()) == bits
 
 
 def test_stft_covariance_and_bound():
@@ -606,15 +631,16 @@ def test_confirmations_are_the_quadrature_stft_values(pentagon, monkeypatch):
     W = np.concatenate([rng.uniform(-1.5, 1.5, (5, 2)), rng.uniform(-2, 2, (5, 2))], axis=1)
     W[0, :2] = [3.0, 0.0]  # an empty translate
     for n in (40, gabor.QUAD_N):
+        oracle = functools.partial(fourier._quad_members, n_per_axis=n)
         want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W]
-        got = gabor._midpoint_stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, n)
+        got = gabor._stfts(pentagon, W[:, :2], W[:, 2:], [1] * 5, oracle)
         assert got.dtype == complex and got.tolist() == want
         # rows 1-3 share row 1's shift, row 4 keeps its own
         W2 = W.copy()
         W2[2:4, :2] = W[1, :2]
         want = [stft_indicator_quadrature(pentagon, w[:2], w[2:], n) for w in W2]
-        got = gabor._midpoint_stfts(pentagon, W2[[0, 1, 4], :2], W2[[0, 1, 2, 3, 4], 2:],
-                                    [1, 3, 1], n)
+        got = gabor._stfts(pentagon, W2[[0, 1, 4], :2], W2[[0, 1, 2, 3, 4], 2:],
+                           [1, 3, 1], oracle)
         assert got.tolist() == want
     batches = []
 
@@ -662,9 +688,10 @@ def test_check_orthogonality_float_points_report_their_pairs(pentagon):
 
 
 def test_check_orthogonality_makes_no_translate_polytope(pentagon, monkeypatch):
-    """The 40 float points above: the exact values come from the translate
-    families' arrays, so no HPolytope is made after the window; the oracle
-    confirmations make one body per confirmed shift."""
+    """The 40 float points above: the exact values and the oracle
+    confirmations both come from the translate families' arrays, so no
+    HPolytope is made after the window, with or without confirmations, nor
+    by stft_indicator_quadrature."""
     made = []
     init = polytope.HPolytope.__post_init__
 
@@ -677,7 +704,9 @@ def test_check_orthogonality_makes_no_translate_polytope(pentagon, monkeypatch):
     assert len(check_orthogonality(pentagon, L, 1e-9, max_reports=8, confirm=False)) == 8
     assert made == []
     out = check_orthogonality(pentagon, L, 1e-9, max_reports=8)
-    assert 0 < len(made) == sum(abs(r.value) >= 1e-3 for r in out)
+    assert any(r.confirmed for r in out) and made == []
+    w = out[0].v - out[0].v_prime
+    assert stft_indicator_quadrature(pentagon, w[:2], w[2:], 40) != 0 and made == []
 
 
 def _counted_kernel(monkeypatch):
