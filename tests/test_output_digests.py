@@ -3,31 +3,20 @@
 Every output file of the three benchmark workloads' steps at seed 0, plus a
 quadrature ``ft``, an ``stft`` and a small ``stft_abs`` scan of the pentagon,
 is pinned by its sha256. The workload inputs come from the benchmark's
-``workloads.py``, imported read-only, and every path is relative to the run
-directory, so the scan's ``# in`` line does not depend on where it runs. A
+``workloads.py``, imported read-only as ``test_perfbench`` loads it, and
+every path is relative to the run directory, so the scan's ``# in`` line
+does not depend on where it runs. A
 refactor that claims byte-identical output keeps these digests; a change
 that moves a value names the moved files and records their new digests.
 """
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 from gonb.cli import main
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
+from test_perfbench import workloads
 
 PENTAGON_STEPS = [
     ["ft", "--in", "window.json", "--lambda", "0.7,-1.3", "--quadrature", "2000",
