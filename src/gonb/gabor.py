@@ -274,9 +274,9 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int, tables: list):
 
     Without a window one block holds all m^2 pairs. With a window the points
     are grouped by their time tuple (the value indices of the window's d
-    time columns), and a group meets the points of the groups whose time
-    class with it can meet: its time key kappa passes, for every row a of
-    the window's A,
+    time columns), and each group is one block. A group g meets the points
+    of the groups h whose time class with it can meet: its time key kappa
+    passes, for every row a of the window's A,
 
         |<a, kappa>| / KEY_SCALE - slack <= w(a),
 
@@ -299,10 +299,8 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int, tables: list):
     candidates, which widens w. The all-zero class always passes, so every
     coincident pair is visited.
 
-    Consecutive groups with the same live groups share a block. A block of
-    several groups visits both signs of its classes (time is None). A block
-    of one group g visits only the live groups h whose time code, the sum
-    over the time columns c of tables[c][g_c, h_c], is not below the all-zero
+    Of the live groups, g visits only those whose time code, the sum over
+    the time columns c of tables[c][g_c, h_c], is not below the all-zero
     class's: the time columns are a code's most significant digits, so every
     pair of a lower class codes below the zero code, which the dedup never
     reads. The all-zero classes stay, so the coincidence check still sees
@@ -321,39 +319,29 @@ def _live_blocks(window: HPolytope | None, cols: list, m: int, tables: list):
     times = np.stack([idx[first] for idx, _, _ in cols[:d]], axis=1)
     order = np.argsort(group, kind="stable")
     sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
     _, V = next(_vertex_groups(A, (window.b + GEOM_TOL)[None], d))
     reach = V[0] @ A.T
     width = reach.max(axis=0) - reach.min(axis=0)
     slack = d * (1 + 2 * COORD_BOUND * KEY_SCALE * 2.0 ** -48) / KEY_SCALE
+    zero = sum(t[0, 0] for t in tables[:d])  # a table's diagonal holds the zero key
     n = times.shape[0]
-    live = np.empty((n, n), dtype=bool)  # group g meets group h
+    blocks = []
     # slabs of groups with at most PAIRS_PER_CHUNK (group pair, row of A) products
     step = max(1, PAIRS_PER_CHUNK // (n * A.shape[0]))
     for lo in range(0, n, step):
-        kappa = np.stack([keys[rank[np.ix_(times[lo:lo + step, c], times[:, c])]]
-                          for c, (_, rank, keys) in enumerate(cols[:d])], axis=-1)
-        live[lo:lo + step] = np.all(np.abs(kappa @ A.T) / KEY_SCALE - slack <= width,
-                                    axis=-1)
-    heads = np.flatnonzero(np.r_[True, np.any(live[1:] != live[:-1], axis=1)])
-    starts = np.cumsum(sizes) - sizes
-    bounds = np.append(starts[heads], m)
-    single = bounds[1:] - bounds[:-1] == sizes[heads]
-    blocks = [(order[lo:hi], order[np.repeat(live[g], sizes)], None)
-              for g, lo, hi in zip(heads[~single], bounds[:-1][~single], bounds[1:][~single])]
-    zero = sum(t[0, 0] for t in tables[:d])  # a table's diagonal holds the zero key
-    one = heads[single]
-    for lo in range(0, one.size, step):  # as many groups as a slab of keys
-        g = one[lo:lo + step]
-        # the (block b, live group h) pairs whose time code is not below zero's
-        b, h = np.nonzero(live[g])
-        code = sum(t[times[g[b], c], times[h, c]] for c, t in enumerate(tables[:d]))
-        ahead = code >= zero
-        b, h, code = b[ahead], h[ahead], code[ahead]
+        g = np.arange(lo, min(lo + step, n))
+        at = [np.ix_(times[g, c], times[:, c]) for c in range(d)]
+        kappa = np.stack([keys[rank[i]] for i, (_, rank, keys) in zip(at, cols)], axis=-1)
+        code = sum(t[i] for i, t in zip(at, tables))
+        # the (group b, live group h) pairs whose time code is not below zero's
+        b, h = np.nonzero(np.all(np.abs(kappa @ A.T) / KEY_SCALE - slack <= width, axis=-1)
+                          & (code >= zero))
         # the points of the kept groups h, end to end, and their time codes
         lens = sizes[h]
         ends = np.cumsum(lens)
         points = order[np.repeat(starts[h] - ends + lens, lens) + np.arange(lens.sum())]
-        time = np.repeat(code, lens)
+        time = np.repeat(code[b, h], lens)
         cuts = np.r_[0, ends][np.searchsorted(b, np.arange(g.size + 1))]
         blocks += [(order[starts[j]:starts[j] + sizes[j]], points[a:z], time[a:z])
                    for j, a, z in zip(g, cuts[:-1], cuts[1:])]
@@ -378,7 +366,7 @@ def _unique_signed_diffs(pts: np.ndarray, window: HPolytope | None = None):
 
     With a window, the table path visits only the pairs whose time class can
     meet (_live_blocks) and drops the differences of the other classes,
-    whose translates are surely empty; a block of one time group skips the
+    whose translates are surely empty; each time group's block skips the
     classes whose codes all lie below the zero code. On Z^4 in [-3,3]^4 and
     the unit square it visits 492,205 of the 5,764,801 pairs and keeps 760
     of the 14,280 differences. Every pair of a kept difference with a code
@@ -483,10 +471,10 @@ def check_orthogonality(P: HPolytope, L: TimeFrequencySet,
     pair of smallest first index and the value at that pair's difference.
     On the table path of _unique_signed_diffs, differences whose time class
     cannot meet P (see _live_blocks) are never formed: V is identically zero
-    there; the sort path forms every pair. The table path also skips most
-    pairs whose difference is the negative of a kept one. An empty list means
-    mutual orthogonality holds on the truncation. At most ``max_reports``
-    (at least 1) violations are returned, largest |V| first selection,
+    there; the sort path forms every pair. The table path also skips every
+    pair whose time class is negative. An empty list means mutual
+    orthogonality holds on the truncation. At most ``max_reports`` (at
+    least 1) violations are returned, largest |V| first selection,
     sorted lexicographically by (t, lam); each is re-confirmed against the
     quadrature oracle when it is large enough for the oracle to resolve, by
     the values' walk over time shifts (_stfts) with the oracle's transform.

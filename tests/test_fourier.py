@@ -33,6 +33,7 @@ from gonb.fourier import (
     apply_frame,
     axis_sigmas,
     boundary_volume_dm2,
+    cone_lambda_grid,
     divdiff_exp,
     divdiff_exp_direct,
     divdiff_exp_series,
@@ -856,8 +857,6 @@ def test_cone_constant_monotone_in_omega(pentagon):
 
 def test_cone_region_membership():
     """Every cone grid frequency lies in |lam_j| <= omega |lam_1|, j >= 2."""
-    from gonb.fourier import cone_lambda_grid
-
     for dim in (2, 3):
         grid = cone_lambda_grid(dim, 0.2, ConeScanParams(r0=5, r1=20, n_radial=6, n_cross=7))
         assert np.all(np.abs(grid[:, 1:]) <= 0.2 * grid[:, :1] * (1 + 1e-12))
@@ -867,8 +866,6 @@ def test_cone_region_membership():
 def test_cone_constant_matches_pointwise_scan(pentagon):
     """The batched scan of each ball translate against the loop over lam it
     replaced."""
-    from gonb.fourier import cone_lambda_grid
-
     frame = _pentagon_frame(pentagon)
     params = ConeScanParams(r0=10, r1=100, n_radial=12, n_cross=5)
     Q = apply_frame(pentagon, frame)
@@ -929,6 +926,84 @@ def test_cone_too_wide_detects_parallel_normal(pentagon):
         zero = np.zeros((1, 2))
         _ball_cone_constant(_translate_intersections(apply_frame(pentagon, frame), zero).families,
                             zero, 1.0, ConeScanParams(r0=10, r1=20, n_radial=4, n_cross=5))
+
+
+def _analytic_cone_bounds(F, omega):
+    """Per member of the framed translate family F, the sum over its G rows
+    (Family.axis_rows) of |n_1| V_{d-2}(boundary) / (2 pi sin theta(omega)),
+    with the ridge volumes of Family.charts and, for a unit normal n outside
+    the cone |lam'| <= omega lam_1, sin theta(omega) = (|n'| - omega |n_1|) /
+    sqrt(1 + omega^2) its sine of the angle to the cone; and the least such
+    sine (not positive when a normal lies in the cone)."""
+    bound, sins = np.zeros(F.members.size), []
+    for r in F.axis_rows[2]:
+        i, *_, ridge = F.charts[r]
+        n = F.A[i]
+        sins.append((np.linalg.norm(n[1:]) - omega * abs(n[0])) / math.sqrt(1 + omega ** 2))
+        bound += abs(n[0]) * ridge / (2 * np.pi * sins[-1])
+    return bound, min(sins)
+
+
+def _framed_families(P, eps, grid):
+    frame = build_axis_frame(P, *is_symmetric(P, 1e-9).witness)
+    shifts = ball_grid(P.dim, eps / frame.scale, *grid)
+    return _translate_intersections(apply_frame(P, frame), shifts).families, shifts
+
+
+def _random_polygons_outside_the_cone(omega, n):
+    """n random non-symmetric polygons whose framed G normals all lie
+    strictly outside the cone, with their eps 0.05 ball families."""
+    rng = np.random.default_rng(11)
+    out = []
+    while len(out) < n:
+        P = random_polygon(rng)
+        if is_symmetric(P, 1e-9).witness is None:
+            continue
+        fams, shifts = _framed_families(P, 0.05, (8, 2))
+        if min(_analytic_cone_bounds(F, omega)[1] for F in fams) > 0:
+            out.append((fams, shifts))
+    return out
+
+
+@pytest.mark.parametrize("case", ["pentagon", "cut cube", "cut 4-cube", "random polygons"])
+def test_sampled_cone_constant_is_below_the_analytic_bound(case):
+    """|sigma_F(lam)| <= V_{d-2}(boundary F) / (2 pi |lam| sin(lam, n_F))
+    (sigma_bound) and |lam_1| <= |lam|, so each translate's sampled
+    C_t = max |lam_1 G_t(lam)| over the cone grid is at most the analytic
+    bound when every G normal lies outside the cone. At omega 0.2: the
+    pentagon 0.398 <= 0.406, the cut cube 0.398 <= 0.693 and the cut 4-cube
+    0.398 <= 0.980; the ball's maximum is _ball_cone_constant's, and the
+    closed-form least sine is its sampled min_sin_theta, to the bit on the
+    flagships, whose cone grids reach the cone's edge along the normal."""
+    omega = 0.2
+    params = ConeScanParams(r0=1.0, r1=200.0, n_radial=32, n_cross=8)
+    if case == "random polygons":
+        balls = _random_polygons_outside_the_cone(omega, 12)
+    else:
+        P, eps, grid = {"pentagon": (make_pentagon(), 0.2, (8, 2)),
+                        "cut cube": (_cut_box(3), 0.1, (8, 2)),
+                        "cut 4-cube": (_cut_box(4), 0.1, (4, 1))}[case]
+        balls = [_framed_families(P, eps, grid)]
+    for fams, shifts in balls:
+        lams = cone_lambda_grid(shifts.shape[1], omega, params)
+        sampled, analytic, sins = [], [], []
+        for F in fams:
+            g = np.abs(lams[:, 0]) * np.abs(_boundary_residuals(F, slice(None), lams))
+            sampled.append(g.max(axis=1))
+            bound, low = _analytic_cone_bounds(F, omega)
+            analytic.append(bound)
+            sins.append(low)
+        sampled, analytic = np.concatenate(sampled), np.concatenate(analytic)
+        assert np.all(sampled <= analytic)
+        cone = _ball_cone_constant(fams, shifts, omega, params)
+        assert cone.value == sampled.max()
+        if case == "random polygons":
+            assert cone.min_sin_theta >= min(sins) * (1 - 1e-12)
+        else:
+            assert cone.min_sin_theta == min(sins)
+            want = {"pentagon": 0.406, "cut cube": 0.693, "cut 4-cube": 0.980}[case]
+            assert sampled.max() == pytest.approx(0.398, abs=1e-3)
+            assert analytic.max() == pytest.approx(want, abs=1e-3)
 
 
 # -- scan grid / CSV ---------------------------------------------------------------

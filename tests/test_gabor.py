@@ -358,7 +358,7 @@ def test_unique_signed_diffs_refuses_points_closer_than_the_resolution():
 
 def test_unique_signed_diffs_chunking_is_invisible(monkeypatch):
     # the straddling points take the sort path, the integer lattice the
-    # table; with the pentagon its blocks hold one or several time groups
+    # table; with the pentagon each time group is a block
     cases = _dedup_cases()
     for pts, window in ((cases["straddling"], None), (cases["integer"], None),
                         (cases["sheared"], make_pentagon())):
@@ -454,9 +454,10 @@ def _near_times():
 def _prune_cases():
     """(window, points): every dedup case with the window of its dimension,
     the three workload lattices with their windows, random non-symmetric
-    polygons on Z^4 in [-2,2]^4, the cut cube on Z^6 in [-1,1]^6, and the
-    unit square, whose time groups meet distinct groups, on a lattice with
-    time groups 3e-10 apart."""
+    polygons on Z^4 in [-2,2]^4, the cut cube on Z^6 in [-1,1]^6, the unit
+    square, whose time groups meet distinct groups, on a lattice with time
+    groups 3e-10 apart, and the unit square scaled 10x on Z^4 in [-2,2]^4,
+    where every time group meets every group."""
     cases = {f"dedup_{name}": (_prune_window(pts.shape[1] // 2), pts)
              for name, pts in _dedup_cases().items()}
     sets = _benchmark_sets()
@@ -469,7 +470,26 @@ def _prune_cases():
         cases[f"polygon_{n}"] = (random_polygon(rng, scale=0.8), grid)
     cases["cut_cube_6"] = (_cut_cube(), lattice_points(np.eye(6), np.zeros(6), [-1] * 6, [1] * 6))
     cases["near_times"] = (make_unit_square(), _near_times())
+    cases["wide_square"] = (normalize([((1, 0), 10), ((-1, 0), 0), ((0, 1), 10), ((0, -1), 0)], 2),
+                            grid)
     return cases
+
+
+def _recorded(monkeypatch) -> list:
+    """Record the blocks of each call of gabor._live_blocks."""
+    calls = []
+    live_blocks = gabor._live_blocks
+
+    def recorded(window, cols, m, tables):
+        calls.append(live_blocks(window, cols, m, tables))
+        return calls[-1]
+
+    monkeypatch.setattr(gabor, "_live_blocks", recorded)
+    return calls
+
+
+def _pairs(blocks) -> int:
+    return sum(rows.size * live.size for rows, live, _ in blocks)
 
 
 def _visits(monkeypatch) -> list:
@@ -479,7 +499,7 @@ def _visits(monkeypatch) -> list:
 
     def counted(window, cols, m, tables):
         blocks = live_blocks(window, cols, m, tables)
-        visits.append(sum(rows.size * live.size for rows, live, _ in blocks))
+        visits.append(_pairs(blocks))
         return blocks
 
     monkeypatch.setattr(gabor, "_live_blocks", counted)
@@ -521,16 +541,15 @@ def test_prune_drops_only_surely_empty_translates(name):
     # float sets take the sort path, which keeps every pair, and the scaled
     # dedup case spans no more than the pentagon
     keep_all = {"dedup_random", "dedup_straddling", "dedup_d1", "dedup_d3",
-                "dedup_d3_straddling", "dedup_single", "dedup_scaled"}
+                "dedup_d3_straddling", "dedup_single", "dedup_scaled", "wide_square"}
     assert (dropped.size == 0) == (name in keep_all)
 
 
 def test_prune_visits_the_pairs_of_the_live_classes(unit_square, monkeypatch):
     """Z^4 in [-3,3]^4 with the unit square: of the 13^2 time shifts only
     those with both |t_c| <= 1 can meet, so a time group meets at most 9 of
-    the 49 groups, 19^2 = 361 group pairs of 49^2 = 2,401 pairs each. No two
-    groups meet the same groups, so each block holds one group and visits
-    its 49 zero-class and 156 positive group pairs, not the 156 negative
+    the 49 groups, 19^2 = 361 group pairs of 49^2 = 2,401 pairs each. Each
+    group is one block and visits its 49 zero-class and 156 positive group pairs, not the 156 negative
     ones: (49 + 156) x 2,401 = 492,205 pairs, 361 x 2,401 = 866,761 in both
     signs. 760 differences of 14,280 and 5 distinct time shifts instead of
     85 are kept."""
@@ -572,8 +591,7 @@ def test_prune_keeps_check_orthogonality_reports(tol_zero, monkeypatch):
 @pytest.mark.parametrize("windowed", [False, True])
 @pytest.mark.parametrize("name", list(_prune_cases()))
 def test_sign_skip_keeps_the_dedup(name, windowed, monkeypatch):
-    """The dedup, whose one-group blocks skip their negative time classes,
-    returns the arrays of one that visits every live class in both signs."""
+    """The dedup, whose blocks skip their negative time classes, returns the arrays of one that visits every live class in both signs."""
     P, pts = _prune_cases()[name]
     window = P if windowed else None
     skipped = _unique_signed_diffs(pts, window)
@@ -584,29 +602,45 @@ def test_sign_skip_keeps_the_dedup(name, windowed, monkeypatch):
 
 @pytest.mark.parametrize("width", [200.0, 1.0])
 def test_sign_skip_keeps_the_dedup_on_a_time_line(width, monkeypatch):
-    """300 points (k/10, (k mod 2)/2): the window [0, 200] meets every time
-    class, so the 300 time groups share one block that visits both signs,
-    while [0, 1] gives each group a block of its own; either way the dedup
-    equals the one that visits every live class in both signs."""
+    """300 points (k/10, (k mod 2)/2): each of the 300 time groups is a block
+    of its own, whatever the window. The window [0, 200] meets every time
+    class, and the blocks visit the 300 x 301 / 2 = 45,150 pairs whose class
+    is not negative (one block of both signs visited all 90,000); [0, 1]
+    meets few, 3,245 pairs. Either way the dedup equals the one that visits
+    every live class in both signs."""
     pts = np.array([(k / 10, (k % 2) / 2) for k in range(300)])
     window = normalize([((1,), width), ((-1,), 0.0)], 1)
-    blocks = []
-    live_blocks = gabor._live_blocks
-
-    def recorded(*args):
-        blocks.extend(live_blocks(*args))
-        return blocks
-
     with monkeypatch.context() as mp:
-        mp.setattr(gabor, "_live_blocks", recorded)
+        calls = _recorded(mp)
         skipped = _unique_signed_diffs(pts, window)
-    if width > 1:
-        assert len(blocks) == 1 and blocks[0][2] is None
-    else:
-        assert len(blocks) == 300 and all(t is not None for _, _, t in blocks)
+    (blocks,) = calls
+    assert len(blocks) == 300 and all(rows.size == 1 and t is not None for rows, _, t in blocks)
+    assert _pairs(blocks) == (45_150 if width > 1 else 3_245)
     _every_sign(monkeypatch)
     for a, b in zip(skipped, _unique_signed_diffs(pts, window)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, groups, pairs", [("integer", 49, 492_205),
+                                                 ("sheared", 25, 96_500),
+                                                 ("scaled", 15, 137_700),
+                                                 ("wide_square", 25, 203_125)])
+def test_every_time_group_is_one_block(name, groups, pairs, monkeypatch):
+    """With a window, each time group is one block, whose time codes stand in
+    for the time columns of every live point. The traffic of the workload
+    lattices: orth-square's integer lattice and orth-pentagon's sheared and
+    scaled ones. Z^4 in [-2,2]^4 with the unit square scaled 10x meets every
+    class: its 25 groups of 25 points visit the 25 x 26 / 2 = 325 group
+    pairs whose class is not negative, 325 x 625 = 203,125 pairs, where one
+    block of both signs visited all 390,625."""
+    P, pts = _prune_cases()[name]
+    calls = _recorded(monkeypatch)
+    _unique_signed_diffs(pts, P)
+    (blocks,) = calls
+    assert len(blocks) == groups and _pairs(blocks) == pairs
+    for rows, live, time in blocks:
+        assert np.unique(pts[rows, :P.dim], axis=0).shape[0] == 1
+        assert time.shape == live.shape
 
 
 def test_prune_still_refuses_near_coincident_points(unit_square, monkeypatch):

@@ -2,7 +2,8 @@
 
 Every output file of the three benchmark workloads' steps at seed 0, plus a
 quadrature ``ft``, an ``stft`` and a small ``stft_abs`` scan of the pentagon,
-is pinned by its sha256. The workload inputs come from the benchmark's
+is pinned by its sha256, and so are two ``check-orth`` reports whose time
+groups meet every group, which the workloads' lattices never do. The workload inputs come from the benchmark's
 ``workloads.py``, imported read-only as ``test_perfbench`` loads it, and
 every path is relative to the run directory, so the scan's ``# in`` line
 does not depend on where it runs. A
@@ -11,6 +12,7 @@ that moves a value names the moved files and records their new digests.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,32 @@ def test_workload_outputs_keep_their_bytes(name, tmp_path, monkeypatch):
     got = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
            for path in sorted(DIGESTS[name])}
     assert got == DIGESTS[name]
+
+
+def _halfspaces(rows) -> dict:
+    return {"dim": len(rows[0][0]),
+            "halfspaces": [{"normal": list(n), "offset": c} for n, c in rows]}
+
+
+# check-orth --max-reports 8 inputs: Z^4 in [-2,2]^4 with the unit square
+# scaled 10x, and the 300 points (k/10, (k mod 2)/2) with the window [0, 200]
+WIDE_WINDOWS = {
+    "square": (_halfspaces([((1, 0), 10), ((-1, 0), 0), ((0, 1), 10), ((0, -1), 0)]),
+               {"lattice": {"basis": [[float(i == j) for j in range(4)] for i in range(4)],
+                            "shift": [0.0] * 4, "box": {"lo": [-2.0] * 4, "hi": [2.0] * 4}}},
+               "f5ed75ad421c5338eee887b3c91775a8b7cfab705dbd7a9202ea0b69f5ed8dcc"),
+    "line": (_halfspaces([((1,), 200), ((-1,), 0)]),
+             {"points": [[k / 10, (k % 2) / 2] for k in range(300)]},
+             "f1ec2ed1e801b6a3633a05c561dc982aa3fb050b02f9393e8e8a1294dfe9b7ac"),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_WINDOWS))
+def test_wide_window_reports_keep_their_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    window, points, digest = WIDE_WINDOWS[name]
+    Path("window.json").write_text(json.dumps(window))
+    Path("points.json").write_text(json.dumps(points))
+    assert main(["check-orth", "--in", "window.json", "--lattice", "points.json",
+                 "--max-reports", "8", "--out", "orth.out.json"]) == 0
+    assert hashlib.sha256(Path("orth.out.json").read_bytes()).hexdigest() == digest
