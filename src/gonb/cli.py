@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as gio
-from .errors import ParseError, PreconditionError, ScanFailure, WorkbenchError
+from .errors import ParseError, PreconditionError, RegionFrameMissing, ScanFailure, WorkbenchError
 from .fourier import (
     AxisFrame,
     ConeScanParams,
@@ -217,15 +217,17 @@ def cmd_scan(args) -> int:
     elif args.field == "gt_abs":
         (lo, hi), = _ranges(args.lambda1, 1, "--lambda1") if args.lambda1 else [(10.0, 200.0)]
         if not args.certificate:
-            from .errors import RegionFrameMissing
             raise RegionFrameMissing("gt_abs scans need --certificate for the frame")
         cert = gio.load_certificate(args.certificate, P.dim)
         if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")
-        _grid_size(args.grid * args.n_cross ** (d - 1), "--grid with --n-cross")
+        # the cross section has n_cross rows in 2-d and more than the
+        # n_cross^(d-2) ball_grid directions that it walks in 3-d and 4-d
+        _grid_size(args.grid * args.n_cross ** (d - 2 if d > 2 else d - 1),
+                   "--grid with --n-cross")
+        params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid, n_cross=args.n_cross)
+        _grid_size(args.grid * len(params.cross_section(d, cert.omega)), "--grid with --n-cross")
         check_certificate_window(P, cert)
-        params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid,
-                                n_cross=args.n_cross)
         mesh = cone_lambda_grid(d, cert.omega, params)
         t = _vector(args.t, d) if args.t else np.zeros(d)
         config.update({"t": list(map(float, t)), "lambda1": f"{lo}:{hi}",

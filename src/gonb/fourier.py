@@ -577,16 +577,24 @@ def divergence_residual(P_t: HPolytope, frame: AxisFrame, lams,
 
 @dataclass(frozen=True)
 class ConeScanParams:
-    """Grid for the cone constant: log-spaced axial frequencies and uniform
-    cross-section fractions."""
+    """Grid for the cone constant: log-spaced axial frequencies and the
+    cone's cross sections (cross_section)."""
 
     r0: float = 10.0
     r1: float = 200.0
     n_radial: int = 64
     n_cross: int = 16
 
-    def cross_fractions(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.n_cross)
+    def cross_section(self, dim: int, omega: float) -> np.ndarray:
+        """The rows u, |u| <= omega, of the cone frequencies lam1 * (1, u):
+        u = () in 1-d, n_cross uniform fractions of omega in 2-d, and in 3-d
+        and 4-d the ball_grid directions at omega and omega / 2, and u = 0."""
+        if dim == 1:
+            return np.zeros((1, 0))
+        if dim == 2:
+            return omega * np.linspace(-1.0, 1.0, self.n_cross)[:, None]
+        dirs = ball_grid(dim - 1, 1.0, self.n_cross, 1, include_origin=False)
+        return np.concatenate([omega * dirs, 0.5 * omega * dirs, np.zeros((1, dim - 1))])
 
 
 @dataclass(frozen=True)
@@ -600,17 +608,9 @@ class ConeBound:
 
 
 def cone_lambda_grid(dim: int, omega: float, params: ConeScanParams) -> np.ndarray:
-    """Frequencies lam = lam1 * (1, u), |u_j| <= omega, lam1 log-spaced."""
+    """Frequencies lam = lam1 * (1, u), u in params.cross_section, lam1 log-spaced."""
     lam1 = np.geomspace(params.r0, params.r1, params.n_radial)
-    if dim == 1:
-        return lam1[:, None]
-    if dim == 2:
-        cross = (omega * params.cross_fractions())[:, None]
-    else:
-        dirs = ball_grid(dim - 1, 1.0, params.n_cross, 1, include_origin=False)
-        cross = np.concatenate(
-            [omega * dirs, 0.5 * omega * dirs, np.zeros((1, dim - 1))]
-        )
+    cross = params.cross_section(dim, omega)
     r = np.repeat(lam1, cross.shape[0])[:, None]
     return np.concatenate([r, r * np.tile(cross, (lam1.size, 1))], axis=1)
 
@@ -624,28 +624,24 @@ def _ball_cone_constant(fams, shifts: np.ndarray, omega: float,
 
     Takes the first maximum of |lam_1| * |G(lam)| in (shift, lam) order from
     boundary-route residual batches over runs of family members, with the
-    smallest angle seen between a scanned direction and the normal of a G
-    row (_axis_rows), whose rows the batches hold. Raises ConeTooWide when a
-    scanned direction is within GEOM_TOL of such a normal, for the first
-    such translate in shift order.
+    least sine of the angle between the cone |lam'| <= omega lam_1 and a unit
+    G-row normal n = (n_1, n') (_axis_rows), (|n'| - omega |n_1|) / sqrt(1 +
+    omega^2), 1.0 with no G row. Raises ConeTooWide when that sine is at most
+    GEOM_TOL, naming omega_max = min |n'| / |n_1|.
     """
     d = shifts.shape[1]
+    normals = np.concatenate([np.zeros((0, d))] + [
+        F.A[[F.charts[r][0] for r in _axis_rows(F)[2]]] for F in fams])
+    tails, heads = np.linalg.norm(normals[:, 1:], axis=1), np.abs(normals[:, 0])
+    min_sin = float(((tails - omega * heads) / math.sqrt(1 + omega ** 2)).min(initial=1.0))
+    if min_sin <= GEOM_TOL:
+        raise ConeTooWide(f"the cone |lam'| <= {omega} lam_1 holds a facet normal (signed sin "
+                          f"theta {min_sin:.3e}); omega_max = {float(np.min(tails / heads))}")
     lam_grid = cone_lambda_grid(d, omega, params)
-    min_sin = 1.0
     # each shift's first maximum over the grid, 0 at lam index 0 for G = 0
     best, arg = np.zeros(shifts.shape[0]), np.zeros(shifts.shape[0], dtype=np.intp)
-    for F in sorted(fams, key=lambda F: F.members[0]):
-        g = _axis_rows(F)[2]
-        normals = F.A[[F.charts[r][0] for r in g]].reshape(-1, d)
-        along = (lam_grid @ normals.T)[:, :, None] * normals
-        sins = (np.linalg.norm(lam_grid[:, None, :] - along, axis=2)
-                / np.linalg.norm(lam_grid, axis=1)[:, None])
-        low = float(sins.min(initial=1.0))
-        if low < GEOM_TOL:
-            raise ConeTooWide(f"scanned direction parallel to a facet normal "
-                              f"(min sin theta = {low:.3e})")
-        min_sin = min(min_sin, low)
-        for run in _runs([len(g) * lam_grid.shape[0]] * F.members.size, _BODY_ROWS):
+    for F in fams:
+        for run in _runs([len(F.axis_rows[2]) * lam_grid.shape[0]] * F.members.size, _BODY_ROWS):
             vals = np.abs(lam_grid[:, 0]) * np.abs(_boundary_residuals(F, run, lam_grid))
             k = np.argmax(vals, axis=1)
             best[F.members[run]], arg[F.members[run]] = vals[np.arange(k.size), k], k

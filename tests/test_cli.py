@@ -14,10 +14,18 @@ import numpy as np
 import pytest
 
 import gonb
+from gonb import cli
 from gonb.cli import main
-from gonb import ConeScanParams, apply_frame, stft_indicator
+from gonb import (
+    CertificateScanParams,
+    ConeScanParams,
+    apply_frame,
+    build_certificate,
+    normalize,
+    stft_indicator,
+)
 from gonb.fourier import _ball_cone_constant
-from gonb.io import load_certificate, load_polytope, polytope_to_dict
+from gonb.io import certificate_to_dict, load_certificate, load_polytope, polytope_to_dict
 from gonb.polytope import _translate_intersections
 
 from conftest import make_pentagon, sphere_points
@@ -618,6 +626,56 @@ def test_empty_gt_abs_region(argv, tmp_path, capsys):
                        "--out", str(tmp_path / "o")])
     assert code == 2
     assert "empty scan region" in capsys.readouterr().err
+
+
+def test_certificate_cone_holding_a_g_normal_exits_3(tmp_path, capsys):
+    """omega 2 puts the pentagon's framed slant normal inside the cone."""
+    window = _write(tmp_path, "p.json", _PENTAGON_HALFSPACES)
+    code = run(["certificate", "--in", window, "--eps", "0.2", "--omega", "2",
+                "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("ConeTooWide") and "omega_max = 1.0" in err
+
+
+def _cut_box_files(tmp_path, d):
+    """The unit d-cube cut by x_1 + x_2 <= 1.5 (a pentagon in 2-d) and its
+    certificate at tiny grids (eps 0.1, omega 0.2), as files."""
+    box = [(tuple(s * e), 1.0 if s > 0 else 0.0) for e in np.eye(d) for s in (1, -1)]
+    P = normalize(box + [((1.0, 1.0) + (0.0,) * (d - 2), 1.5)], d)
+    cert = build_certificate(P, 0.1, 0.2, CertificateScanParams(
+        n_lambda1=4, n_cross=3, n_t_angles=2, n_t_radii=1, cone_n_radial=4, cone_n_cross=2))
+    return (_write(tmp_path, f"w{d}.json", polytope_to_dict(P)),
+            _write(tmp_path, f"c{d}.json", certificate_to_dict(cert)))
+
+
+# cone grid rows per lam_1: n_cross in 2-d, 2 k + 1 in 3-d and 4-d, with the
+# k = n_cross ball_grid directions in 3-d and k = n (n - 2) + 2 in 4-d (1 for n = 1)
+@pytest.mark.parametrize("d, n_cross, rows", [
+    (2, 5, 5), (3, 1, 3), (3, 16, 33), (4, 1, 3), (4, 3, 11), (4, 6, 53),
+])
+def test_gt_abs_size_bound_counts_the_built_grid(d, n_cross, rows, tmp_path, capsys,
+                                                 monkeypatch):
+    """A gt_abs scan of --grid 3 is admitted exactly when its 3 x rows built
+    frequencies fit MAX_SCAN_POINTS."""
+    window, cert = _cut_box_files(tmp_path, d)
+    argv = ["scan", "--in", window, "--field", "gt_abs", "--certificate", cert,
+            "--grid", "3", "--n-cross", str(n_cross), "--out", str(tmp_path / "gt.csv")]
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 3 * rows - 1)
+    assert run(argv) == 2
+    assert f"--grid with --n-cross gives {3 * rows} points" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 3 * rows)
+    assert run(argv) == 0
+    lines = (tmp_path / "gt.csv").read_text().splitlines()
+    assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 3 * rows
+
+
+def test_gt_abs_direction_walk_bounded_before_it_runs(tmp_path, capsys):
+    """A 4-d gt_abs scan with --n-cross 2000 is refused before the 4,000,000
+    ball_grid directions of its cross section are walked."""
+    window, cert = _cut_box_files(tmp_path, 4)
+    _traced_refusal(["scan", "--in", window, "--field", "gt_abs", "--certificate", cert,
+                     "--grid", "2", "--n-cross", "2000", "--out", str(tmp_path / "o")], capsys)
 
 
 def _oversize_inputs(tmp_path):

@@ -944,41 +944,61 @@ def _analytic_cone_bounds(F, omega):
     return bound, min(sins)
 
 
+def _sampled_min_sin(fams, lams):
+    """The least sine of the angle between a frequency of the cone grid lams
+    and a G-row normal of the families fams, 1.0 with no G row: the sampled
+    minimum that _ball_cone_constant took before its closed form."""
+    low = 1.0
+    for F in fams:
+        normals = F.A[[F.charts[r][0] for r in F.axis_rows[2]]].reshape(-1, lams.shape[1])
+        along = (lams @ normals.T)[:, :, None] * normals
+        sins = (np.linalg.norm(lams[:, None, :] - along, axis=2)
+                / np.linalg.norm(lams, axis=1)[:, None])
+        low = min(low, float(sins.min(initial=1.0)))
+    return low
+
+
 def _framed_families(P, eps, grid):
     frame = build_axis_frame(P, *is_symmetric(P, 1e-9).witness)
     shifts = ball_grid(P.dim, eps / frame.scale, *grid)
     return _translate_intersections(apply_frame(P, frame), shifts).families, shifts
 
 
-def _random_polygons_outside_the_cone(omega, n):
-    """n random non-symmetric polygons whose framed G normals all lie
-    strictly outside the cone, with their eps 0.05 ball families."""
+def _random_bodies_outside_the_cone(draw, omega, n, grid):
+    """n random non-symmetric bodies from draw whose framed G normals all lie
+    strictly outside the cone, with their eps 0.05 ball families on the
+    ball_grid (n_angles, n_radii) grid."""
     rng = np.random.default_rng(11)
     out = []
     while len(out) < n:
-        P = random_polygon(rng)
+        P = draw(rng)
         if is_symmetric(P, 1e-9).witness is None:
             continue
-        fams, shifts = _framed_families(P, 0.05, (8, 2))
+        fams, shifts = _framed_families(P, 0.05, grid)
         if min(_analytic_cone_bounds(F, omega)[1] for F in fams) > 0:
             out.append((fams, shifts))
     return out
 
 
-@pytest.mark.parametrize("case", ["pentagon", "cut cube", "cut 4-cube", "random polygons"])
+@pytest.mark.parametrize("case", ["pentagon", "cut cube", "cut 4-cube", "random polygons",
+                                  "random 3-d bodies"])
 def test_sampled_cone_constant_is_below_the_analytic_bound(case):
     """|sigma_F(lam)| <= V_{d-2}(boundary F) / (2 pi |lam| sin(lam, n_F))
     (sigma_bound) and |lam_1| <= |lam|, so each translate's sampled
     C_t = max |lam_1 G_t(lam)| over the cone grid is at most the analytic
     bound when every G normal lies outside the cone. At omega 0.2: the
     pentagon 0.398 <= 0.406, the cut cube 0.398 <= 0.693 and the cut 4-cube
-    0.398 <= 0.980; the ball's maximum is _ball_cone_constant's, and the
-    closed-form least sine is its sampled min_sin_theta, to the bit on the
-    flagships, whose cone grids reach the cone's edge along the normal."""
+    0.398 <= 0.980; the ball's maximum is _ball_cone_constant's. Its
+    min_sin_theta, the closed-form least sine over the whole cone, is at
+    most the least sine sampled over the cone grid (_sampled_min_sin, up to
+    rounding), and equal to it to the bit on the flagships, whose cone grids
+    reach the cone's edge along the normal."""
     omega = 0.2
     params = ConeScanParams(r0=1.0, r1=200.0, n_radial=32, n_cross=8)
     if case == "random polygons":
-        balls = _random_polygons_outside_the_cone(omega, 12)
+        balls = _random_bodies_outside_the_cone(random_polygon, omega, 12, (8, 2))
+    elif case == "random 3-d bodies":
+        balls = _random_bodies_outside_the_cone(random_polytope_3d, omega, 6, (4, 1))
     else:
         P, eps, grid = {"pentagon": (make_pentagon(), 0.2, (8, 2)),
                         "cut cube": (_cut_box(3), 0.1, (8, 2)),
@@ -997,10 +1017,11 @@ def test_sampled_cone_constant_is_below_the_analytic_bound(case):
         assert np.all(sampled <= analytic)
         cone = _ball_cone_constant(fams, shifts, omega, params)
         assert cone.value == sampled.max()
-        if case == "random polygons":
-            assert cone.min_sin_theta >= min(sins) * (1 - 1e-12)
+        assert abs(cone.min_sin_theta - min(sins)) <= 1e-15
+        if case.startswith("random"):
+            assert cone.min_sin_theta <= _sampled_min_sin(fams, lams) * (1 + 1e-12)
         else:
-            assert cone.min_sin_theta == min(sins)
+            assert cone.min_sin_theta == _sampled_min_sin(fams, lams) == min(sins)
             want = {"pentagon": 0.406, "cut cube": 0.693, "cut 4-cube": 0.980}[case]
             assert sampled.max() == pytest.approx(0.398, abs=1e-3)
             assert analytic.max() == pytest.approx(want, abs=1e-3)

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -15,9 +16,11 @@ from gonb import (
     CertificateMismatch,
     CertificateScanParams,
     ConeScanParams,
+    ConeTooWide,
     MarginVanished,
     NotFound,
     ParseError,
+    ScanFailure,
     SymmetricInput,
     TimeFrequencySet,
     ZeroVolumeWindow,
@@ -1285,6 +1288,64 @@ def test_build_certificate_margin_vanishes_for_large_eps(pentagon):
     # |t| <= 2 contains the symmetrizing translate (-1, -1)
     with pytest.raises(MarginVanished):
         build_certificate(pentagon, 2.0, 0.2, SMALL_PARAMS)
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.01, 2.0, 10.0, 1e6])
+def test_build_certificate_refuses_a_cone_that_holds_a_g_normal(pentagon, omega, monkeypatch):
+    """The pentagon's framed slant normal (1, -1) / sqrt(2) lies in the
+    closed cone |lam'| <= omega lam_1 from omega_max = 1 on: the certificate
+    refuses before any cone residual and names omega_max."""
+    def no_residual(*args):
+        raise AssertionError("cone residual evaluated")
+
+    monkeypatch.setattr(fourier, "_boundary_residuals", no_residual)
+    with pytest.raises(ConeTooWide, match=r"omega_max = 1\.0$"):
+        build_certificate(pentagon, 0.2, omega)
+
+
+def test_build_certificate_certifies_just_below_omega_max(pentagon):
+    """At omega 0.99 the slant normal lies outside the cone, at the sine
+    (1 - 0.99) / sqrt(2 (1 + 0.99^2)), and C = 31.8."""
+    cert = build_certificate(pentagon, 0.2, 0.99)
+    sine = 0.01 / math.sqrt(2 * (1 + 0.99 ** 2))
+    assert cert.provenance.cone.min_sin_theta == pytest.approx(sine, rel=1e-9)
+    assert cert.C == pytest.approx(31.824, abs=1e-3)
+
+
+def _framed_g_normals(P, frame):
+    """The unit normals of the framed window's G rows (Family.axis_rows)."""
+    F, = _translate_intersections(fourier.apply_frame(P, frame), np.zeros((1, P.dim))).families
+    return F.A[[F.charts[r][0] for r in F.axis_rows[2]]]
+
+
+def test_random_polygon_certificates_keep_every_g_normal_outside_the_cone():
+    """Of 40 random polygons at eps 0.05, omega 0.2 and reduced grids, every
+    certificate that builds has every framed G normal n = (n_1, n') strictly
+    outside the cone, |n'| > omega |n_1|, and every ConeTooWide names
+    omega_max = min |n'| / |n_1| below omega."""
+    rng = np.random.default_rng(2026)
+    params = CertificateScanParams(n_lambda1=6, n_cross=5, n_t_angles=4, n_t_radii=1,
+                                   cone_n_radial=8, cone_n_cross=4)
+    omega, outcomes = 0.2, {"built": 0, "refused": 0}
+    for _ in range(40):
+        P = random_polygon(rng)
+        rep = is_symmetric(P)
+        if rep.witness is None:
+            continue
+        normals = _framed_g_normals(P, build_axis_frame(P, *rep.witness))
+        ratios = np.linalg.norm(normals[:, 1:], axis=1) / np.abs(normals[:, 0])
+        try:
+            cert = build_certificate(P, 0.05, omega, params)
+        except ConeTooWide as exc:
+            outcomes["refused"] += 1
+            named = float(re.search(r"omega_max = (\S+)$", str(exc)).group(1))
+            assert named == ratios.min() < omega
+            continue
+        except (MarginVanished, ScanFailure):
+            continue
+        outcomes["built"] += 1
+        assert np.all(ratios > omega) and cert.provenance.cone.min_sin_theta > 0
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def _frame_bits(frame):
