@@ -221,12 +221,8 @@ def cmd_scan(args) -> int:
         cert = gio.load_certificate(args.certificate, P.dim)
         if args.grid < 2 or args.n_cross < 1 or not 0 < lo < hi:
             raise ParseError("empty scan region")
-        # the cross section has n_cross rows in 2-d and more than the
-        # n_cross^(d-2) ball_grid directions that it walks in 3-d and 4-d
-        _grid_size(args.grid * args.n_cross ** (d - 2 if d > 2 else d - 1),
-                   "--grid with --n-cross")
         params = ConeScanParams(r0=lo, r1=hi, n_radial=args.grid, n_cross=args.n_cross)
-        _grid_size(args.grid * len(params.cross_section(d, cert.omega)), "--grid with --n-cross")
+        _grid_size(args.grid * params.cross_rows(d), "--grid with --n-cross")
         check_certificate_window(P, cert)
         mesh = cone_lambda_grid(d, cert.omega, params)
         t = _vector(args.t, d) if args.t else np.zeros(d)

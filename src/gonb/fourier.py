@@ -50,6 +50,7 @@ from .polytope import (
     Family,
     HPolytope,
     _reduce,
+    ball_directions,
     ball_grid,
 )
 
@@ -593,8 +594,16 @@ class ConeScanParams:
             return np.zeros((1, 0))
         if dim == 2:
             return omega * np.linspace(-1.0, 1.0, self.n_cross)[:, None]
-        dirs = ball_grid(dim - 1, 1.0, self.n_cross, 1, include_origin=False)
+        dirs = ball_grid(dim - 1, 1.0, self.n_cross, 1)[1:]
         return np.concatenate([omega * dirs, 0.5 * omega * dirs, np.zeros((1, dim - 1))])
+
+    def cross_rows(self, dim: int) -> int:
+        """len(cross_section(dim, omega)), counted without building it."""
+        if dim == 1:
+            return 1
+        if dim == 2:
+            return self.n_cross
+        return 2 * ball_directions(dim - 1, self.n_cross) + 1
 
 
 @dataclass(frozen=True)

@@ -329,10 +329,11 @@ class Family:
         the first with unit normal within 1e-7 of -e1 (A) and of +e1 (B), the
         pair a certificate frame puts on {y_1 = 0} and {y_1 = 1}, None where
         absent, and the others with |n_1| > 1e-14 (G), in row order."""
-        normals = [self.A[c[0]] for c in self.charts]
-        a, b = (next((r for r, n in enumerate(normals) if np.linalg.norm(n - e) <= 1e-7), None)
-                for e in np.eye(self.A.shape[1])[0] * [[-1.0], [1.0]])
-        return a, b, [r for r, n in enumerate(normals) if r not in (a, b) and abs(n[0]) > 1e-14]
+        normals = self.A[[c[0] for c in self.charts]]
+        ab = _first_near(normals, np.eye(self.A.shape[1])[0] * [[-1.0], [1.0]])
+        g = np.flatnonzero(np.abs(normals[:, 0]) > 1e-14)
+        a, b = (None if r < 0 else int(r) for r in ab)
+        return a, b, g[~np.isin(g, ab)].tolist()
 
 
 class Batch(NamedTuple):
@@ -628,48 +629,49 @@ def volume(P: HPolytope) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _first_near(normals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each target row (m, d), the first of the rows normals (n, d) that
+    lies within 1e-7 of it, -1 where none does."""
+    near = np.linalg.norm(normals - targets[:, None], axis=2) <= 1e-7
+    return np.where(near.any(axis=1), near.argmax(axis=1) if near.shape[1] else -1, -1)
+
+
 def facet_by_normal(P: HPolytope, normal) -> Facet | None:
     """First facet of P in canonical order whose unit normal lies within 1e-7
     of ``normal``, or None when there is none."""
-    return next((F for F in facets(P) if np.linalg.norm(F.normal - normal) <= 1e-7), None)
+    fs = facets(P)
+    k = _first_near(np.array([F.normal for F in fs]).reshape(-1, P.dim),
+                    np.reshape(normal, (1, P.dim)))[0]
+    return None if k < 0 else fs[k]
 
 
 def is_symmetric(P: HPolytope, tol: float = GEOM_TOL) -> SymmetryReport:
     """Minkowski test: symmetric iff every facet has a parallel facet of
-    equal (d-1)-volume within ``tol``.
+    equal (d-1)-volume within ``tol``; a facet's parallel facet is the first
+    one whose unit normal lies within 1e-7 of its negative.
 
-    The witness prefers a true facet pair with the largest volume gap; a
-    facet with no parallel partner, the largest, is used only when no paired
-    violation exists (its margin is then its own volume). Among gaps or
-    volumes equal within ``tol`` the first in canonical facet order wins.
+    The witness is the pair of the first facet in canonical order whose
+    volume gap to its parallel facet exceeds ``tol`` and lies within ``tol``
+    of the largest such gap, larger facet first. Only when no pair violates,
+    it is the first facet with no parallel facet whose volume lies within
+    ``tol`` of the largest such volume (its margin is then its own volume).
     """
     fs = facets(P)
-    best_pair: tuple[Facet, Facet | None] | None = None
-    best_gap = 0.0
-    worst_unpaired: Facet | None = None
-    symmetric = True
-    for F in fs:
-        partner = facet_by_normal(P, -F.normal)
-        if partner is None:
-            symmetric = False
-            if worst_unpaired is None or F.volume_dm1 > worst_unpaired.volume_dm1 + tol:
-                worst_unpaired = F
-            continue
-        gap = abs(F.volume_dm1 - partner.volume_dm1)
-        if gap > tol:
-            symmetric = False
-            if gap > best_gap + tol:
-                best_gap = gap
-                if F.volume_dm1 >= partner.volume_dm1:
-                    best_pair = (F, partner)
-                else:
-                    best_pair = (partner, F)
-    if symmetric:
-        return SymmetryReport(True, None, 0.0)
-    if best_pair is not None:
-        return SymmetryReport(False, best_pair, best_gap)
-    assert worst_unpaired is not None
-    return SymmetryReport(False, (worst_unpaired, None), worst_unpaired.volume_dm1)
+    normals = np.array([F.normal for F in fs]).reshape(-1, P.dim)
+    vol = np.array([F.volume_dm1 for F in fs])
+    partner = _first_near(normals, -normals)
+    lone = partner < 0
+    gap = np.where(lone, 0.0, np.abs(vol - vol[partner]))
+    bad = ~lone & (gap > tol)
+    if bad.any():
+        i = int(np.argmax(bad & (gap >= gap[bad].max() - tol)))
+        k = int(partner[i])
+        return SymmetryReport(False, (fs[i], fs[k]) if vol[i] >= vol[k] else (fs[k], fs[i]),
+                              float(gap[i]))
+    if lone.any():
+        i = int(np.argmax(lone & (vol >= vol[lone].max() - tol)))
+        return SymmetryReport(False, (fs[i], None), float(vol[i]))
+    return SymmetryReport(True, None, 0.0)
 
 
 def symmetry_center_oracle(P: HPolytope, tol: float = 1e-7) -> bool:
@@ -777,30 +779,36 @@ def hausdorff_distance(P: HPolytope, Q: HPolytope) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ball_grid(dim: int, radius: float, n_angles: int, n_radii: int,
-              include_origin: bool = True) -> np.ndarray:
-    """Deterministic polar-style sample of the closed ball |t| <= radius."""
-    pts = [np.zeros(dim)] if include_origin else []
-    if radius > 0 and n_radii > 0:
-        radii = radius * np.arange(1, n_radii + 1) / n_radii
-        if dim == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        elif dim == 2:
-            ang = 2 * np.pi * np.arange(n_angles) / n_angles
-            dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-        else:
-            grids = [np.linspace(0.0, np.pi, n_angles)] * (dim - 2)
-            grids.append(2 * np.pi * np.arange(n_angles) / n_angles)
-            dirs = []
-            for angs in itertools.product(*grids):
-                v = np.ones(dim)
-                for k, a in enumerate(angs):
-                    v[k + 1:] *= np.sin(a)
-                    v[k] *= np.cos(a)
-                dirs.append(v)
-            dirs = np.unique(np.round(np.array(dirs), 12), axis=0)
-        for r in radii:
-            pts.extend(r * dirs)
-    out = np.array(pts) if pts else np.zeros((0, dim))
-    return out
+def ball_grid(dim: int, radius: float, n_angles: int, n_radii: int) -> np.ndarray:
+    """Deterministic polar-style sample of the closed ball |t| <= radius: the
+    origin, then each of n_radii radii in (0, radius] times the
+    ball_directions(dim, n_angles) distinct unit directions."""
+    if radius <= 0 or n_radii <= 0:
+        return np.zeros((1, dim))
+    radii = radius * np.arange(1, n_radii + 1) / n_radii
+    if dim == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    elif dim == 2:
+        ang = 2 * np.pi * np.arange(n_angles) / n_angles
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    else:
+        grids = [np.linspace(0.0, np.pi, n_angles)] * (dim - 2)
+        grids.append(2 * np.pi * np.arange(n_angles) / n_angles)
+        angs = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, dim - 1)
+        dirs = np.ones((angs.shape[0], dim))
+        for k in range(dim - 1):
+            dirs[:, k + 1:] *= np.sin(angs[:, k, None])
+            dirs[:, k] *= np.cos(angs[:, k])
+        dirs = np.unique(np.round(dirs, 12), axis=0)
+    return np.concatenate([np.zeros((1, dim)), (radii[:, None, None] * dirs).reshape(-1, dim)])
 
+
+def ball_directions(dim: int, n_angles: int) -> int:
+    """How many directions ball_grid puts on each radius, for n >= 1 angles:
+    S_1 = 2, S_2 = n and S_d = 2 + (n - 2) S_{d-1}, the two poles of the
+    first polar angle and n - 2 rings of S_{d-1} (1 for n = 1)."""
+    if dim == 1:
+        return 2
+    if dim == 2 or n_angles == 1:
+        return n_angles
+    return 2 + (n_angles - 2) * ball_directions(dim - 1, n_angles)

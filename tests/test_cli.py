@@ -671,11 +671,14 @@ def test_gt_abs_size_bound_counts_the_built_grid(d, n_cross, rows, tmp_path, cap
 
 
 def test_gt_abs_direction_walk_bounded_before_it_runs(tmp_path, capsys):
-    """A 4-d gt_abs scan with --n-cross 2000 is refused before the 4,000,000
-    ball_grid directions of its cross section are walked."""
+    """A 4-d gt_abs scan with --grid 2 and --n-cross 700 (977,205 cross-section
+    rows) or 2000 is refused before any ball_grid direction of its cross
+    section is built: the rows are counted (ConeScanParams.cross_rows)."""
     window, cert = _cut_box_files(tmp_path, 4)
-    _traced_refusal(["scan", "--in", window, "--field", "gt_abs", "--certificate", cert,
-                     "--grid", "2", "--n-cross", "2000", "--out", str(tmp_path / "o")], capsys)
+    for n_cross in (700, 2000):
+        _traced_refusal(["scan", "--in", window, "--field", "gt_abs", "--certificate", cert,
+                         "--grid", "2", "--n-cross", str(n_cross), "--out", str(tmp_path / "o")],
+                        capsys)
 
 
 def _oversize_inputs(tmp_path):

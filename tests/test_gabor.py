@@ -201,6 +201,51 @@ def test_pentagon_small_lattice_violates(pentagon):
         assert direct == pytest.approx(rep.value, abs=1e-12)
 
 
+# Lattice tiles: the lattice L by its basis (columns), the radius that holds
+# the vectors of L whose bisectors bound its Voronoi cell, the radii of the
+# set's time points in L and frequencies in L*, and the set's size.
+TILES = {
+    "hexagon": (np.array([[1.5, 0.0], [math.sqrt(3) / 2, math.sqrt(3)]]), math.sqrt(3),
+                4.0, 4.0, 2413),
+    "truncated octahedron": (np.array([[1, 0, 0.5], [0, 1, 0.5], [0, 0, 0.5]]), 1.0,
+                             math.sqrt(2), 2.0, 513),
+    "24-cell": (np.array([[1, -1, 0, 0], [1, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]], float),
+                math.sqrt(2), math.sqrt(2), 1.0, 625),
+    "unit 4-cube": (np.eye(4), 1.0, 1.0, 1.0, 81),
+}
+# The largest |V| over the kept differences reads 6.3e-16, 1.2e-16, 2.0e-16
+# and 4.5e-17 on the four tiles (numpy 2.4.6); the floor is 16 times the
+# largest, and five decades below TOL_ZERO.
+TILE_FLOOR = 1e-14
+
+
+def _lattice_ball(B, r):
+    """The points of the lattice with basis B (columns) within radius r."""
+    pts = lattice_points(B, np.zeros(len(B)), [-r] * len(B), [r] * len(B))
+    return pts[np.linalg.norm(pts, axis=1) <= r * (1 + 1e-12)]
+
+
+@pytest.mark.parametrize("name", list(TILES))
+def test_lattice_tiles_are_orthonormal(name):
+    """The Voronoi cell P of a lattice L tiles by L, so it has the spectrum L*
+    (Fuglede 1974) and its Gabor system over L x L* is orthonormal: every V
+    there is exactly 0. P is the regular hexagon of circumradius 1, the
+    truncated octahedron of the body-centred cubic lattice, the 24-cell of
+    D4 and the unit 4-cube of Z^4: check_orthogonality reports nothing, and no kept difference reaches
+    TILE_FLOOR."""
+    B, r_cell, r_t, r_lam, size = TILES[name]
+    d = len(B)
+    P = normalize([(v, v @ v / 2) for v in _lattice_ball(B, r_cell) if v.any()], d)
+    assert volume(P) == pytest.approx(abs(np.linalg.det(B)), abs=1e-12)
+    T, lams = _lattice_ball(B, r_t), _lattice_ball(np.linalg.inv(B).T, r_lam)
+    pts = np.concatenate([np.repeat(T, len(lams), axis=0), np.tile(lams, (len(T), 1))], axis=1)
+    assert len(pts) == size
+    assert check_orthogonality(P, TimeFrequencySet(pts)) == []
+    first, second = _unique_signed_diffs(pts, P)
+    values = gabor._by_shift(fourier._ft_members, P, pts[first] - pts[second])
+    assert np.abs(values).max() < TILE_FLOOR
+
+
 @pytest.mark.parametrize("name", ["float", "lattice"])
 def test_check_orthogonality_values_are_per_difference_transforms(name, pentagon):
     """One batched transform per shift group gives, bit for bit, the value of
@@ -1021,34 +1066,26 @@ def test_certificate_makes_one_kernel_call_per_stage(pentagon, monkeypatch):
 def test_certificate_reads_translate_families(pentagon, monkeypatch):
     """The pentagon certificate reads its 17 ball translates from their
     family: it makes one HPolytope, the framed window (18 when each
-    translate had a view), calls facet_by_normal 5 times, all inside
-    is_symmetric (39 when each translate's axis pair was found by facet
-    scans), and its kernel makes 32 calls over 56,678 node rows, as then."""
-    made, scans, inside = [], [], []
-    init, scan, symmetric = polytope.HPolytope.__post_init__, polytope.facet_by_normal, \
-        gabor.is_symmetric
+    translate had a view), calls facet_by_normal 0 times (5 when
+    is_symmetric found each partner by a facet scan, 39 when each
+    translate's axis pair was found by facet scans too), and its kernel
+    makes 32 calls over 56,678 node rows, as then."""
+    made, scans = [], []
+    init, scan = polytope.HPolytope.__post_init__, polytope.facet_by_normal
 
     def counted_init(self):
         made.append(self)
         init(self)
 
     def counted_scan(P, normal):
-        scans.append(bool(inside))
+        scans.append(normal)
         return scan(P, normal)
-
-    def tagged(*args):
-        inside.append(True)
-        try:
-            return symmetric(*args)
-        finally:
-            inside.pop()
 
     monkeypatch.setattr(polytope.HPolytope, "__post_init__", counted_init)
     monkeypatch.setattr(polytope, "facet_by_normal", counted_scan)
-    monkeypatch.setattr(gabor, "is_symmetric", tagged)
     calls = _counted_kernel(monkeypatch)
     build_certificate(pentagon, 0.2, 0.2)
-    assert len(made) == 1 and scans == [True] * 5
+    assert len(made) == 1 and scans == []
     assert len(calls) == 32 and sum(rows for rows, _ in calls) == 56_678
 
 

@@ -34,6 +34,7 @@ from gonb.polytope import (
     _merge_duplicate_normals,
     _reduce,
     _translate_intersections,
+    ball_directions,
     ball_grid,
     distance_to_polytope,
     _distance_to_facets,
@@ -546,6 +547,71 @@ def test_interval_symmetric():
     assert is_symmetric(P, 1e-9).symmetric
 
 
+def _paired_hexagon(angles_deg, offsets):
+    """The hexagon with outward unit normals at the given angles and offsets."""
+    ang = np.radians(angles_deg)
+    return normalize([((math.cos(a), math.sin(a)), b) for a, b in zip(ang, offsets)], 2)
+
+
+def test_witness_is_the_first_gap_within_tol_of_the_largest():
+    """The hexagon's pair gaps read 0.078, 0.125 and 0.152 in canonical facet
+    order; at tol 0.05 the first within tol of the largest is 0.125 (a
+    running maximum, which a chain of near-equal gaps carries along, gave
+    0.152), and at the default tol the largest gap wins."""
+    P = _paired_hexagon([25, 80, 111, 205, 260, 291], [1.2, 1.0, 1.1, 1.2, 0.9, 0.9])
+    fs = facets(P)
+    assert [round(abs(F.volume_dm1 - facet_by_normal(P, -F.normal).volume_dm1), 3)
+            for F in fs[:3]] == [0.078, 0.125, 0.152]
+    rep = is_symmetric(P, 0.05)
+    F, G = rep.witness
+    assert rep.margin == F.volume_dm1 - G.volume_dm1 == pytest.approx(0.1247, abs=1e-4)
+    assert np.allclose(F.normal, -G.normal) and np.allclose(G.normal, fs[1].normal)
+    rep = is_symmetric(P)
+    assert rep.margin == pytest.approx(0.1519, abs=1e-4)
+    assert {rep.witness[0].normal.tobytes(), rep.witness[1].normal.tobytes()} == \
+        {fs[2].normal.tobytes(), facet_by_normal(P, -fs[2].normal).normal.tobytes()}
+
+
+def _documented_witness(P, tol):
+    """(witness, margin) by the rule is_symmetric states, one facet_by_normal
+    scan per facet: the first facet in canonical order whose pair gap exceeds
+    tol and lies within tol of the largest such gap, its pair larger facet
+    first; else the first facet without a partner whose volume lies within
+    tol of the largest such volume; else (None, 0.0)."""
+    pairs = [(F, facet_by_normal(P, -F.normal)) for F in facets(P)]
+    gaps = [None if G is None else abs(F.volume_dm1 - G.volume_dm1) for F, G in pairs]
+    bad = [g for g in gaps if g is not None and g > tol]
+    if bad:
+        F, G = next(p for p, g in zip(pairs, gaps)
+                    if g is not None and g > tol and g >= max(bad) - tol)
+        return ((F, G) if F.volume_dm1 >= G.volume_dm1 else (G, F)), abs(F.volume_dm1 - G.volume_dm1)
+    lone = [F.volume_dm1 for F, G in pairs if G is None]
+    if lone:
+        F = next(F for F, G in pairs if G is None and F.volume_dm1 >= max(lone) - tol)
+        return (F, None), F.volume_dm1
+    return None, 0.0
+
+
+def test_witness_follows_its_documented_rule():
+    """is_symmetric agrees with _documented_witness on random polygons, 3-d
+    bodies and symmetric hulls at tol 1e-9, 1e-7 and 1e-3, and on hexagons of
+    three opposite pairs whose gaps chain within tol 0.05."""
+    rng = np.random.default_rng(32)
+    cases = [(make(rng), tol) for make in (random_polygon, random_polytope_3d, symmetrized_polygon)
+             for _ in range(20) for tol in (1e-9, 1e-7, 1e-3)]
+    for _ in range(40):
+        ang = rng.uniform(0, 120) + np.array([0, 60, 120]) + rng.uniform(-8, 8, 3)
+        cases.append((_paired_hexagon(np.concatenate([ang, ang + 180]),
+                                      rng.uniform(0.9, 1.2, 6)), 0.05))
+    for P, tol in cases:
+        rep = is_symmetric(P, tol)
+        witness, margin = _documented_witness(P, tol)
+        assert rep.symmetric == (witness is None)
+        assert rep.margin == margin
+        assert rep.witness is None if witness is None else \
+            all(a is b for a, b in zip(rep.witness, witness, strict=True))
+
+
 # -- translate intersection --------------------------------------------------
 
 
@@ -958,6 +1024,40 @@ def test_ball_grid_hits_requested_radius():
     grid = ball_grid(2, math.sqrt(2), 8, 8)
     target = np.array([-1.0, -1.0])
     assert min(np.linalg.norm(g - target) for g in grid) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, sizes", [(1, range(1, 5)), (2, range(1, 33)), (3, range(1, 65)),
+                                        (4, range(1, 41))])
+def test_ball_directions_counts_ball_grid(dim, sizes):
+    """ball_grid puts ball_directions(dim, n) directions on each radius."""
+    for n in sizes:
+        assert len(ball_grid(dim, 1.0, n, 1)) == 1 + ball_directions(dim, n)
+
+
+def _looped_ball_grid(dim, radius, n, n_radii):
+    """ball_grid for dim 3 and 4 built one angle tuple and one radius at a
+    time: each direction multiplies in the cosine and the sines of its
+    angles in turn, the directions are rounded to 12 decimals and made
+    unique, and the origin comes first."""
+    grids = [np.linspace(0.0, np.pi, n)] * (dim - 2) + [2 * np.pi * np.arange(n) / n]
+    dirs = []
+    for angs in itertools.product(*grids):
+        v = np.ones(dim)
+        for k, a in enumerate(angs):
+            v[k + 1:] *= np.sin(a)
+            v[k] *= np.cos(a)
+        dirs.append(v)
+    dirs = np.unique(np.round(np.array(dirs), 12), axis=0)
+    radii = radius * np.arange(1, n_radii + 1) / n_radii
+    return np.array([np.zeros(dim)] + [p for r in radii for p in r * dirs])
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_ball_grid_keeps_the_bits_of_its_angle_loop(dim):
+    for n in range(1, 13):
+        for radius, n_radii in ((1.0, 1), (0.37, 3)):
+            assert np.array_equal(ball_grid(dim, radius, n, n_radii),
+                                  _looped_ball_grid(dim, radius, n, n_radii))
 
 
 def test_facet_volume_by_normal(pentagon):
